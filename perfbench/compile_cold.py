@@ -37,7 +37,13 @@ from .common import (
     start_interpreter,
 )
 from .corpus import Program, cold_programs
-from .tracing import Tracer, install_compiler_probes, stage_metrics
+from .tracing import (
+    Tracer,
+    install_compiler_probes,
+    paired_cpu,
+    probe_seconds,
+    stage_metrics,
+)
 
 #: programs whose compiled steps are replayed on the interpreter
 ORACLE_SAMPLE = 12
@@ -46,17 +52,6 @@ ORACLE_SAMPLE = 12
 def _setup(seed: int, tiny: bool) -> List[Program]:
     start_interpreter()
     return cold_programs(seed, tiny)
-
-
-def _one_pass(programs: List[Program]) -> Dict[str, float]:
-    """Compile every program once; CPU seconds per label."""
-    times = {}
-    for program in programs:
-        gc.collect()
-        started = time.process_time()
-        compile_source(program.source)
-        times[program.label] = time.process_time() - started
-    return times
 
 
 def run(seed: int, seconds: float, trace: bool, tiny: bool = False,
@@ -106,17 +101,23 @@ def run(seed: int, seconds: float, trace: bool, tiny: bool = False,
 
     typical = {label: statistics.median(samples) for label, samples in times.items() if samples}
     latencies = list(typical.values())
+    # The ladder closes every pass, so its rungs run back to back on one
+    # core speed: each pass gives one slope of raw CPU times, which is
+    # steadier than a slope of times normalized one by one.
+    ladder = [program.label for program in programs if program.kind == "ladder"]
+    slopes = [loglog_slope(list(zip((signals[label] for label in ladder), rung_times)))
+              for rung_times in zip(*(raw[label] for label in ladder))]
     out.end_to_end = {
         "setup_s": setup_s,
         "peak_rss_mib": rss,
         "service_ms.p50": 1000.0 * statistics.median(latencies),
         "service_ms.tail": 1000.0 * percentile(latencies, 90),
         "throughput_per_s": sum(signals[label] for label in typical) / sum(latencies),
-        "size_exponent": loglog_slope([(signals[label], typical[label]) for label in typical]),
+        "size_exponent": statistics.median(slopes),
     }
     raw_latencies = [statistics.median(samples) for samples in raw.values() if samples]
     out.details.update(window_s=window, compiles=out.attempted, programs=len(typical),
-                       tail_percentile=90,
+                       tail_percentile=90, ladder_slopes=slopes,
                        raw_cpu_ms_p50=1000.0 * statistics.median(raw_latencies))
 
     for program in programs:
@@ -145,44 +146,48 @@ def _check(out: WorkloadResult, kept: dict, seed: int, corrupt: bool) -> None:
 
 
 def _traced(out: WorkloadResult, programs: List[Program], sampled: set, kept: dict) -> None:
-    """One untraced pass, then one traced pass with layer counts and sizes."""
-    untraced = _one_pass(programs)
-    out.operations(len(untraced))
+    """Each program's untraced and traced compiles, with layer counts and sizes.
+
+    Every program is compiled untraced and traced back to back, as
+    :func:`perfbench.tracing.paired_cpu` orders them, so neither side pays
+    for the first compile after another program.  The first traced compile
+    gives the spans, counts and sizes.
+    """
     counts = dict.fromkeys(
         ("lang.signals", "clocks.variables", "clocks.classes", "clocks.forest_nodes",
          "bdd.nodes", "bdd.ite_cache_entries", "graph.edges",
          "codegen.python_bytes", "codegen.c_bytes"), 0)
     fig13 = {}
+    untraced: Dict[str, float] = {}
     traced_seconds = 0.0
     tracer = Tracer()
-    install_compiler_probes(tracer)
-    with tracer:
-        for program in programs:
-            tracer.group = program.label
-            gc.collect()
-            started = time.process_time()
-            result = compile_source(program.source)
-            traced_seconds += time.process_time() - started
-            out.operations(1)
+    for program in programs:
+        tracer.group = program.label
+        untraced[program.label], traced, result = paired_cpu(
+            lambda: compile_source(program.source), tracer)
+        traced_seconds += traced
+        out.operations(5)
+        install_compiler_probes(tracer)
+        with tracer:
             ir = result.executable.ir
             c_bytes = len(compiler.generate_c_source(ir)) + len(
                 compiler.generate_c_shared_source(ir))
-            hierarchy = result.hierarchy
-            stats = hierarchy.statistics()
-            manager = hierarchy.manager.statistics()
-            counts["lang.signals"] += len(result.program.signals)
-            counts["clocks.variables"] += stats["variables"]
-            counts["clocks.classes"] += stats["classes"]
-            counts["clocks.forest_nodes"] += stats["forest_nodes"]
-            counts["bdd.nodes"] += manager["nodes"]
-            counts["bdd.ite_cache_entries"] += manager["ite_cache_entries"]
-            counts["graph.edges"] += result.graph.edge_count()
-            counts["codegen.python_bytes"] += len(result.executable.source)
-            counts["codegen.c_bytes"] += c_bytes
-            if program.kind == "fig13":
-                fig13[program.label.split("-", 1)[1]] = stats
-            if program.label in sampled:
-                kept[program.label] = result
+        hierarchy = result.hierarchy
+        stats = hierarchy.statistics()
+        manager = hierarchy.manager.statistics()
+        counts["lang.signals"] += len(result.program.signals)
+        counts["clocks.variables"] += stats["variables"]
+        counts["clocks.classes"] += stats["classes"]
+        counts["clocks.forest_nodes"] += stats["forest_nodes"]
+        counts["bdd.nodes"] += manager["nodes"]
+        counts["bdd.ite_cache_entries"] += manager["ite_cache_entries"]
+        counts["graph.edges"] += result.graph.edge_count()
+        counts["codegen.python_bytes"] += len(result.executable.source)
+        counts["codegen.c_bytes"] += c_bytes
+        if program.kind == "fig13":
+            fig13[program.label.split("-", 1)[1]] = stats
+        if program.label in sampled:
+            kept[program.label] = result
     out.per_layer.update(stage_metrics(tracer))
     out.per_layer.update(counts)
     for stage in ("clocks.resolve", "codegen.ir"):
@@ -196,6 +201,7 @@ def _traced(out: WorkloadResult, programs: List[Program], sampled: set, kept: di
         "trace.traced_s": traced_seconds,
         "trace.untraced_s": sum(untraced.values()),
         "trace.overhead_s": traced_seconds - sum(untraced.values()),
+        "trace.probe_s": probe_seconds(tracer),
         "trace.spans": len(tracer.spans),
     })
     out.details["fig13"] = {

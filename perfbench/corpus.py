@@ -60,7 +60,9 @@ def cold_programs(seed: int, tiny: bool = False) -> List[Program]:
 
     Generated programs cover modules 1-12 x sensors 1-4 as one
     complementary pair per module count and sensor split (1+4, 2+3).  The
-    list is shuffled by the seed.
+    seed shuffles them with the Figure-13 programs; the ladder closes the
+    list in order of size, so on every seed its three rungs compile back to
+    back, after the same set of programs.
     """
     rng = random.Random(f"compile_cold:{seed}")
     programs: List[Program] = []
@@ -70,10 +72,10 @@ def cold_programs(seed: int, tiny: bool = False) -> List[Program]:
                 programs.append(Program(spec.name, generate_control_program(spec), "generated"))
     names = benchmark_names()[-2:] if tiny else benchmark_names()
     programs += [Program(f"fig13-{name}", benchmark_source(name), "fig13") for name in names]
+    rng.shuffle(programs)
     for modules, signals in (TINY_LADDER if tiny else LADDER).items():
         spec = ControlProgramSpec(f"LADDER{modules}", modules=modules, branching=3, sensors=3)
         programs.append(Program(f"ladder-{signals}", generate_control_program(spec), "ladder"))
-    rng.shuffle(programs)
     return programs
 
 

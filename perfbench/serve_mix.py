@@ -49,7 +49,7 @@ from .common import (
     cpu_clock,
 )
 from .corpus import Request, ServeCorpus
-from .tracing import Tracer, install_compiler_probes, stage_metrics
+from .tracing import Tracer, install_compiler_probes, probe_seconds, stage_metrics
 
 #: requests drawn up front; a run stops early if it ever consumes them all
 MAX_REQUESTS = 6000
@@ -339,6 +339,7 @@ def _traced(out: WorkloadResult, corpus: ServeCorpus, sent, stats: dict, store) 
         "trace.traced_s": traced_s,
         "trace.untraced_s": untraced_s,
         "trace.overhead_s": traced_s - untraced_s,
+        "trace.probe_s": probe_seconds(tracer),
         "trace.spans": len(tracer.spans),
     })
     out.tracer = tracer

@@ -39,12 +39,11 @@ from .common import (
     WorkloadResult,
     loglog_slope,
     median_setup,
-    own_cpu,
     peak_rss_mib,
     percentile,
 )
 from .corpus import distributed_spec, simulate_specs
-from .tracing import Tracer, install_compiler_probes, stage_metrics
+from .tracing import Tracer, paired_cpu, probe_seconds, stage_metrics
 
 #: population size of every program
 INSTANCES = 256
@@ -223,16 +222,9 @@ def _best_of(repeats: int, action) -> float:
 
 
 def _traced_setup(out: WorkloadResult, seed: int, tiny: bool) -> Setup:
-    """One untraced and one traced set-up; the traced one is kept."""
-    started = own_cpu()
-    _setup(seed, tiny).close()
-    untraced = own_cpu() - started
+    """Untraced and traced set-ups (:func:`perfbench.tracing.paired_cpu`); a traced one is kept."""
     tracer = Tracer()
-    install_compiler_probes(tracer)
-    with tracer:
-        started = own_cpu()
-        setup = _setup(seed, tiny)
-        traced = own_cpu() - started
+    untraced, traced, setup = paired_cpu(lambda: _setup(seed, tiny), tracer, discard=Setup.close)
     out.per_layer.update(stage_metrics(tracer))
     out.per_layer.update({
         "runtime.cc_build_s": sum(span.duration for span in tracer.select("runtime.cc_build")),
@@ -240,6 +232,7 @@ def _traced_setup(out: WorkloadResult, seed: int, tiny: bool) -> Setup:
         "trace.traced_s": traced,
         "trace.untraced_s": untraced,
         "trace.overhead_s": traced - untraced,
+        "trace.probe_s": probe_seconds(tracer),
         "trace.spans": len(tracer.spans),
     })
     out.tracer = tracer

@@ -3,10 +3,11 @@
 
 Usage (from the repository root)::
 
-    python3 perfbench/steadiness.py --runs 10 --seconds 25
+    python3 perfbench/steadiness.py
 
-For each workload this runs ``perfbench/run.py`` once per seed (untraced)
-plus ``--traced`` traced runs, and writes ``perfbench/STEADINESS.md``: per
+For each workload of ``BENCHMARK.json`` this runs ``perfbench/run.py``
+untraced on seeds 1..10 and traced on seed 1, each with the declared
+``run_seconds`` window, and writes ``perfbench/STEADINESS.md``: per
 end-to-end metric the median, the quartiles (``statistics.quantiles(n=4)``),
 the spread ``(q3 - q1) / median``, the bound from ``BENCHMARK.json`` and
 whether the spread is under a third of it; then the traced-minus-untraced
@@ -15,7 +16,6 @@ wall time per workload.  Raw results go to ``perfbench/steadiness.json``.
 
 from __future__ import annotations
 
-import argparse
 import json
 import pathlib
 import statistics
@@ -25,6 +25,8 @@ import time
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 HERE = pathlib.Path(__file__).resolve().parent
+#: untraced runs per workload, on seeds 1..RUNS
+RUNS = 10
 
 
 def run_once(workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -52,35 +54,25 @@ def summarize(values):
     return statistics.median(values), q1, q3, (q3 - q1) / statistics.median(values)
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--runs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="timed window (default: run_seconds of BENCHMARK.json)")
-    parser.add_argument("--first-seed", type=int, default=1)
-    parser.add_argument("--traced", type=int, default=1, help="traced runs per workload")
-    parser.add_argument("--workloads", nargs="*", default=None)
-    parser.add_argument("--output", default=str(HERE / "STEADINESS.md"))
-    arguments = parser.parse_args(argv)
+def main() -> int:
     with open(ROOT / "BENCHMARK.json", encoding="utf-8") as handle:
         declared = json.load(handle)
-    seconds = arguments.seconds or declared["run_seconds"]
-    workloads = arguments.workloads or [w["name"] for w in declared["workloads"]]
+    seconds = declared["run_seconds"]
+    workloads = [workload["name"] for workload in declared["workloads"]]
 
     runs = []
     for workload in workloads:
-        for index in range(arguments.runs):
-            runs.append(run_once(workload, arguments.first_seed + index, seconds, 0))
+        for seed in range(1, RUNS + 1):
+            runs.append(run_once(workload, seed, seconds, 0))
             print(json.dumps(runs[-1]["metrics"]), file=sys.stderr)
-        for index in range(arguments.traced):
-            runs.append(run_once(workload, arguments.first_seed + index, seconds, 1))
+        runs.append(run_once(workload, 1, seconds, 1))
 
     environment = runs[0]["environment"]
     lines = [
         "# Steadiness of the benchmark",
         "",
-        f"{arguments.runs} untraced runs per workload, seeds {arguments.first_seed}.."
-        f"{arguments.first_seed + arguments.runs - 1}, {seconds:g} s windows, run one after "
+        f"{RUNS} untraced runs per workload, seeds 1..{RUNS}, {seconds:g} s windows, "
+        f"one traced run on seed 1, run one after "
         f"another on {environment['cores']} cores, Python {environment['python']}, "
         f"{environment['cc_version']}, commit {environment['git_commit']}.",
         "",
@@ -104,20 +96,24 @@ def main(argv=None) -> int:
     lines += ["", "Failed checks: " + (", ".join(failed) if failed else "none."), ""]
     lines += ["## Tracing overhead", "",
               "Traced-minus-untraced CPU time of the same work inside each traced run "
-              "(`trace.traced_s - trace.untraced_s`), and whole-run wall times.", "",
-              "| workload | traced work s | untraced work s | overhead s | traced run s "
-              "| median untraced run s |", "|---|---|---|---|---|---|"]
+              "(`trace.traced_s - trace.untraced_s`), the probes' own cost "
+              "(`trace.probe_s`: spans times the measured cost of one probe), and "
+              "whole-run wall times.  The probes cost far less than the run-to-run noise "
+              "of the same work, so the overhead column is a difference within that noise "
+              "(see perfbench/README.md).", "",
+              "| workload | traced work s | untraced work s | overhead s | probe s | spans "
+              "| traced run s | median untraced run s |", "|---|---|---|---|---|---|---|---|"]
     for workload in workloads:
         traced = [r for r in runs if r["workload"] == workload and r["trace"]]
         untraced = [r for r in runs if r["workload"] == workload and not r["trace"]]
         for r in traced:
             m = r["metrics"]
             lines.append(f"| {workload} | {m['trace.traced_s']:.3f} | {m['trace.untraced_s']:.3f} "
-                         f"| {m['trace.overhead_s']:.3f} | {r['run_wall_s']:.1f} "
+                         f"| {m['trace.overhead_s']:.3f} | {m['trace.probe_s']:.4f} "
+                         f"| {m['trace.spans']:.0f} | {r['run_wall_s']:.1f} "
                          f"| {statistics.median(u['run_wall_s'] for u in untraced):.1f} |")
-    pathlib.Path(arguments.output).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    with open(pathlib.Path(arguments.output).with_name("steadiness.json"), "w",
-              encoding="utf-8") as handle:
+    (HERE / "STEADINESS.md").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(HERE / "steadiness.json", "w", encoding="utf-8") as handle:
         json.dump(runs, handle, indent=1)
     print("\n".join(lines))
     return 0

@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import gc
 import json
-from typing import Callable, Dict, Iterator, List, Optional
+import time
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .common import own_cpu
 
@@ -191,6 +193,66 @@ def install_compiler_probes(tracer: Tracer) -> None:
     tracer.wrap(service, "compile_unit_record", "service.unit_compile")
     tracer.wrap(service, "link_units", "service.link")
     tracer.wrap(mass, "compile_shared_library", "runtime.cc_build")
+
+
+def paired_cpu(action: Callable[[], object], tracer: Tracer,
+               discard: Callable[[object], None] = lambda value: None) -> Tuple[float, float, object]:
+    """CPU seconds of ``action`` untraced and traced, and its traced value.
+
+    ``action`` runs once untimed, so that neither side pays for a first
+    run, then untraced, traced, traced and untraced, so that a trend in
+    core speed or allocator state cancels from the difference; each side
+    reports the mean of its two runs.  Only the first traced run records
+    into ``tracer`` and keeps its value; ``discard`` releases the others.
+    """
+    discard(action())
+    seconds = {False: 0.0, True: 0.0}
+    kept = None
+    for target in (None, tracer, Tracer(), None):
+        if target is not None:
+            install_compiler_probes(target)
+        try:
+            gc.collect()
+            started = own_cpu()
+            value = action()
+            seconds[target is not None] += own_cpu() - started
+        finally:
+            if target is not None:
+                target.restore()
+        if target is tracer:
+            kept = value
+        else:
+            discard(value)
+    return seconds[False] / 2, seconds[True] / 2, kept
+
+
+def probe_seconds(tracer: Tracer) -> float:
+    """CPU seconds the probes added to a traced run: spans x one probe's cost.
+
+    One probe's cost is measured here, as the extra CPU time of a wrapped
+    no-op over the bare one.  A traced-minus-untraced time is a difference
+    of two noisy totals; this estimate is what tracing costs by itself.
+    """
+
+    class Target:
+        @staticmethod
+        def noop():
+            return None
+
+    calls = 20000
+
+    def cpu_of(function) -> float:
+        started = time.process_time()
+        for _ in range(calls):
+            function()
+        return time.process_time() - started
+
+    bare = cpu_of(Target.noop)
+    probe = Tracer()
+    probe.wrap(Target, "noop", "probe")
+    with probe:
+        wrapped = cpu_of(Target.noop)
+    return len(tracer.spans) * max(wrapped - bare, 0.0) / calls
 
 
 def stage_metrics(tracer: Tracer) -> Dict[str, float]:

@@ -954,15 +954,8 @@ class CompilationService:
                 for manager in checked_out:
                     self._return_worker_manager(manager)
 
-        # Submit every job up front rather than through ``pool.map``: a
-        # failing map result cancels the jobs not yet started, so which
-        # successful programs got cached would depend on thread timing.
-        # Submitted jobs are never cancelled: leaving the ``with`` block
-        # waits for all of them before the first failure (in input order)
-        # propagates.
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(work, source) for source in source_list]
-            return [future.result() for future in futures]
+            return list(pool.map(work, source_list))
 
     def _split_batch(
         self, source_list: List[str], mapper=map

@@ -116,7 +116,7 @@ class BDD:
 
     def implies(self, other: "BDD") -> bool:
         """Whether ``self -> other`` is a tautology (set inclusion)."""
-        return (self & ~self._coerce(other)).is_false
+        return self.manager.implies(self, self._coerce(other))
 
     # -- queries -----------------------------------------------------------
     def node_count(self) -> int:
@@ -168,6 +168,7 @@ class BDDManager:
         ]
         self._unique: Dict[Tuple[int, int, int], int] = {}
         self._ite_cache: Dict[Tuple[int, int, int], int] = {}
+        self._implies_cache: Dict[Tuple[int, int], bool] = {}
         self._var_names: List[str] = []
         self._name_to_level: Dict[str, int] = {}
         self.max_nodes = max_nodes
@@ -319,6 +320,34 @@ class BDDManager:
         not_g = self._ite(g.ref, self.FALSE, self.TRUE)
         return BDD(self, self._ite(f.ref, not_g, g.ref))
 
+    # -- inclusion ------------------------------------------------------------------
+    def implies(self, f: BDD, g: BDD) -> bool:
+        """Whether ``f -> g`` is a tautology, without building ``f & ~g``.
+
+        A memoized Shannon walk over pairs of cofactors that stops at the
+        first pair where ``f`` can hold and ``g`` cannot; it creates no node.
+        """
+        return self._implies(f.ref, g.ref)
+
+    def _implies(self, f: int, g: int) -> bool:
+        if f == g or f == self.FALSE or g == self.TRUE:
+            return True
+        if f == self.TRUE or g == self.FALSE:
+            return False
+        key = (f, g)
+        cached = self._implies_cache.get(key)
+        if cached is not None:
+            return cached
+        f_level, f_low, f_high = self._nodes[f]
+        g_level, g_low, g_high = self._nodes[g]
+        if f_level < g_level:
+            g_low = g_high = g
+        elif g_level < f_level:
+            f_low = f_high = f
+        result = self._implies(f_low, g_low) and self._implies(f_high, g_high)
+        self._implies_cache[key] = result
+        return result
+
     def conjoin(self, functions: Sequence[BDD]) -> BDD:
         result = self.true
         for f in functions:
@@ -463,8 +492,9 @@ class BDDManager:
             stack.append(high)
 
     def clear_caches(self) -> None:
-        """Drop the computed cache (the unique table is kept)."""
+        """Drop the computed caches (the unique table is kept)."""
         self._ite_cache.clear()
+        self._implies_cache.clear()
 
     # -- namespacing -----------------------------------------------------------
     def scoped(self, namespace: str) -> "ScopedBDDManager":

@@ -52,6 +52,7 @@ from ..lang.kernel import (
     KernelDefault,
     KernelDelay,
     KernelFunction,
+    KernelProcess,
     KernelProgram,
     KernelSynchro,
     KernelWhen,
@@ -82,6 +83,12 @@ class ValueEncoder:
         self.manager = manager
         self.program = program
         self.types = types
+        # The defining process of every target, indexed once: the first
+        # definition wins, as in :meth:`KernelProgram.definition_of`.
+        self._definitions: Dict[str, KernelProcess] = {}
+        for process in program.processes:
+            if not isinstance(process, KernelSynchro):
+                self._definitions.setdefault(process.target, process)
         self._cache: Dict[str, BDD] = {}
         self._in_progress: Set[str] = set()
         #: names of signals that received a fresh (opaque) value variable
@@ -154,7 +161,7 @@ class ValueEncoder:
         if signal_type is None or not signal_type.is_boolean_like:
             raise ValueError(f"signal {signal!r} is not boolean")
 
-        definition = self.program.definition_of(signal)
+        definition = self._definitions.get(signal)
 
         if definition is None:
             # Input signal (or otherwise externally defined): opaque value.

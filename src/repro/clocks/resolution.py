@@ -740,23 +740,31 @@ class ArborescentResolver:
         clock_class: ClockClass,
         exclude: Optional[ClockNode] = None,
     ) -> Optional[ClockNode]:
-        """The deepest node whose clock includes ``clock_class`` (Figure 12)."""
-        assert clock_class.bdd is not None
+        """The deepest node whose clock includes ``clock_class`` (Figure 12).
+
+        Every node is included in its parent, so no descendant of a node
+        that does not include ``clock_class`` can include it: the search
+        descends from the roots, pre-order and left to right, and prunes
+        such subtrees.  The subtree of ``exclude`` is skipped; among the
+        deepest candidates the first one visited wins.
+        """
+        bdd = clock_class.bdd
+        assert bdd is not None
         best: Optional[ClockNode] = None
         best_depth = -1
-        for node in forest.iter_nodes():
-            if exclude is not None and exclude.is_ancestor_of(node):
-                continue
-            if node.clock_class is clock_class:
+        stack = [(root, 0) for root in reversed(forest.roots)]
+        while stack:
+            node, depth = stack.pop()
+            if node is exclude:
                 continue
             other = node.clock_class.bdd
-            if other is None:
-                continue
-            if clock_class.bdd.implies(other):
-                depth = node.depth
+            if node.clock_class is not clock_class and other is not None:
+                if not bdd.implies(other):
+                    continue
                 if depth > best_depth:
                     best = node
                     best_depth = depth
+            stack.extend((child, depth + 1) for child in reversed(node.children))
         return best
 
     def _fusion_pass(self, forest: ClockForest) -> None:

@@ -276,6 +276,7 @@ class _StepBuilder:
                 self.definitions[process.target] = process
         self.registers: List[RegisterInfo] = []
         self._register_by_target: Dict[str, RegisterInfo] = {}
+        self._registers_by_class: Dict[int, List[RegisterInfo]] = {}
         self._collect_registers()
         free = [c for c in self.hierarchy.free_classes() if not c.is_null]
         self._single_root = len(free) == 1
@@ -300,6 +301,8 @@ class _StepBuilder:
             )
             self.registers.append(register)
             self._register_by_target[process.target] = register
+            class_id = self.schedule.signal_class[process.target].id
+            self._registers_by_class.setdefault(class_id, []).append(register)
 
     # -- operand/value expressions -----------------------------------------------
     def operand_expr(self, operand: Operand) -> ValueExpr:
@@ -399,12 +402,10 @@ class _StepBuilder:
 
     def update_statements_for_class(self, clock_class: ClockClass) -> List[Stmt]:
         """Register updates for delays whose clock is ``clock_class``."""
-        updates = []
-        for register in self.registers:
-            target_class = self.schedule.signal_class.get(register.target)
-            if target_class is not None and target_class.id == clock_class.id:
-                updates.append(UpdateRegister(register.register, SigRef(register.source)))
-        return updates
+        return [
+            UpdateRegister(register.register, SigRef(register.source))
+            for register in self._registers_by_class.get(clock_class.id, [])
+        ]
 
     def root_flag_descriptions(self) -> List[Tuple[int, str, bool]]:
         descriptions = []
@@ -479,35 +480,10 @@ class _HierarchicalBuilder:
     def _action_rank(self, action: Action) -> int:
         return self._rank.get(action, len(self._rank))
 
-    # -- home nodes and LCAs ------------------------------------------------------------
-    def _home_node(self, action: Action) -> Optional[ClockNode]:
-        if isinstance(action, ComputeSignal):
-            clock_class = self.schedule.signal_class.get(action.signal)
-        else:
-            clock_class = self.builder.class_by_id.get(action.class_id)
-        if clock_class is None:
-            return None
-        return clock_class.node
-
-    @staticmethod
-    def _ancestor_chain(node: ClockNode) -> List[ClockNode]:
-        return list(node.ancestors())
-
-    def _item_of(self, node: ClockNode, descendant: ClockNode):
-        """The item of ``node`` that contains ``descendant`` (a child, or the node itself)."""
-        if descendant is node:
-            return ("self", None)
-        chain = self._ancestor_chain(descendant)
-        for index, ancestor in enumerate(chain):
-            if ancestor is node:
-                child = chain[index - 1]
-                return ("child", child)
-        return (None, None)
-
     # -- emission --------------------------------------------------------------------------
     def build(self) -> List[Stmt]:
         # Treat the forest as a single virtual node whose children are the roots.
-        local_edges, items = self._local_items(None, self.forest.roots, [])
+        local_edges, items = self._local_items(self.forest.roots, [])
         statements: List[Stmt] = []
         for kind, payload in self._order_items(items, local_edges, node_label="<forest>"):
             assert kind == "child"
@@ -523,7 +499,7 @@ class _HierarchicalBuilder:
 
     def _emit_node(self, node: ClockNode) -> List[Stmt]:
         signals = self.node_signals.get(node.clock_class.id, [])
-        local_edges, items = self._local_items(node, node.children, signals)
+        local_edges, items = self._local_items(node.children, signals)
         body: List[Stmt] = []
         for kind, payload in self._order_items(
             items, local_edges, node_label=node.clock_class.display_name()
@@ -559,53 +535,28 @@ class _HierarchicalBuilder:
         return recorded.id == parent_class.id
 
     # -- local ordering ------------------------------------------------------------------------
-    def _local_items(
-        self,
-        node: Optional[ClockNode],
-        children: Sequence[ClockNode],
-        signals: Sequence[str],
-    ):
+    def _local_items(self, children: Sequence[ClockNode], signals: Sequence[str]):
         items: List[Tuple[str, object]] = [("signal", s) for s in signals]
         items += [("child", c) for c in children]
 
-        # Map every action under this node to its item.
-        action_item: Dict[Action, Tuple[str, object]] = {}
-        for signal in signals:
-            action_item[ComputeSignal(signal)] = ("signal", signal)
-        for child in children:
+        # Map every action under this node to the index of its item.
+        action_item: Dict[Action, int] = {}
+        for index, signal in enumerate(signals):
+            action_item[ComputeSignal(signal)] = index
+        for index, child in enumerate(children, start=len(signals)):
             for descendant in child.iter_subtree():
-                action_item[ComputeClock(descendant.clock_class.id)] = ("child", child)
+                action_item[ComputeClock(descendant.clock_class.id)] = index
                 for signal in self.node_signals.get(descendant.clock_class.id, []):
-                    action_item[ComputeSignal(signal)] = ("child", child)
+                    action_item[ComputeSignal(signal)] = index
 
+        # Only the prerequisites of actions under this node can give an edge.
         edges: Set[Tuple[int, int]] = set()
-        item_index = {
-            self._item_key(item): index for index, item in enumerate(items)
-        }
-
-        def key_of(item: Tuple[str, object]) -> int:
-            return item_index[self._item_key(item)]
-
-        for action, prerequisites in self.schedule.prerequisites.items():
-            target_item = action_item.get(action)
-            if target_item is None:
-                continue
-            for prerequisite in prerequisites:
-                source_item = action_item.get(prerequisite)
-                if source_item is None:
-                    continue
-                source_key = key_of(source_item)
-                target_key = key_of(target_item)
-                if source_key != target_key:
-                    edges.add((source_key, target_key))
+        for action, target in action_item.items():
+            for prerequisite in self.schedule.prerequisites.get(action, ()):
+                source = action_item.get(prerequisite)
+                if source is not None and source != target:
+                    edges.add((source, target))
         return edges, items
-
-    @staticmethod
-    def _item_key(item: Tuple[str, object]):
-        kind, payload = item
-        if kind == "signal":
-            return ("signal", payload)
-        return ("child", id(payload))
 
     def _order_items(
         self,
@@ -628,6 +579,7 @@ class _HierarchicalBuilder:
             ]
             return min(ranks) if ranks else 0
 
+        rank = [item_rank(index) for index in range(count)]
         remaining = set(range(count))
         ordered: List[int] = []
         while remaining:
@@ -641,8 +593,7 @@ class _HierarchicalBuilder:
                     "cannot nest code for clock "
                     f"{node_label}: interleaved dependencies between {names}"
                 )
-            ready.sort(key=item_rank)
-            chosen = ready[0]
+            chosen = min(ready, key=rank.__getitem__)
             remaining.remove(chosen)
             ordered.append(chosen)
         return [items[i] for i in ordered]

@@ -15,6 +15,7 @@ instantaneous cycle that the conditional analysis cannot discharge.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
@@ -180,23 +181,17 @@ def _topological_sort(
         for prerequisite in prereqs:
             dependents[prerequisite].append(action)
 
-    # Stable: keep the original declaration order among ready actions.
+    # Stable: the ready action first declared goes first (a heap of indices).
     order_index = {action: index for index, action in enumerate(actions)}
-    ready = sorted(
-        [a for a in actions if not remaining_prereqs[a]], key=order_index.__getitem__
-    )
+    ready = [index for index, action in enumerate(actions) if not remaining_prereqs[action]]
     result: List[Action] = []
     while ready:
-        action = ready.pop(0)
+        action = actions[heapq.heappop(ready)]
         result.append(action)
-        newly_ready = []
         for dependent in dependents[action]:
             remaining_prereqs[dependent].discard(action)
             if not remaining_prereqs[dependent]:
-                newly_ready.append(dependent)
-        if newly_ready:
-            ready.extend(newly_ready)
-            ready.sort(key=order_index.__getitem__)
+                heapq.heappush(ready, order_index[dependent])
 
     if len(result) != len(actions):
         stuck = [str(a) for a in actions if a not in set(result)]

@@ -906,7 +906,9 @@ class CompilationService:
         compiled by two workers; the cache keeps whichever finishes last,
         which is harmless because compilation is deterministic.  A source
         that fails to compile raises its ``SignalError`` from the batch
-        call in either mode; in process mode the exception additionally
+        call in either mode; thread batches raise it only after every other
+        job has run (and cached its result), and the error raised is the
+        first failing source's in input order.  In process mode the exception additionally
         carries ``batch_index`` (the failing source's position), because
         the parent holds no cache that could cheaply re-identify it.
         """
@@ -954,8 +956,13 @@ class CompilationService:
                 for manager in checked_out:
                     self._return_worker_manager(manager)
 
+        # Submit every job and read the results in input order only once all
+        # have run: ``pool.map`` cancels the jobs not yet started when one
+        # fails, so which successful programs got cached would depend on
+        # thread timing.
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(work, source_list))
+            futures = [pool.submit(work, source) for source in source_list]
+        return [future.result() for future in futures]
 
     def _split_batch(
         self, source_list: List[str], mapper=map
@@ -1002,11 +1009,12 @@ class CompilationService:
         store = self.store
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             parsed, unique = self._split_batch(source_list, mapper=pool.map)
-            list(
-                pool.map(
-                    lambda unit: self._unit_record_for(unit, store), unique.values()
-                )
-            )
+            # Like thread batches: every unit compiles before a failure is raised.
+            futures = [
+                pool.submit(self._unit_record_for, unit, store) for unit in unique.values()
+            ]
+        for future in futures:
+            future.result()
         return [
             self.compile_modular(
                 source,

@@ -296,6 +296,34 @@ def _all_assignments(count):
         yield [bool(mask & (1 << index)) for index in range(count)]
 
 
+@settings(max_examples=150, deadline=None)
+@given(formulas(), formulas())
+def test_implies_agrees_with_difference_and_builds_no_node(first, second):
+    """``f.implies(g)`` is ``f & ~g == FALSE``, decided without new nodes."""
+    manager = BDDManager()
+    for index in range(_NUM_VARS):
+        manager.declare(f"p{index}")
+    f = _to_bdd(manager, first)
+    g = _to_bdd(manager, second)
+    meet, join = f & g, f | g
+    pairs = [(f, g), (g, f), (meet, f), (f, join), (join, meet)]
+    nodes = manager.num_nodes
+    answers = [left.implies(right) for left, right in pairs]
+    assert manager.num_nodes == nodes
+    assert answers == [(left & ~right).is_false for left, right in pairs]
+    assert answers[2] and answers[3]
+
+
+def test_clear_caches_drops_the_implies_memo(manager):
+    a = manager.declare("a")
+    b = manager.declare("b")
+    assert (a & b).implies(a)
+    assert manager._implies_cache
+    manager.clear_caches()
+    assert not manager._implies_cache
+    assert (a & b).implies(a) and not a.implies(a & b)
+
+
 @settings(max_examples=100, deadline=None)
 @given(formulas())
 def test_satisfy_count_matches_enumeration(formula):

@@ -9,11 +9,18 @@ import pytest
 
 from repro.clocks.algebra import CondFalse, CondTrue, Join, Meet, SignalClock
 from repro.clocks.equations import extract_clock_system
-from repro.clocks.resolution import ClockClass, FormulaDefinition, resolve
+from repro.clocks.resolution import (
+    ArborescentResolver,
+    ClockClass,
+    FormulaDefinition,
+    resolve,
+)
 from repro.clocks.tree import ClockForest, ClockNode
 from repro.lang.kernel import normalize
 from repro.lang.parser import parse_process
 from repro.lang.types import infer_types
+from repro.programs import ControlProgramSpec, generate_control_program
+from repro.programs.suite import benchmark_names, benchmark_source
 
 
 def hierarchy_of(source):
@@ -217,6 +224,72 @@ class TestFigure12DeepestInsertion:
         for node in hierarchy.forest.iter_nodes():
             if node.parent is not None:
                 assert node.clock_class.bdd.implies(node.parent.clock_class.bdd)
+
+    @staticmethod
+    def exhaustive_parent(forest, clock_class, exclude):
+        """Reference: scan every node outside ``exclude``'s subtree."""
+        best, best_depth = None, -1
+        for node in forest.iter_nodes():
+            if exclude.is_ancestor_of(node) or node.clock_class is clock_class:
+                continue
+            if clock_class.bdd.implies(node.clock_class.bdd) and node.depth > best_depth:
+                best, best_depth = node, node.depth
+        return best
+
+    # ^Z = ^X ∧ ^Y is included in both ^X and ^Y, two children of ^A: of
+    # two candidates at the same depth, the first in pre-order wins.
+    EQUAL_DEPTH_SOURCE = """
+    process TIE =
+      ( ? integer A; boolean C1, C2, C3;
+        ! integer X, Y, Z; )
+      (| X := (A when C1) default (A when C2)
+       | Y := (A when C1) default (A when C3)
+       | Z := X when (event Y)
+       | synchro { A, C1, C2, C3 }
+       |)
+    end;
+    """
+
+    def test_equal_depth_candidates_resolve_to_the_first_in_preorder(self):
+        hierarchy = hierarchy_of(self.EQUAL_DEPTH_SOURCE)
+        z_node = hierarchy.class_of_signal("Z").node
+        assert z_node.parent is hierarchy.class_of_signal("X").node
+
+    @pytest.mark.parametrize(
+        "source",
+        [EQUAL_DEPTH_SOURCE]
+        + [benchmark_source(name) for name in benchmark_names()]
+        + [
+            generate_control_program(
+                ControlProgramSpec(
+                    f"TREE{modules}",
+                    modules=modules,
+                    branching=1 + modules % 3,
+                    sensors=1 + modules % 4,
+                    with_arithmetic=modules % 2 == 0,
+                )
+            )
+            for modules in range(1, 13)
+        ],
+        ids=["equal-depth"]
+        + benchmark_names()
+        + [f"generated-{m}" for m in range(1, 13)],
+    )
+    def test_pruned_descent_matches_exhaustive_scan(self, source):
+        program = normalize(parse_process(source))
+        resolver = ArborescentResolver(extract_clock_system(program, infer_types(program)))
+        forest = resolver.resolve().forest
+        formula_nodes = [
+            node
+            for node in forest.iter_nodes()
+            if isinstance(node.clock_class.definition, FormulaDefinition)
+        ]
+        assert formula_nodes
+        for node in formula_nodes:
+            clock_class = node.clock_class
+            assert resolver._deepest_admissible_parent(
+                forest, clock_class, exclude=node
+            ) is self.exhaustive_parent(forest, clock_class, node)
 
     def test_left_to_right_dfs_visits_operands_before_formulas(self):
         """Triangularity: a depth-first, left-to-right walk of a tree never

@@ -341,6 +341,38 @@ class TestBatchFailurePath:
         stats = service.statistics()
         assert stats["cache_entries"] == stats["scopes"] == 2
 
+    def test_failing_job_never_cancels_queued_jobs(self):
+        """Jobs still queued when a failure surfaces run and get cached.
+
+        Successful compiles wait until the failing first job has raised, so
+        with two workers the last sources are still queued at that moment.
+        """
+        import threading
+
+        from repro.errors import SignalError
+
+        service = CompilationService()
+        failed = threading.Event()
+        original = service._compile_program
+
+        def held_back(*args, **kwargs):
+            try:
+                result = original(*args, **kwargs)
+            except SignalError:
+                failed.set()
+                raise
+            assert failed.wait(timeout=60)
+            return result
+
+        service._compile_program = held_back
+        sources = [
+            self.BROKEN[0], COUNTER_SOURCE, WATCHDOG_SOURCE, ACCUMULATOR_SOURCE, ALARM_SOURCE,
+        ]
+        with pytest.raises(SignalError):
+            service.compile_batch(sources, jobs=2)
+        stats = service.statistics()
+        assert stats["cache_entries"] == stats["scopes"] == 4
+
     def test_service_stays_usable_after_failing_batch(self):
         from repro.errors import SignalError
 

@@ -1,9 +1,10 @@
 #!/usr/bin/env python
 """Serial vs process-parallel batch compilation of the Figure-13 suite.
 
-The GIL ceiling of thread batches is the reason ``compile_batch`` grew a
-``workers="processes"`` backend: worker processes each run the full
-pipeline on their own core and send back JSON artifact records.  This
+The GIL caps in-process batches at one core, so
+``compile_batch_records(sources, jobs=N)`` with ``N > 1`` runs on worker
+processes, each running the full pipeline on its own core and sending back
+JSON artifact records.  This
 benchmark compiles the Figure-13 generated suite (optionally padded with
 seeded fuzz programs so the batch is large enough to amortize pool
 startup) twice on cold services -- once serially, once process-parallel
@@ -132,8 +133,8 @@ def run(argv=None) -> int:
     parallel_records: List[Dict[str, object]] = []
     with CompilationService(max_entries=max(len(batch) * 2, 16)) as parallel_service:
         started = time.perf_counter()
-        parallel_records = parallel_service.compile_batch(
-            batch, jobs=arguments.jobs, workers="processes"
+        parallel_records = parallel_service.compile_batch_records(
+            batch, jobs=arguments.jobs
         )
         parallel_seconds = time.perf_counter() - started
 

@@ -17,9 +17,8 @@ in *"Implementation of the data-flow synchronous language SIGNAL"*
 * the benchmark programs and representation baselines needed to regenerate
   the comparison of Figure 13;
 * a compilation service (:class:`repro.service.CompilationService`) that
-  pools a shared BDD manager across compilations (with node-watermark
-  recycling), caches compilation results by kernel fingerprint, and
-  compiles batches concurrently;
+  caches compilation results by kernel fingerprint (every miss compiles on
+  its own fresh BDD manager) and compiles batches on worker processes;
 * a compilation daemon (``python -m repro serve``,
   :mod:`repro.service.daemon`) serving that service over a JSON-line
   socket protocol with an on-disk store that keeps the cache warm across

@@ -9,6 +9,6 @@ and structural statistics (node counts) used throughout the clock calculus
 and the benchmarks.
 """
 
-from .manager import BDD, BDDManager, BDDNode, ScopedBDDManager
+from .manager import BDD, BDDManager, BDDNode
 
-__all__ = ["BDD", "BDDManager", "BDDNode", "ScopedBDDManager"]
+__all__ = ["BDD", "BDDManager", "BDDNode"]

@@ -30,7 +30,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
 
 from ..errors import ResourceLimitExceeded
 
-__all__ = ["BDDNode", "BDD", "BDDManager", "ScopedBDDManager"]
+__all__ = ["BDDNode", "BDD", "BDDManager"]
 
 
 @dataclass(frozen=True)
@@ -204,13 +204,13 @@ class BDDManager:
         return len(self._nodes) - 2
 
     def statistics(self) -> Dict[str, int]:
-        """Size counters for monitoring and pool-hygiene decisions.
+        """Size counters for monitoring.
 
         The unique table and the variable registry are append-only -- nodes
-        interned by dead programs are never reclaimed individually.  A
-        long-lived owner (the compilation service) therefore watches
-        ``nodes`` against a watermark and *recycles* the whole manager when
-        the budget is exceeded, rather than garbage-collecting inside it.
+        are never reclaimed individually.  Every compilation owns its own
+        manager, so ``nodes`` is the table of one program and is freed with
+        it; :meth:`clear_caches` drops the computed caches once the
+        compilation is done.
         """
         return {
             "nodes": self.num_nodes,
@@ -218,17 +218,6 @@ class BDDManager:
             "unique_table_entries": len(self._unique),
             "ite_cache_entries": len(self._ite_cache),
         }
-
-    def fresh_like(self) -> "BDDManager":
-        """A new empty manager carrying this manager's configuration.
-
-        This is the recycling primitive of the service's pool hygiene: the
-        replacement manager must inherit the node budget and computed-cache
-        setting, never the (grown) unique table.
-        """
-        return BDDManager(
-            max_nodes=self.max_nodes, use_computed_cache=self.use_computed_cache
-        )
 
     # -- terminals and variables ----------------------------------------------
     @property
@@ -495,63 +484,3 @@ class BDDManager:
         """Drop the computed caches (the unique table is kept)."""
         self._ite_cache.clear()
         self._implies_cache.clear()
-
-    # -- namespacing -----------------------------------------------------------
-    def scoped(self, namespace: str) -> "ScopedBDDManager":
-        """A view of this manager whose declared variables live in ``namespace``."""
-        return ScopedBDDManager(self, namespace)
-
-
-class ScopedBDDManager:
-    """A namespaced view of a shared :class:`BDDManager`.
-
-    The compilation service keeps one long-lived manager and hands each
-    program a scope: every ``declare`` is transparently prefixed with the
-    scope's namespace, so two unrelated programs that both declare ``v_X``
-    receive *different* BDD variables, while recompiling the same program in
-    the same scope reuses its variables (and therefore the manager's unique
-    table and computed cache).  All BDD handles remain bound to the base
-    manager, so functions built through different scopes *of the same base
-    manager* can be combined and compared freely (functions from different
-    base managers still cannot be mixed).
-    """
-
-    def __init__(self, base: BDDManager, namespace: str):
-        if isinstance(base, ScopedBDDManager):
-            base = base.base
-        self.base = base
-        self.namespace = namespace
-        #: persistent value-encoding cache for this scope (see
-        #: :class:`repro.clocks.encoding.ValueEncoder`): program fingerprint
-        #: -> signal name -> ``(value BDD, is_opaque)``.
-        self.encoding_cache: Dict[str, Dict[str, Tuple[BDD, bool]]] = {}
-
-    def qualify(self, name: str) -> str:
-        return f"{self.namespace}::{name}"
-
-    def declare(self, name: str) -> BDD:
-        return self.base.declare(self.qualify(name))
-
-    def level_of(self, name: str) -> int:
-        return self.base.level_of(self.qualify(name))
-
-    def name_of(self, level: int) -> str:
-        name = self.base.name_of(level)
-        prefix = f"{self.namespace}::"
-        return name[len(prefix):] if name.startswith(prefix) else name
-
-    #: attributes stored on the wrapper itself; everything else belongs to base
-    _OWN_ATTRIBUTES = frozenset({"base", "namespace", "encoding_cache"})
-
-    def __getattr__(self, attribute: str):
-        # Everything else (true/false/ite/apply_*/iter_nodes/num_nodes/...)
-        # is the shared base manager's business.
-        return getattr(self.base, attribute)
-
-    def __setattr__(self, attribute: str, value) -> None:
-        # Writes to manager settings (e.g. ``max_nodes``) must configure the
-        # shared base manager, not silently shadow it on the wrapper.
-        if attribute in self._OWN_ATTRIBUTES:
-            object.__setattr__(self, attribute, value)
-        else:
-            setattr(self.base, attribute, value)

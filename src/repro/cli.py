@@ -24,19 +24,16 @@ toolchain is installed)::
     python -m repro simulate program.sig --json             # machine-readable summary
 
 ``python -m repro batch <files...>`` compiles many processes through one
-:class:`~repro.service.CompilationService` (shared BDD pool + compile
-cache), optionally in parallel::
+:class:`~repro.service.CompilationService` (compile cache), optionally on
+worker processes::
 
-    python -m repro batch a.sig b.sig c.sig      # sequential, pooled manager
-    python -m repro batch *.sig --jobs 4         # 4 worker threads
-    python -m repro batch *.sig --jobs 4 --workers processes   # 4 worker processes
-    python -m repro batch *.sig --shards 4       # shard the pooled manager
+    python -m repro batch a.sig b.sig c.sig      # serial, in this process
+    python -m repro batch *.sig --jobs 4         # 4 worker processes
     python -m repro batch *.sig --repeat 3       # demonstrate cache hits
     python -m repro batch *.sig --cache-stats    # print service statistics
-    python -m repro batch *.sig --max-pool-nodes 200000   # recycle watermark
 
 ``python -m repro serve`` keeps one service alive behind a JSON-line socket
-protocol so many OS processes share its pool and caches, and
+protocol so many OS processes share its caches, and
 ``python -m repro remote-compile`` is the matching client::
 
     python -m repro serve --port 7420 --store .repro-cache
@@ -110,7 +107,6 @@ __all__ = [
     "build_remote_argument_parser",
     "build_simulate_argument_parser",
     "build_partition_argument_parser",
-    "resolve_serve_workers",
 ]
 
 
@@ -175,26 +171,9 @@ def build_batch_argument_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         default=1,
         metavar="N",
-        help="number of workers (default 1: sequential on the pooled manager)",
-    )
-    parser.add_argument(
-        "--workers",
-        choices=["threads", "processes"],
-        default="threads",
         help=(
-            "worker backend for --jobs: 'threads' (GIL-bound, returns live "
-            "results) or 'processes' (true multi-core; workers return "
-            "artifact records)"
-        ),
-    )
-    parser.add_argument(
-        "--shards",
-        type=_positive_int,
-        default=1,
-        metavar="K",
-        help=(
-            "shard the pooled BDD manager across K managers routed by "
-            "kernel-fingerprint hash (default 1)"
+            "number of worker processes (default 1: compile serially in this "
+            "process)"
         ),
     )
     parser.add_argument(
@@ -216,22 +195,12 @@ def build_batch_argument_parser() -> argparse.ArgumentParser:
         help="capacity of the LRU compile cache (default 128, minimum 1)",
     )
     parser.add_argument(
-        "--max-pool-nodes",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help=(
-            "pool-hygiene watermark: recycle the pooled BDD manager when it "
-            "exceeds N nodes (default: never)"
-        ),
-    )
-    parser.add_argument(
         "--store",
         default=None,
         metavar="DIR",
         help=(
-            "compile-store directory consulted by '--workers processes' "
-            "workers before compiling (e.g. a daemon's --store), so "
+            "compile-store directory consulted by the worker processes of "
+            "--jobs > 1 before compiling (e.g. a daemon's --store), so "
             "cross-process batches start warm"
         ),
     )
@@ -292,41 +261,13 @@ def build_serve_argument_parser() -> argparse.ArgumentParser:
         help="capacity of the in-memory caches (default 128, minimum 1)",
     )
     parser.add_argument(
-        "--max-pool-nodes",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help=(
-            "pool-hygiene watermark: recycle the pooled BDD manager when it "
-            "exceeds N nodes (default: never)"
-        ),
-    )
-    parser.add_argument(
-        "--shards",
-        type=_positive_int,
-        default=1,
-        metavar="K",
-        help=(
-            "shard the pooled BDD manager across K managers routed by "
-            "kernel-fingerprint hash (default 1)"
-        ),
-    )
-    parser.add_argument(
         "--jobs",
         type=_positive_int,
         default=1,
         metavar="N",
-        help="number of concurrent request workers (default 1: serialized)",
-    )
-    parser.add_argument(
-        "--workers",
-        choices=["threads", "processes"],
-        default=None,
         help=(
-            "how cache misses compile when --jobs > 1: 'processes' on a "
-            "worker-process pool (true multi-core; the default whenever "
-            "--jobs > 1) or 'threads' on the sharded pool (GIL-bound; the "
-            "default for --jobs 1, explicit opt-in otherwise)"
+            "number of concurrent request workers (default 1: serialized); "
+            "with N > 1, cache misses compile in N worker processes"
         ),
     )
     parser.add_argument(
@@ -351,18 +292,6 @@ def build_serve_argument_parser() -> argparse.ArgumentParser:
         ),
     )
     return parser
-
-
-def resolve_serve_workers(workers: Optional[str], jobs: int) -> str:
-    """The ``serve``/``gateway`` --workers default: processes when parallel.
-
-    Threads are GIL-bound across shards, so a daemon asked for ``--jobs >
-    1`` wants worker processes unless the operator explicitly opts into
-    threads; a single-job daemon keeps the cheaper in-process path.
-    """
-    if workers is not None:
-        return workers
-    return "processes" if jobs > 1 else "threads"
 
 
 def build_gateway_argument_parser() -> argparse.ArgumentParser:
@@ -557,7 +486,7 @@ def build_simulate_argument_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help=(
             "simulate a persisted artifact record (JSON, as written by the "
-            "compile store or 'batch --workers processes') instead of "
+            "compile store or 'batch --jobs N') instead of "
             "compiling a source file"
         ),
     )
@@ -956,47 +885,26 @@ def run_batch(argv: List[str]) -> int:
             return 2
 
     style = GenerationStyle.FLAT if arguments.flat else GenerationStyle.HIERARCHICAL
-    service = CompilationService(
-        max_entries=arguments.max_entries,
-        max_pool_nodes=arguments.max_pool_nodes,
-        shards=arguments.shards,
-        store=arguments.store,
-    )
+    service = CompilationService(max_entries=arguments.max_entries, store=arguments.store)
     with service:  # shuts the worker-process pool down on exit
         for round_index in range(arguments.repeat):
             started = time.perf_counter()
             hits_before = service.statistics()["cache_hits"]
             try:
-                results = service.compile_batch(
-                    sources,
-                    jobs=arguments.jobs,
-                    style=style,
-                    workers=arguments.workers,
-                    modular=arguments.modular,
-                )
-            except SignalError as batch_error:
-                # Identify the culprit.  Process batches annotate the error
-                # with the failing source's index (the parent compiled
-                # nothing, so recompiling to find it would redo the whole
-                # batch); thread batches recompile sequentially instead --
-                # already-compiled sources are cache hits, so that is cheap.
-                culprit = getattr(batch_error, "batch_index", None)
-                if culprit is not None:
-                    print(
-                        f"error: {arguments.sources[culprit]}: {batch_error}",
-                        file=sys.stderr,
+                if arguments.jobs > 1:
+                    results = service.compile_batch_records(
+                        sources, jobs=arguments.jobs, style=style, modular=arguments.modular
                     )
-                    return 1
-                for path, source in zip(arguments.sources, sources):
-                    try:
-                        service.compile(source, style=style)
-                    except SignalError as error:
-                        print(f"error: {path}: {error}", file=sys.stderr)
-                        return 1
-                print(f"error: batch compilation failed: {batch_error}", file=sys.stderr)
+                else:
+                    results = service.compile_batch(
+                        sources, style=style, modular=arguments.modular
+                    )
+            except SignalError as error:
+                culprit = arguments.sources[error.batch_index]
+                print(f"error: {culprit}: {error}", file=sys.stderr)
                 return 1
             elapsed = time.perf_counter() - started
-            if arguments.workers == "processes":
+            if arguments.jobs > 1:
                 # Worker-process caches are not the service's; hit counts
                 # would be misleading here.
                 summary = f"{arguments.jobs} process worker(s)"
@@ -1015,7 +923,7 @@ def run_batch(argv: List[str]) -> int:
                 f"in {elapsed * 1000.0:.1f} ms ({summary})"
             )
             for path, result in zip(arguments.sources, results):
-                # Thread batches yield live results, process batches yield
+                # Serial batches yield live results, process batches yield
                 # artifact records; both carry the same statistics.
                 if isinstance(result, dict):
                     name, stats = result["name"], result["statistics"]
@@ -1041,9 +949,7 @@ def run_serve(argv: List[str]) -> int:
     daemon = CompilationDaemon(
         store=arguments.store,
         max_entries=arguments.max_entries,
-        max_pool_nodes=arguments.max_pool_nodes,
-        shards=arguments.shards,
-        workers=resolve_serve_workers(arguments.workers, arguments.jobs),
+        workers="processes" if arguments.jobs > 1 else "threads",
         jobs=arguments.jobs,
         request_log=arguments.log_requests,
         store_max_bytes=arguments.store_max_bytes,

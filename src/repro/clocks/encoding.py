@@ -18,34 +18,11 @@ Value variables are shared structurally: a boolean signal defined by
 reuses the conjunction, ``event X`` is constantly true, and so on.  This
 mirrors the boolean reasoning the SIGNAL compiler performs on condition
 values and is what identifies ``when (not C)`` with ``[¬C]``.
-
-Scope-lifetime and fingerprint invariants
------------------------------------------
-
-When the manager is a :class:`~repro.bdd.ScopedBDDManager` (the compilation
-service), the encoder persists its memo on the scope's ``encoding_cache``
-so recompilations skip re-deriving value functions.  Three invariants keep
-that sharing sound:
-
-* **Keyed by kernel fingerprint.**  Entries are bucketed under the
-  program's normalized-kernel fingerprint, the same identity the compile
-  cache uses.  Even a scope (mis)used for two different programs can share
-  variable *names* but never serve one program's value encodings -- or the
-  opacity classification of a signal -- to the other.
-* **Memo state is all-or-nothing per signal.**  Restoring an entry restores
-  both the value BDD and whether the signal was *opaque* (received a fresh
-  variable) on the cold run, so a warm encoder's observable state is
-  indistinguishable from the cold encoder's final state.
-* **Lifetime bounded by the scope.**  The memo lives exactly as long as the
-  scope: when the service releases a scope (last cached result evicted,
-  failed compilation, or manager recycled past its node watermark) the memo
-  is cleared with it.  BDD handles inside the memo are only valid on the
-  scope's base manager, so a scope must never migrate between managers.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, Set
 
 from ..bdd import BDD, BDDManager
 from ..lang.kernel import (
@@ -93,24 +70,6 @@ class ValueEncoder:
         self._in_progress: Set[str] = set()
         #: names of signals that received a fresh (opaque) value variable
         self.opaque_signals: Set[str] = set()
-        # A scope-persistent memo (signal -> (value BDD, is_opaque)) so that
-        # recompiling the same program on a pooled manager does not re-derive
-        # the value functions.  When the manager is a scoped view of a shared
-        # manager (the compilation service), its per-scope cache is picked up
-        # here.  Entries are bucketed by the program's kernel fingerprint, so
-        # even a scope (mis)used for two different programs can never serve
-        # one program's encodings to the other.
-        shared = getattr(manager, "encoding_cache", None)
-        if shared is not None:
-            shared = shared.setdefault(program.fingerprint(), {})
-            # Restore the whole memo eagerly so warm state (including the
-            # opacity of signals derived transitively on the cold run) is
-            # indistinguishable from a cold encoder's final state.
-            for signal, (value, opaque) in shared.items():
-                self._cache[signal] = value
-                if opaque:
-                    self.opaque_signals.add(signal)
-        self._shared_cache: Optional[Dict[str, Tuple[BDD, bool]]] = shared
 
     # -- public API -------------------------------------------------------
     def value_of(self, signal: str) -> BDD:
@@ -118,14 +77,6 @@ class ValueEncoder:
         cached = self._cache.get(signal)
         if cached is not None:
             return cached
-        if self._shared_cache is not None:
-            shared = self._shared_cache.get(signal)
-            if shared is not None:
-                value, opaque = shared
-                self._cache[signal] = value
-                if opaque:
-                    self.opaque_signals.add(signal)
-                return value
         if signal in self._in_progress:
             # A combinational cycle through boolean operators; the dependency
             # graph will reject the program later.  Fall back to an opaque
@@ -137,8 +88,6 @@ class ValueEncoder:
         finally:
             self._in_progress.discard(signal)
         self._cache[signal] = value
-        if self._shared_cache is not None:
-            self._shared_cache[signal] = (value, signal in self.opaque_signals)
         return value
 
     def is_opaque(self, signal: str) -> bool:

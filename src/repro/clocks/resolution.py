@@ -280,9 +280,10 @@ class ClockHierarchy:
         """Structural statistics used by the benchmarks (Figure 13 columns).
 
         ``bdd_nodes`` counts the nodes reachable from this hierarchy's own
-        classes and is always per-program; ``bdd_nodes_total`` is the
-        manager-wide table size, so on a pooled (service) manager it covers
-        every program compiled on the pool.
+        classes; ``bdd_nodes_total`` is the size of the manager's whole node
+        table.  ``compile_source`` and every service or daemon miss compile on
+        a fresh manager of their own, so both are a function of the program
+        alone.
         """
         bdd_nodes = 0
         seen_refs: Set[int] = set()

@@ -192,15 +192,15 @@ def compile_process(
     """Compile a parsed process through the complete pipeline.
 
     Passing a :class:`repro.service.CompilationService` as ``service``
-    routes the compilation through its pooled manager and compile cache;
-    this is mutually exclusive with ``manager``/``program`` (the service
-    owns both).
+    routes the compilation through its compile cache; this is mutually
+    exclusive with ``manager``/``program`` (a service miss compiles on a
+    fresh manager of its own).
     """
     if service is not None:
         if manager is not None or program is not None:
             raise ValueError(
                 "manager=/program= cannot be combined with service=: the "
-                "compilation service supplies its own pooled manager"
+                "compilation service supplies its own managers"
             )
         return service.compile_process(
             process, style=style, build_flat=build_flat, observable=observable
@@ -243,16 +243,19 @@ def compile_source(
 ) -> CompilationResult:
     """Compile SIGNAL source text through the complete pipeline.
 
-    Passing a :class:`repro.service.CompilationService` as ``service``
-    routes the compilation through its pooled manager and compile cache
-    (repeated or kernel-equivalent sources then return cached results);
-    this is mutually exclusive with ``manager`` (the service owns it).
+    Without ``manager`` the compilation runs on a fresh
+    :class:`~repro.bdd.BDDManager`, so its BDDs and statistics depend on
+    this program alone.  Passing a :class:`repro.service.CompilationService`
+    as ``service`` routes the compilation through its compile cache
+    (repeated or kernel-equivalent sources then return cached results, and
+    a miss compiles on a fresh manager exactly like this function); this is
+    mutually exclusive with ``manager``.
     """
     if service is not None:
         if manager is not None:
             raise ValueError(
                 "manager= cannot be combined with service=: the compilation "
-                "service supplies its own pooled manager"
+                "service supplies its own managers"
             )
         return service.compile(
             source, style=style, build_flat=build_flat, observable=observable

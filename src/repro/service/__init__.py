@@ -1,12 +1,11 @@
-"""Compilation-as-a-service layer: pooling, caching, daemon, persistence.
+"""Compilation-as-a-service layer: caching, daemon, persistence, federation.
 
 * :mod:`repro.service.cache` -- a thread-safe LRU plus the fingerprint
   helpers used to key compilation results;
 * :mod:`repro.service.service` -- :class:`CompilationService`, the
-  long-lived front end that pools a shared BDD manager across compilations
-  (with per-program variable namespaces and node-watermark recycling),
-  memoizes whole compilation results, and fans batches of sources out to
-  worker threads;
+  long-lived front end that memoizes whole compilation results and unit
+  records (every miss compiles on its own fresh BDD manager), and fans
+  batches of sources out to worker processes;
 * :mod:`repro.service.store` -- :class:`CompileStore`, disk persistence of
   rendered artifact records keyed by kernel fingerprint, so a restarted
   daemon begins warm;
@@ -21,11 +20,11 @@
   and local graceful degradation.
 """
 
-from .cache import CacheStats, LRUCache, shard_for_fingerprint, source_digest
+from .cache import CacheStats, LRUCache, source_digest
 from .client import RemoteCompiler, RemoteError, RemoteResult
 from .daemon import PROTOCOL_VERSION, CompilationDaemon, ThreadedDaemon
 from .federation import BackendState, CompileGateway, HashRing, parse_backend_spec
-from .service import WORKER_MODES, CompilationService
+from .service import CompilationService
 from .store import (
     UNIT_STYLE,
     CompileStore,
@@ -41,9 +40,7 @@ __all__ = [
     "CacheStats",
     "LRUCache",
     "source_digest",
-    "shard_for_fingerprint",
     "CompilationService",
-    "WORKER_MODES",
     "CompilationDaemon",
     "ThreadedDaemon",
     "PROTOCOL_VERSION",

@@ -24,18 +24,9 @@ only in
 It does **not** normalize away process names, signal names, declared types,
 or equation order: those are part of the canonical form, so renamed or
 reordered programs compile separately even when semantically equivalent.
-The same fingerprint also keys the per-scope value-encoding memo
-(:mod:`repro.clocks.encoding`) and the on-disk artifact store
+The same fingerprint also keys the on-disk artifact store
 (:mod:`repro.service.store`): every layer of caching shares one identity
 for "the same program".
-
-Entry lifetime
---------------
-
-Evicting the last entry of a fingerprint triggers the service's
-``on_evict`` callback, which releases the program's BDD scopes (see the
-scope-lifetime notes in :mod:`repro.service.service`).  The callback runs
-outside the cache lock, so it may safely take the service lock.
 """
 
 from __future__ import annotations
@@ -45,18 +36,7 @@ import json
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import (
-    Callable,
-    Dict,
-    Generic,
-    Hashable,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-    TypeVar,
-)
+from typing import Dict, Generic, Hashable, Mapping, Optional, Sequence, Tuple, TypeVar
 
 __all__ = [
     "CacheStats",
@@ -64,7 +44,6 @@ __all__ = [
     "LINK_FINGERPRINT_VERSION",
     "link_fingerprint",
     "source_digest",
-    "shard_for_fingerprint",
 ]
 
 T = TypeVar("T")
@@ -119,25 +98,6 @@ def link_fingerprint(
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def shard_for_fingerprint(fingerprint: str, shards: int) -> int:
-    """The pool shard a kernel fingerprint routes to (``0 <= index < shards``).
-
-    The map is a pure function of the fingerprint text and the shard count:
-    the same program always lands on the same shard of a given service (so
-    recompilations find their warm scope and value encodings again), across
-    service instances and across OS processes (unlike the salted built-in
-    ``hash``).  Fingerprints are SHA-256 hex digests already, but the router
-    re-hashes so that any opaque string routes uniformly -- a prefix of a
-    structured key would not.
-    """
-    if shards < 1:
-        raise ValueError("shards must be at least 1")
-    if shards == 1:
-        return 0
-    digest = hashlib.sha256(fingerprint.encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big") % shards
-
-
 @dataclass
 class CacheStats:
     """Counters exposed by :meth:`repro.service.CompilationService.statistics`."""
@@ -157,24 +117,17 @@ class CacheStats:
 class LRUCache(Generic[T]):
     """A bounded mapping with least-recently-used eviction.
 
-    All operations take the internal lock, so the cache can back the
-    concurrent ``compile_batch`` path without extra synchronization.
+    All operations take the internal lock, so concurrent callers (the
+    daemon's request threads) need no extra synchronization.
     """
 
-    def __init__(
-        self,
-        max_entries: int = 128,
-        on_evict: Optional[Callable[[Hashable, T], None]] = None,
-    ):
+    def __init__(self, max_entries: int = 128):
         if max_entries < 1:
             raise ValueError("max_entries must be at least 1")
         self.max_entries = max_entries
         self._entries: "OrderedDict[Hashable, T]" = OrderedDict()
         self._lock = threading.RLock()
         self.stats = CacheStats()
-        #: called as ``on_evict(key, value)`` after an LRU eviction, outside
-        #: the cache lock (the callback may take other locks safely)
-        self.on_evict = on_evict
 
     def __len__(self) -> int:
         with self._lock:
@@ -201,22 +154,18 @@ class LRUCache(Generic[T]):
             return self._entries.get(key)
 
     def put(self, key: Hashable, value: T) -> None:
-        evicted: List[Tuple[Hashable, T]] = []
         with self._lock:
             if key in self._entries:
                 self._entries.move_to_end(key)
             self._entries[key] = value
             while len(self._entries) > self.max_entries:
-                evicted.append(self._entries.popitem(last=False))
+                self._entries.popitem(last=False)
                 self.stats.evictions += 1
-        if self.on_evict is not None:
-            for evicted_key, evicted_value in evicted:
-                self.on_evict(evicted_key, evicted_value)
 
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
 
-    def keys(self) -> Tuple[Hashable, ...]:
+    def values(self) -> Tuple[T, ...]:
         with self._lock:
-            return tuple(self._entries.keys())
+            return tuple(self._entries.values())

@@ -3,9 +3,8 @@
 ``python -m repro serve`` starts an asyncio server speaking a JSON-line
 protocol (one JSON request per line, one JSON response per line) over TCP
 or a unix domain socket.  Many OS processes then share a single
-:class:`~repro.service.CompilationService` -- its pooled BDD manager and
-its in-memory compile cache -- instead of each paying a cold pool and a
-cold cache.
+:class:`~repro.service.CompilationService` -- its in-memory compile and
+unit caches -- instead of each paying a cold cache.
 
 Caching tiers
 -------------
@@ -19,7 +18,7 @@ A ``compile`` request is answered from the first of three tiers:
    a hit is promoted into tier 1, so a *restarted* daemon re-warms its
    memory cache from disk as traffic arrives;
 3. **compile** -- the wrapped :class:`CompilationService` runs the full
-   pipeline on the pooled manager; the rendered record is written back to
+   pipeline on a fresh BDD manager; the rendered record is written back to
    tiers 1 and 2.
 
 Protocol
@@ -40,12 +39,14 @@ requests, so concurrent clients queue fairly instead of timing out on
 connect.  With ``jobs > 1`` the daemon answers cache tiers concurrently and
 compiles misses in parallel:
 
-* ``workers="threads"`` compiles on the wrapped service's sharded pool --
-  programs on different shards compile concurrently (each shard's lock
-  serializes its own programs), bounded by the GIL;
+* ``workers="threads"`` compiles each miss on its request thread, on a fresh
+  BDD manager and without a lock, so misses overlap but share the GIL
+  (``CompileGateway`` uses this for its local fallback, whose request
+  threads mostly wait on backends);
 * ``workers="processes"`` ships each miss to the service's worker-process
   pool and parks the request thread on the result, so ``jobs`` compilations
-  proceed on ``jobs`` cores.
+  proceed on ``jobs`` cores (``python -m repro serve --jobs N`` with
+  ``N > 1``).
 
 Operability
 -----------
@@ -92,7 +93,7 @@ from ..lang.kernel import normalize
 from ..lang.parser import parse_process
 from ..runtime import ReactiveExecutor, random_oracle, timing_diagram
 from .cache import LRUCache, source_digest
-from .service import WORKER_MODES, CompilationService
+from .service import CompilationService
 from .store import (
     CompileStore,
     executable_from_record,
@@ -173,16 +174,14 @@ class CompilationDaemon:
         service: Optional[CompilationService] = None,
         store: Optional[Union[CompileStore, str, os.PathLike]] = None,
         max_entries: int = 128,
-        max_pool_nodes: Optional[int] = None,
-        shards: int = 1,
         workers: str = "threads",
         jobs: int = 1,
         request_log: Optional[Union[str, os.PathLike, IO[str]]] = None,
         store_max_bytes: Optional[int] = None,
         drain_timeout: float = 30.0,
     ):
-        if workers not in WORKER_MODES:
-            raise ValueError(f"workers must be one of {WORKER_MODES} (got {workers!r})")
+        if workers not in ("threads", "processes"):
+            raise ValueError(f"workers must be 'threads' or 'processes' (got {workers!r})")
         if jobs < 1:
             raise ValueError("jobs must be at least 1")
         if store is not None and not isinstance(store, CompileStore):
@@ -192,8 +191,7 @@ class CompilationDaemon:
         # workers warm-start from disk too (an injected service keeps
         # whatever store its owner configured).
         self.service = service if service is not None else CompilationService(
-            max_entries=max_entries, max_pool_nodes=max_pool_nodes, shards=shards,
-            store=store,
+            max_entries=max_entries, store=store
         )
         self._workers = workers
         self._jobs = jobs

@@ -78,11 +78,13 @@ class TestBatch:
         assert "(1 cache hit(s))" in output
 
     def test_batch_cache_stats_json(self, counter_file, alarm_file, capsys):
-        assert main(["batch", counter_file, alarm_file, "--jobs", "2", "--cache-stats"]) == 0
+        assert main(["batch", counter_file, alarm_file, "--cache-stats"]) == 0
         output = capsys.readouterr().out
         stats = json.loads(output[output.index("{"):])
         assert stats["requests"] == 2
         assert stats["cache_entries"] == 2
+        assert stats["scopes"] == 2
+        assert stats["pooled_bdd_nodes"] > 0
 
     def test_batch_rejects_non_positive_max_entries(self, counter_file, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -109,14 +111,11 @@ class TestBatch:
         path.write_text(
             "process P = ( ? integer A; ! integer X, Y; ) (| X := Y + A | Y := X + A |) end;"
         )
-        assert main(["batch", counter_file, str(path), "--jobs", "2"]) == 1
+        assert main(["batch", counter_file, str(path)]) == 1
         assert "broken.sig" in capsys.readouterr().err
 
     def test_batch_process_workers(self, counter_file, alarm_file, capsys):
-        assert main([
-            "batch", counter_file, alarm_file,
-            "--jobs", "2", "--workers", "processes",
-        ]) == 0
+        assert main(["batch", counter_file, alarm_file, "--jobs", "2"]) == 0
         output = capsys.readouterr().out
         assert "compiled 2 program(s)" in output
         assert "process worker(s)" in output
@@ -130,30 +129,16 @@ class TestBatch:
         path.write_text(
             "process P = ( ? integer A; ! integer X, Y; ) (| X := Y + A | Y := X + A |) end;"
         )
-        assert main([
-            "batch", counter_file, str(path), "--jobs", "2", "--workers", "processes",
-        ]) == 1
+        assert main(["batch", counter_file, str(path), "--jobs", "2"]) == 1
         assert "broken.sig" in capsys.readouterr().err
 
-    def test_batch_sharded_pool(self, counter_file, alarm_file, capsys):
-        assert main([
-            "batch", counter_file, alarm_file, "--shards", "4", "--cache-stats",
-        ]) == 0
-        output = capsys.readouterr().out
-        stats = json.loads(output[output.index("{"):])
-        assert stats["shards"] == 4
-        assert len(stats["shard_stats"]) == 4
-        # Both programs really compiled somewhere in the sharded pool.
-        assert stats["pooled_bdd_nodes"] == sum(
-            shard["bdd_nodes"] for shard in stats["shard_stats"]
-        )
-        assert stats["pooled_bdd_nodes"] > 0
-
     def test_batch_rejects_unknown_worker_backend(self, counter_file, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["batch", counter_file, "--workers", "fibers"])
-        assert excinfo.value.code == 2
-        assert "invalid choice" in capsys.readouterr().err
+        """Worker backends, shards and pool watermarks are gone from the CLI."""
+        for flag in ("--workers", "--shards", "--max-pool-nodes"):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["batch", counter_file, flag, "2"])
+            assert excinfo.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestServeArguments:
@@ -161,13 +146,11 @@ class TestServeArguments:
         from repro.cli import build_serve_argument_parser
 
         arguments = build_serve_argument_parser().parse_args([
-            "--shards", "4", "--jobs", "2", "--workers", "processes",
+            "--jobs", "2",
             "--log-requests", "requests.log",
             "--store", "cache-dir", "--store-max-bytes", "1000000",
         ])
-        assert arguments.shards == 4
         assert arguments.jobs == 2
-        assert arguments.workers == "processes"
         assert arguments.log_requests == "requests.log"
         assert arguments.store_max_bytes == 1000000
 
@@ -183,17 +166,6 @@ class TestServeArguments:
 
         assert run_serve(["--store-max-bytes", "1000"]) == 2
         assert "--store" in capsys.readouterr().err
-
-    def test_workers_defaults_to_processes_only_when_parallel(self):
-        from repro.cli import build_serve_argument_parser, resolve_serve_workers
-
-        # The parser leaves --workers unset; the runner resolves it by jobs.
-        assert build_serve_argument_parser().parse_args([]).workers is None
-        assert resolve_serve_workers(None, 1) == "threads"
-        assert resolve_serve_workers(None, 4) == "processes"
-        # Explicit choices always win (threads stays an opt-in).
-        assert resolve_serve_workers("threads", 4) == "threads"
-        assert resolve_serve_workers("processes", 1) == "processes"
 
 
 class TestGatewayArguments:

@@ -339,11 +339,11 @@ class TestServer:
 class TestParallelDaemon:
     """The daemon with several request workers, threads and processes."""
 
-    def test_thread_workers_over_a_sharded_pool(self):
-        """jobs=3 request threads compiling distinct programs concurrently
-        on a shards=4 service: every answer matches a local compile."""
+    def test_thread_workers_compile_concurrently(self):
+        """jobs=3 request threads compiling distinct programs concurrently,
+        each on its own fresh manager: every answer matches a local compile."""
         sources = [COUNTER_SOURCE, WATCHDOG_SOURCE, ALARM_SOURCE]
-        with ThreadedDaemon(shards=4, jobs=3) as daemon:
+        with ThreadedDaemon(jobs=3) as daemon:
             errors = []
             answers = {}
 
@@ -367,7 +367,7 @@ class TestParallelDaemon:
                 stats = client.stats()
                 assert stats["daemon"]["jobs"] == 3
                 assert stats["daemon"]["compiles"] == len(sources)
-                assert stats["service"]["shards"] == 4
+                assert stats["service"]["scopes"] == len(sources)
 
     def test_process_workers_compile_and_cache(self):
         """workers="processes": misses compile in worker processes, repeats

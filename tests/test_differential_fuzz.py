@@ -3,14 +3,13 @@
 Every test case is derived from a single integer seed: the seed drives the
 shape of a randomly generated hierarchical control program (via
 :class:`~repro.programs.ControlProgramSpec`) *and* the random input oracle.
-Each program is compiled three ways -- through a shared
-:class:`~repro.CompilationService` (pooled BDD manager), through a second
-shared service whose pool is **sharded** across several managers, and once
-standalone -- and executed for ``REACTIONS`` reactions in both generation
-styles; the observations are replayed on the reference
-:class:`KernelInterpreter`.  A separate pass pushes the whole corpus
-through ``compile_batch(workers="processes")`` and proves the worker
-processes' artifact records rebuild executables with identical behaviour.
+Each program is compiled twice -- through a shared
+:class:`~repro.CompilationService` and once standalone -- and executed for
+``REACTIONS`` reactions in both generation styles; the observations are
+replayed on the reference :class:`KernelInterpreter`.  A separate pass
+pushes the whole corpus through ``compile_batch_records(jobs=N)`` and
+proves the worker processes' artifact records rebuild executables with
+identical behaviour.
 Any divergence is a compilation bug, and the failing seed reproduces the
 whole case.
 
@@ -23,8 +22,6 @@ lowering gets wrong.
 
 Environment knobs (used by the CI parallel matrix entry):
 
-* ``REPRO_FUZZ_SHARDS`` -- shard count of the sharded service (default 2,
-  CI also runs 4);
 * ``REPRO_FUZZ_PROCESS_JOBS`` -- worker processes for the batch pass
   (default 2, CI also runs 4);
 * ``REPRO_FUZZ_C_STRIDE`` -- seed stride of the loaded-C pass (default 4:
@@ -70,28 +67,13 @@ from repro.service import (
 MASTER_SEED = 19950621  # PLDI'95
 NUM_PROGRAMS = 52
 REACTIONS = 32
-FUZZ_SHARDS = int(os.environ.get("REPRO_FUZZ_SHARDS", "2"))
 PROCESS_JOBS = int(os.environ.get("REPRO_FUZZ_PROCESS_JOBS", "2"))
 C_STRIDE = int(os.environ.get("REPRO_FUZZ_C_STRIDE", "4"))
 CC = find_c_compiler()
 
-#: One shared service for the whole module: all fuzz programs compile onto a
-#: single pooled BDD manager, which is exactly the collision surface the
-#: variable namespacing must protect.  The node watermark is set well below
-#: the suite's total footprint (~500 nodes/program, ~26k for the suite), so
-#: the pooled manager is recycled several times mid-suite and the fuzzing
-#: also proves that pool hygiene never changes compiled behaviour.
-_SHARED_SERVICE = CompilationService(
-    max_entries=NUM_PROGRAMS * 2, max_pool_nodes=4000
-)
-
-#: A second shared service with a sharded pool (shards > 1 always): programs
-#: spread across several managers by fingerprint hash, and the same
-#: watermark now recycles *per shard*.  Fuzzing through it proves the shard
-#: map changes where BDDs live, never what the compiler produces.
-_SHARDED_SERVICE = CompilationService(
-    max_entries=NUM_PROGRAMS * 2, max_pool_nodes=4000, shards=max(FUZZ_SHARDS, 2)
-)
+#: One shared service for the whole module: its cache hits must behave
+#: exactly like the standalone compiles they replace.
+_SHARED_SERVICE = CompilationService(max_entries=NUM_PROGRAMS * 2)
 
 
 def spec_for_seed(seed):
@@ -148,7 +130,6 @@ def test_differential_fuzz(seed):
     source = generate_control_program(spec_for_seed(seed))
 
     pooled = _SHARED_SERVICE.compile(source, build_flat=True)
-    sharded = _SHARDED_SERVICE.compile(source, build_flat=True)
     unpooled = compile_source(source, build_flat=True)
 
     # Hierarchical style vs the reference interpreter, pooled and unpooled.
@@ -167,22 +148,12 @@ def test_differential_fuzz(seed):
         f"seed {seed}: flat and hierarchical styles diverge (unpooled manager)"
     )
 
-    # Pooling the BDD manager must not change the generated behaviour at all.
+    # The service must not change the generated behaviour at all.
     assert observations(pooled_nested) == observations(unpooled_nested), (
-        f"seed {seed}: pooled and unpooled compilations disagree"
+        f"seed {seed}: service and standalone compilations disagree"
     )
     assert pooled.python_source() == unpooled.python_source(), (
-        f"seed {seed}: pooled and unpooled generated Python differ"
-    )
-
-    # Sharding the pool must be invisible too: same generated code, same
-    # trace, on whatever shard the fingerprint routed to.
-    assert sharded.python_source() == unpooled.python_source(), (
-        f"seed {seed}: sharded and unpooled generated Python differ"
-    )
-    sharded_nested = run_executable(sharded, sharded.executable, seed)
-    assert observations(sharded_nested) == observations(unpooled_nested), (
-        f"seed {seed}: sharded and unpooled compilations disagree"
+        f"seed {seed}: service and standalone generated Python differ"
     )
 
 
@@ -199,7 +170,7 @@ def test_fuzz_specs_are_deterministic():
 def test_process_parallel_batch_matches_reference():
     """The whole corpus through worker processes: records == serial == oracle.
 
-    ``compile_batch(workers="processes")`` returns artifact records built in
+    ``compile_batch_records(jobs=N)`` returns artifact records built in
     worker processes (each with its own BDD manager and cache).  For every
     seed, the record must carry exactly the generated Python a standalone
     compile produces, and the executable rebuilt from the record must
@@ -209,8 +180,8 @@ def test_process_parallel_batch_matches_reference():
     seeds = list(range(NUM_PROGRAMS))
     sources = [generate_control_program(spec_for_seed(seed)) for seed in seeds]
     with CompilationService(max_entries=NUM_PROGRAMS * 2) as service:
-        records = service.compile_batch(
-            sources, jobs=PROCESS_JOBS, workers="processes", build_flat=True
+        records = service.compile_batch_records(
+            sources, jobs=PROCESS_JOBS, build_flat=True
         )
     assert len(records) == len(seeds)
     for seed, source, record in zip(seeds, sources, records):
@@ -237,73 +208,11 @@ def test_process_parallel_batch_matches_reference():
         )
 
 
-def test_watermark_recycling_really_triggered():
-    """The shared pool must cross the node watermark while fuzzing.
-
-    Self-sufficient: compiling the first 16 fuzz programs (~7k pooled nodes
-    against the 4000-node watermark) forces at least one recycle even when
-    this test runs alone; after the full suite these compilations are cache
-    hits and the recycles have already happened.  If this fails after a
-    compiler change, the fuzz suite silently stopped covering the recycling
-    path -- lower the watermark above.
-    """
-    for seed in range(16):
-        _SHARED_SERVICE.compile(
-            generate_control_program(spec_for_seed(seed)), build_flat=True
-        )
-    assert _SHARED_SERVICE.statistics()["pool_recycles"] >= 1
-
-
-def test_sharded_watermark_recycling_really_triggered():
-    """The sharded pool must also cross its per-shard watermark mid-suite.
-
-    The full corpus puts ~26k nodes against a 4000-node per-shard watermark
-    spread over a handful of shards, so at least one shard recycles; the
-    per-seed assertions above then prove per-shard recycling never changes
-    behaviour.  The counters must agree: the headline ``pool_recycles`` is
-    defined as the sum of the per-shard counters.
-    """
-    for seed in range(32):
-        _SHARDED_SERVICE.compile(
-            generate_control_program(spec_for_seed(seed)), build_flat=True
-        )
-    stats = _SHARDED_SERVICE.statistics()
-    assert stats["pool_recycles"] >= 1
-    assert stats["pool_recycles"] == sum(
-        shard["recycles"] for shard in stats["shard_stats"]
-    )
-
-
 def test_shared_service_kept_programs_isolated():
-    """After the fuzz run, spot-check variable isolation on the shared pool."""
+    """After the fuzz run, spot-check that programs never share a manager."""
     sources = [generate_control_program(spec_for_seed(seed)) for seed in (0, 1)]
     results = [_SHARED_SERVICE.compile(source, build_flat=True) for source in sources]
-
-    def used_levels(result):
-        levels = set()
-        for clock_class in result.hierarchy.classes:
-            if clock_class.bdd is not None:
-                levels |= clock_class.bdd.support()
-        return levels
-
-    assert used_levels(results[0]).isdisjoint(used_levels(results[1]))
-
-
-def test_sharded_service_routes_programs_to_their_shard():
-    """Spot-check the shard map: results live on the manager they routed to."""
-    for seed in (0, 1, 2, 3):
-        source = generate_control_program(spec_for_seed(seed))
-        result = _SHARDED_SERVICE.compile(source, build_flat=True)
-        fingerprint = result.program.fingerprint()
-        index = _SHARDED_SERVICE.shard_index(fingerprint)
-        assert 0 <= index < _SHARDED_SERVICE.shards
-        # The routed shard's *current* manager compiled this result unless
-        # that shard has recycled since (the old manager then lives on only
-        # through its cached results).
-        expected = _SHARDED_SERVICE.shard_manager(fingerprint)
-        recycled = _SHARDED_SERVICE.statistics()["shard_stats"][index]["recycles"]
-        if recycled == 0:
-            assert result.hierarchy.manager.base is expected
+    assert results[0].hierarchy.manager is not results[1].hierarchy.manager
 
 
 # -- loaded-C execution ------------------------------------------------------
@@ -446,9 +355,7 @@ def test_arithmix_negative_operands_loaded_c():
 # whatever the corpus, a modular compile's executables trace-match the
 # monolithic compile and replay on the reference interpreter.  Fleet members
 # share library modules, so their modular legs also exercise genuine
-# cross-program unit-cache hits; the sharded service routes unit compiles by
-# unit fingerprint, proving the shard map is as invisible at unit
-# granularity as it is for whole programs.  Runs are schedule-driven
+# cross-program unit-cache hits.  Runs are schedule-driven
 # (complete assignments, free-clock presence drawn per root key): fleet
 # members have several free roots, whose linked defaults differ from the
 # single-root convention.
@@ -456,10 +363,8 @@ def test_arithmix_negative_operands_loaded_c():
 MODULAR_FULL = os.environ.get("REPRO_FUZZ_MODULAR", "0") == "1"
 MODULAR_STRIDE = 1 if MODULAR_FULL else 4
 
-#: Modular compiles route *units* by fingerprint across this sharded pool.
-_MODULAR_SERVICE = CompilationService(
-    max_entries=NUM_PROGRAMS * 2, max_pool_nodes=4000, shards=max(FUZZ_SHARDS, 2)
-)
+#: Modular compiles share units across the whole corpus through this service.
+_MODULAR_SERVICE = CompilationService(max_entries=NUM_PROGRAMS * 2)
 
 #: Six programs drawn from an eight-module library with a two-module shared
 #: core: every member after the first hits the unit cache.
@@ -537,7 +442,7 @@ def assert_modular_matches_monolithic(source, seed, label, service):
 
 @pytest.mark.parametrize("member", range(FLEET_SPEC.programs))
 def test_modular_fleet_differential(member):
-    """Every fleet member, modular through the sharded unit cache."""
+    """Every fleet member, modular through the shared unit cache."""
     source = generate_fleet(FLEET_SPEC)[member]
     assert_modular_matches_monolithic(source, member, "fleet", _MODULAR_SERVICE)
 
@@ -548,13 +453,13 @@ def test_modular_fleet_cold_then_warm_records_identical():
     A fresh service compiles the whole fleet twice.  The cold round may
     only compile each *distinct* library module once (everything else must
     be unit-cache hits); the warm round compiles nothing.  Both rounds --
-    and a thread-parallel batch -- produce byte-identical records.
+    and a batch -- produce byte-identical records.
     """
     sources = generate_fleet(FLEET_SPEC)
     members = fleet_member_modules(FLEET_SPEC)
     distinct_modules = len({m for modules in members for m in modules})
     total_units = sum(len(modules) for modules in members)
-    with CompilationService(shards=max(FUZZ_SHARDS, 2)) as service:
+    with CompilationService() as service:
         cold = [
             service.compile_modular_record(source, build_flat=True)
             for source in sources
@@ -570,9 +475,7 @@ def test_modular_fleet_cold_then_warm_records_identical():
         assert warm == cold
         assert service.statistics()["unit_misses"] == distinct_modules
 
-        batched = service.compile_batch(
-            sources, jobs=3, build_flat=True, modular=True
-        )
+        batched = service.compile_batch(sources, build_flat=True, modular=True)
         assert [
             record_from_result(linked, GenerationStyle.HIERARCHICAL, build_flat=True)
             for linked in batched
@@ -588,7 +491,7 @@ def test_modular_corpus_differential(seed):
 
 
 def test_modular_process_worker_batch_matches_reference(tmp_path):
-    """The fleet through ``compile_batch(workers="processes", modular=True)``.
+    """The fleet through ``compile_batch_records(jobs=N, modular=True)``.
 
     Worker processes compile modular against the shared on-disk store, so
     unit artifacts cross process boundaries; the records they return must
@@ -597,12 +500,8 @@ def test_modular_process_worker_batch_matches_reference(tmp_path):
     """
     sources = generate_fleet(FLEET_SPEC)
     with CompilationService(store=str(tmp_path)) as service:
-        records = service.compile_batch(
-            sources,
-            jobs=PROCESS_JOBS,
-            workers="processes",
-            build_flat=True,
-            modular=True,
+        records = service.compile_batch_records(
+            sources, jobs=PROCESS_JOBS, build_flat=True, modular=True
         )
     assert len(records) == len(sources)
     for index, (source, record) in enumerate(zip(sources, records)):
@@ -667,9 +566,7 @@ DISTRIBUTED_STRIDE = 1 if DISTRIBUTED_FULL else 4
 
 #: Fragments compile modularly through this service, so edge fragments of
 #: different seeds sharing module shapes hit the fleet-wide unit cache.
-_DISTRIBUTED_SERVICE = CompilationService(
-    max_entries=NUM_PROGRAMS * 4, max_pool_nodes=4000
-)
+_DISTRIBUTED_SERVICE = CompilationService(max_entries=NUM_PROGRAMS * 4)
 
 
 def distributed_spec_for_seed(seed):

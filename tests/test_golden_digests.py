@@ -5,13 +5,15 @@ sources of the seven Figure-13 programs and of the 269-signal program of
 the compile-time size ladder (10 modules, branching 3, 3 sensors).  A
 compiler change that is meant to leave generated code alone -- a faster
 clock calculus, IR builder or scheduler -- must leave these unchanged.
+The same digests pin the code one shared :class:`CompilationService` serves
+for every program, compiled one after another.
 """
 
 import hashlib
 
 import pytest
 
-from repro import compile_source
+from repro import CompilationService, compile_source
 from repro.programs import ControlProgramSpec, generate_control_program
 from repro.programs.suite import benchmark_source
 
@@ -60,6 +62,10 @@ GOLDEN = {
 }
 
 
+#: one service for every program of the module, as a daemon would hold it
+_SERVICE = CompilationService()
+
+
 def source_of(name):
     if name == "LADDER10":
         spec = ControlProgramSpec(name, modules=10, branching=3, sensors=3)
@@ -71,12 +77,19 @@ def sha256(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_generated_sources_match_golden_digests(name):
-    result = compile_source(source_of(name))
-    digests = (
+def digests_of(result):
+    return (
         sha256(result.python_source()),
         sha256(result.c_source()),
         sha256(result.c_shared_source()),
     )
-    assert digests == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_generated_sources_match_golden_digests(name):
+    assert digests_of(compile_source(source_of(name))) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_served_sources_match_golden_digests(name):
+    assert digests_of(_SERVICE.compile(source_of(name))) == GOLDEN[name]

@@ -268,8 +268,9 @@ def test_incremental_link_is_byte_identical_to_ir_emission():
 
 
 def test_batch_fan_out_matches_serial_modular():
-    """``compile_batch(modular=True, jobs>1)`` resolves units concurrently
-    but must compose exactly what serial modular compiles produce."""
+    """``compile_batch_records(modular=True, jobs>1)`` resolves units on
+    worker processes but must compose exactly what serial modular compiles
+    produce."""
     from repro.service import record_from_result
     from repro.codegen.ir import GenerationStyle
 
@@ -288,35 +289,20 @@ def test_batch_fan_out_matches_serial_modular():
             for source in sources
         ]
     with CompilationService() as batch_service:
-        batched = batch_service.compile_batch(
-            sources, jobs=3, build_flat=True, modular=True
+        batched = batch_service.compile_batch_records(
+            sources, jobs=2, build_flat=True, modular=True
         )
         stats = batch_service.statistics()
 
-    # ``bdd_nodes_total`` is the pool-wide table size at unit-compile
-    # time, so it depends on the order units land on the pool -- the one
-    # statistic the concurrent fan-out legitimately may not reproduce.
-    def order_free(record):
-        record = dict(record)
-        record["statistics"] = {
-            key: value
-            for key, value in record["statistics"].items()
-            if key != "bdd_nodes_total"
-        }
-        return record
-
-    assert [
-        order_free(
-            record_from_result(
-                linked, GenerationStyle.HIERARCHICAL, build_flat=True
-            )
-        )
-        for linked in batched
-    ] == [order_free(record) for record in expected]
-    # The fan-out resolved each distinct unit exactly once.
+    # Every unit compiles on its own manager, so even ``bdd_nodes_total``
+    # is independent of the order the workers ran in.
+    assert batched == expected
+    # The fan-out shipped each distinct unit to the workers exactly once;
+    # the parent compiled none itself.
     members = fleet_member_modules(spec)
     distinct = len({module for modules in members for module in modules})
-    assert stats["unit_misses"] == distinct
+    assert stats["unit_cache_entries"] == distinct
+    assert stats["unit_misses"] == 0
 
 
 def test_modular_record_is_whole_program_keyed():
@@ -371,18 +357,9 @@ _GOOD_THEN_BROKEN = (
 )
 
 
-def _unit_scope_namespaces(service):
-    return sorted(
-        namespace
-        for (_, namespace) in service._scopes
-        if namespace.startswith("unit:")
-    )
-
-
-def test_mid_link_failure_releases_the_failing_units_scope():
+def test_mid_link_failure_keeps_the_good_units_record():
     """Unit 1 (``Y := A + 1``) compiles and stays cached; unit 2 has an
-    instantaneous cycle and dies in causality analysis.  The dead unit's
-    BDD scope must be released, the good unit's kept (its record is live)."""
+    instantaneous cycle and dies in causality analysis, leaving no record."""
     with CompilationService() as service:
         with pytest.raises(CausalityError):
             service.compile_modular(_GOOD_THEN_BROKEN)
@@ -390,9 +367,6 @@ def test_mid_link_failure_releases_the_failing_units_scope():
         assert stats["unit_misses"] == 1  # only the good unit landed a record
         assert stats["unit_cache_entries"] == 1
         assert stats["links"] == 0
-
-        good_unit = split_units(kernel_of(_GOOD_THEN_BROKEN))[0]
-        assert _unit_scope_namespaces(service) == ["unit:" + good_unit.fingerprint()]
 
         # The failure poisoned nothing: an honest program still compiles,
         # and the good unit's cached record is reused for it.
@@ -403,9 +377,9 @@ def test_mid_link_failure_releases_the_failing_units_scope():
         assert service.statistics()["unit_hits"] == 1
 
 
-def test_unit_eviction_releases_its_scope():
+def test_unit_eviction_mid_link_still_links():
     """With a 2-entry unit LRU, linking a 3-unit program evicts the first
-    unit's record mid-compile -- and its scope with it."""
+    unit's record mid-compile; the link already holds every record."""
     spec = FleetSpec(
         name="EVC", programs=1, library_size=3, units_per_program=3,
         shared_units=3, seed=5,
@@ -417,10 +391,7 @@ def test_unit_eviction_releases_its_scope():
         stats = service.statistics()
         assert stats["unit_cache_max_entries"] == 2
         assert stats["unit_cache_entries"] == 2
-        assert len(_unit_scope_namespaces(service)) == 2
 
-        cached = {
-            "unit:" + unit.fingerprint()
-            for unit in split_units(kernel_of(source))[1:]
-        }
-        assert set(_unit_scope_namespaces(service)) == cached
+        units = split_units(kernel_of(source))
+        assert [service._unit_records.peek(unit.fingerprint()) is not None
+                for unit in units] == [False, True, True]

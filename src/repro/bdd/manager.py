@@ -278,15 +278,21 @@ class BDDManager:
             cached = self._ite_cache.get(key)
             if cached is not None:
                 return cached
-        level = min(self._level(f), self._level(g), self._level(h))
-
-        def cofactor(ref: int, positive: bool) -> int:
-            if self._level(ref) != level:
-                return ref
-            return self._high(ref) if positive else self._low(ref)
-
-        high = self._ite(cofactor(f, True), cofactor(g, True), cofactor(h, True))
-        low = self._ite(cofactor(f, False), cofactor(g, False), cofactor(h, False))
+        # Cofactors with respect to the top variable: an operand that does
+        # not test it is its own cofactor on both sides.
+        nodes = self._nodes
+        f_level, f_low, f_high = nodes[f]
+        g_level, g_low, g_high = nodes[g]
+        h_level, h_low, h_high = nodes[h]
+        level = min(f_level, g_level, h_level)
+        if f_level != level:
+            f_low = f_high = f
+        if g_level != level:
+            g_low = g_high = g
+        if h_level != level:
+            h_low = h_high = h
+        high = self._ite(f_high, g_high, h_high)
+        low = self._ite(f_low, g_low, h_low)
         result = self._mk(level, low, high)
         if self.use_computed_cache:
             self._ite_cache[key] = result

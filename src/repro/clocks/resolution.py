@@ -30,6 +30,7 @@ The algorithm follows the strategy of Section 3.2:
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
@@ -561,28 +562,68 @@ class ArborescentResolver:
                 return clock_class
         return ordered[0]
 
-    def _place_classes(self) -> None:
-        unplaced = [c for c in self._classes]
-        # Deterministic processing order keeps the construction canonical.
-        unplaced.sort(key=lambda c: (c.display_name(), c.id))
+    def _read_classes(self, clock_class: ClockClass) -> List[ClockClass]:
+        """The classes whose placement can let :meth:`_try_place` succeed."""
+        read: List[ClockClass] = []
+        for condition, _polarity in clock_class.partition_candidates:
+            parent_class = self._atom_to_class.get(SignalClock(condition))
+            if parent_class is not None:
+                read.append(parent_class)
+        for formula in clock_class.formula_candidates:
+            read.extend(self._class_of_expr_atoms(formula))
+        return read
 
+    def _place_classes(self) -> None:
+        """Orient the equations, assuming a class free whenever none can be.
+
+        The specification is a fixpoint of sweeps: try every unplaced class
+        in sorted order, sweep again while a sweep places something, and
+        when one places nothing assume a class free (:meth:`_choose_victim`)
+        and sweep again.  A failed :meth:`_try_place` changes nothing, and
+        its outcome can only change once a class it reads is placed.  So a
+        class is re-tried only then, at the point where the sweeps would
+        next reach it: a heap keyed by (sweep, sorted position) holds the
+        due tries, and a class read by one placed at position p is due in
+        the same sweep if it sorts after p, else in the next one.  When no
+        try is due the sweeps are stuck; the victim counts as placed after
+        every position, so its readers are due in the next sweep.  Placement
+        order, BDD construction order and the victims are exactly those of
+        the sweeps, at one try per class plus one per placed class it reads.
+        """
+        # Deterministic processing order keeps the construction canonical.
+        ordered = sorted(self._classes, key=lambda c: (c.display_name(), c.id))
+        readers: Dict[int, List[int]] = {c.id: [] for c in ordered}
+        for index, clock_class in enumerate(ordered):
+            for read_class in self._read_classes(clock_class):
+                readers[read_class.id].append(index)
+
+        due = [(0, index) for index in range(len(ordered))]  # sorted, hence a heap
+        queued = [True] * len(ordered)
+        unplaced = len(ordered)
+        sweep = 0
         while unplaced:
-            progress = False
-            for clock_class in list(unplaced):
-                if self._try_place(clock_class):
-                    unplaced.remove(clock_class)
-                    self._placement_order.append(clock_class)
-                    progress = True
-            if progress:
-                continue
-            victim = self._choose_victim(unplaced)
-            victim.definition = FreeDefinition("assumed free to break a clock cycle")
-            victim.assumed_free = True
-            victim.bdd = self.manager.declare(
-                f"h_{victim.id}_{victim.display_name()}"
-            )
-            unplaced.remove(victim)
-            self._placement_order.append(victim)
+            if due:
+                sweep, index = heapq.heappop(due)
+                queued[index] = False
+                clock_class = ordered[index]
+                if not self._try_place(clock_class):
+                    continue
+            else:
+                # Nothing is due, so a whole sweep would place nothing: assume
+                # a class free, after every sorted position.
+                index = len(ordered)
+                clock_class = self._choose_victim([c for c in ordered if c.bdd is None])
+                clock_class.definition = FreeDefinition("assumed free to break a clock cycle")
+                clock_class.assumed_free = True
+                clock_class.bdd = self.manager.declare(
+                    f"h_{clock_class.id}_{clock_class.display_name()}"
+                )
+            unplaced -= 1
+            self._placement_order.append(clock_class)
+            for reader in readers[clock_class.id]:
+                if not queued[reader] and ordered[reader].bdd is None:
+                    queued[reader] = True
+                    heapq.heappush(due, (sweep if reader > index else sweep + 1, reader))
 
     # -- step 2b: elimination of equivalent variables -----------------------------------
     def _canonical(self, clock_class: ClockClass) -> ClockClass:

@@ -74,19 +74,23 @@ class ClockNode:
 
         A left-to-right depth-first search visits the operands of an inserted
         formula before the formula itself, which is how the tree embodies the
-        triangular ordering of the system of equations.
+        triangular ordering of the system of equations.  The walk keeps its
+        own stack, so a deep tree cannot exhaust the interpreter's.
         """
-        yield self
-        for child in self.children:
-            yield from child.iter_subtree()
+        return _preorder([self])
 
     def size(self) -> int:
         return sum(1 for _ in self.iter_subtree())
 
     def height(self) -> int:
-        if not self.children:
-            return 0
-        return 1 + max(child.height() for child in self.children)
+        """Longest distance from this node down to a leaf (iterative)."""
+        height = 0
+        stack = [(self, 0)]
+        while stack:
+            node, depth = stack.pop()
+            height = max(height, depth)
+            stack.extend((child, depth + 1) for child in node.children)
+        return height
 
     # -- display --------------------------------------------------------------
     def render(self, label: Optional[Callable[["ClockNode"], str]] = None) -> str:
@@ -112,6 +116,15 @@ class ClockNode:
         return f"ClockNode({self.clock_class.display_name()}, children={len(self.children)})"
 
 
+def _preorder(roots: List[ClockNode]) -> Iterator[ClockNode]:
+    """Depth-first, left-to-right pre-order of ``roots`` and their subtrees."""
+    stack = list(reversed(roots))
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(node.children))
+
+
 class ClockForest:
     """The forest of clock trees of a program."""
 
@@ -124,8 +137,8 @@ class ClockForest:
         self.roots.append(node)
 
     def iter_nodes(self) -> Iterator[ClockNode]:
-        for root in self.roots:
-            yield from root.iter_subtree()
+        """Every node of every tree, root by root, each in pre-order."""
+        return _preorder(self.roots)
 
     def node_count(self) -> int:
         return sum(1 for _ in self.iter_nodes())

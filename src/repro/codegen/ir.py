@@ -473,12 +473,50 @@ class _HierarchicalBuilder:
             self.node_signals.setdefault(clock_class.id, []).append(signal)
         for signals in self.node_signals.values():
             signals.sort(key=self._signal_rank)
+        self._index_subtrees()
 
     def _signal_rank(self, signal: str) -> int:
         return self._action_rank(ComputeSignal(signal))
 
     def _action_rank(self, action: Action) -> int:
         return self._rank.get(action, len(self._rank))
+
+    def _index_subtrees(self) -> None:
+        """Index every subtree's actions and least clock rank in one pass.
+
+        The forest's actions are laid out in pre-order, each node's clock
+        followed by the signals computed at it, so a subtree's actions are
+        one slice of that list.  Reverse pre-order reaches every node after
+        its descendants, which sizes the slices and takes the least clock
+        rank bottom-up.  Both are keyed by clock class id.
+        """
+        nodes = list(self.forest.iter_nodes())
+        actions: List[Action] = []
+        starts: List[int] = []
+        for node in nodes:
+            class_id = node.clock_class.id
+            starts.append(len(actions))
+            actions.append(ComputeClock(class_id))
+            actions.extend(
+                ComputeSignal(signal) for signal in self.node_signals.get(class_id, ())
+            )
+        starts.append(len(actions))
+        size: Dict[int, int] = {}
+        self._actions = actions
+        self._span: Dict[int, Tuple[int, int]] = {}
+        self._least_clock_rank: Dict[int, int] = {}
+        for position in range(len(nodes) - 1, -1, -1):
+            node = nodes[position]
+            class_id = node.clock_class.id
+            least = self._action_rank(actions[starts[position]])
+            count = 1
+            for child in node.children:
+                child_id = child.clock_class.id
+                count += size[child_id]
+                least = min(least, self._least_clock_rank[child_id])
+            size[class_id] = count
+            self._least_clock_rank[class_id] = least
+            self._span[class_id] = (starts[position], starts[position + count])
 
     # -- emission --------------------------------------------------------------------------
     def build(self) -> List[Stmt]:
@@ -544,10 +582,8 @@ class _HierarchicalBuilder:
         for index, signal in enumerate(signals):
             action_item[ComputeSignal(signal)] = index
         for index, child in enumerate(children, start=len(signals)):
-            for descendant in child.iter_subtree():
-                action_item[ComputeClock(descendant.clock_class.id)] = index
-                for signal in self.node_signals.get(descendant.clock_class.id, []):
-                    action_item[ComputeSignal(signal)] = index
+            start, end = self._span[child.clock_class.id]
+            action_item.update(dict.fromkeys(self._actions[start:end], index))
 
         # Only the prerequisites of actions under this node can give an edge.
         edges: Set[Tuple[int, int]] = set()
@@ -573,11 +609,7 @@ class _HierarchicalBuilder:
             kind, payload = items[index]
             if kind == "signal":
                 return self._action_rank(ComputeSignal(payload))
-            ranks = [
-                self._action_rank(ComputeClock(d.clock_class.id))
-                for d in payload.iter_subtree()
-            ]
-            return min(ranks) if ranks else 0
+            return self._least_clock_rank[payload.clock_class.id]
 
         rank = [item_rank(index) for index in range(count)]
         remaining = set(range(count))

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 from ..clocks.resolution import (
     ClockClass,
@@ -33,8 +33,9 @@ from .dependency import ConditionalDependencyGraph
 __all__ = ["Action", "ComputeClock", "ComputeSignal", "Schedule", "build_schedule"]
 
 
-@dataclass(frozen=True)
-class ComputeClock:
+# Actions key the schedule's and the IR builder's dictionaries; as named
+# tuples they are hashed and compared in C.
+class ComputeClock(NamedTuple):
     """Compute the presence flag of a clock class."""
 
     class_id: int
@@ -43,8 +44,7 @@ class ComputeClock:
         return f"clock#{self.class_id}"
 
 
-@dataclass(frozen=True)
-class ComputeSignal:
+class ComputeSignal(NamedTuple):
     """Compute (or read) the value of a signal at its clock."""
 
     signal: str

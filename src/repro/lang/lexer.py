@@ -2,13 +2,17 @@
 
 The token stream is deliberately simple: keywords, identifiers, numeric and
 boolean literals, operators and punctuation.  Comments follow the SIGNAL
-convention of ``%`` to end of line.
+convention of ``%`` to end of line.  Identifiers are ASCII
+(``[A-Za-z_][A-Za-z0-9_]*``) and numerals are ASCII digits; any other
+character is a :class:`~repro.errors.LexerError` at its line and column.
+One compiled regular expression scans the whole source.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Union
+from typing import List, Optional, Union
 
 from ..errors import LexerError, SourceLocation
 
@@ -40,32 +44,18 @@ KEYWORDS = frozenset(
     }
 )
 
-# Multi-character operators must be listed before their prefixes.
-_OPERATORS = [
-    ":=",
-    "/=",
-    "<=",
-    ">=",
-    "(|",
-    "|)",
-    "(",
-    ")",
-    "{",
-    "}",
-    "|",
-    ";",
-    ",",
-    "?",
-    "!",
-    "=",
-    "<",
-    ">",
-    "+",
-    "-",
-    "*",
-    "/",
-    "$",
-]
+# One alternative per token class, tried left to right at every position.
+# Identifiers and numerals are ASCII only; multi-character operators come
+# before their one-character prefixes; any other character is an error.
+_TOKEN_PATTERN = re.compile(
+    r"(?P<skip>(?:[ \t\r\n]+|%[^\n]*)+)"
+    r"|(?P<word>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<real>[0-9]+\.[0-9]+)"
+    r"|(?P<integer>[0-9]+)"
+    r"|(?P<operator>:=|/=|<=|>=|\(\||\|\)|[(){}|;,?!=<>+\-*/$])"
+    r"|(?P<error>.)",
+    re.DOTALL,
+)
 
 
 @dataclass(frozen=True)
@@ -90,92 +80,35 @@ class Token:
 def tokenize(source: str, filename: str = "<signal>") -> List[Token]:
     """Tokenize ``source`` into a list of tokens terminated by an EOF token."""
     tokens: List[Token] = []
+    append = tokens.append
     line = 1
-    column = 1
-    index = 0
-    length = len(source)
-
-    def location() -> SourceLocation:
-        return SourceLocation(line=line, column=column, filename=filename)
-
-    def advance(count: int) -> None:
-        nonlocal index, line, column
-        for _ in range(count):
-            if index < length and source[index] == "\n":
-                line += 1
-                column = 1
-            else:
-                column += 1
-            index += 1
-
-    while index < length:
-        char = source[index]
-
-        # Whitespace.
-        if char in " \t\r\n":
-            advance(1)
+    line_start = 0  # index of the first character of the current line
+    for match in _TOKEN_PATTERN.finditer(source):
+        kind = match.lastgroup
+        text = match.group()
+        start = match.start()
+        if kind == "skip":
+            # Only whitespace runs hold newlines (a comment stops before one).
+            newlines = text.count("\n")
+            if newlines:
+                line += newlines
+                line_start = start + text.rindex("\n") + 1
             continue
-
-        # Comments: '%' to end of line.
-        if char == "%":
-            while index < length and source[index] != "\n":
-                advance(1)
-            continue
-
-        start_location = location()
-
-        # Identifiers and keywords.
-        if char.isalpha() or char == "_":
-            start = index
-            while index < length and (source[index].isalnum() or source[index] == "_"):
-                advance(1)
-            text = source[start:index]
+        location = SourceLocation(line, start - line_start + 1, filename)
+        if kind == "word":
             lowered = text.lower()
             if lowered in KEYWORDS:
-                if lowered in ("true", "false"):
-                    tokens.append(
-                        Token("keyword", lowered, start_location, value=(lowered == "true"))
-                    )
-                else:
-                    tokens.append(Token("keyword", lowered, start_location))
+                value = (lowered == "true") if lowered in ("true", "false") else None
+                append(Token("keyword", lowered, location, value))
             else:
-                tokens.append(Token("identifier", text, start_location))
-            continue
-
-        # Numeric literals (integer or real).
-        if char.isdigit():
-            start = index
-            is_real = False
-            while index < length and source[index].isdigit():
-                advance(1)
-            if (
-                index + 1 < length
-                and source[index] == "."
-                and source[index + 1].isdigit()
-            ):
-                is_real = True
-                advance(1)
-                while index < length and source[index].isdigit():
-                    advance(1)
-            text = source[start:index]
-            if is_real:
-                tokens.append(Token("real", text, start_location, value=float(text)))
-            else:
-                tokens.append(Token("integer", text, start_location, value=int(text)))
-            continue
-
-        # Operators and punctuation.
-        matched = False
-        for operator in _OPERATORS:
-            if source.startswith(operator, index):
-                advance(len(operator))
-                tokens.append(Token("operator", operator, start_location))
-                matched = True
-                break
-        if matched:
-            continue
-
-        raise LexerError(f"unexpected character {char!r}", start_location)
-
-    tokens.append(Token("eof", "", location()))
+                append(Token("identifier", text, location))
+        elif kind == "operator":
+            append(Token("operator", text, location))
+        elif kind == "integer":
+            append(Token("integer", text, location, int(text)))
+        elif kind == "real":
+            append(Token("real", text, location, float(text)))
+        else:
+            raise LexerError(f"unexpected character {text!r}", location)
+    append(Token("eof", "", SourceLocation(line, len(source) - line_start + 1, filename)))
     return tokens

@@ -70,6 +70,34 @@ class TestClockNodeStructure:
         assert nodes[0].height() == 2
         assert nodes[2].height() == 0
 
+    def test_walks_match_recursive_preorder_on_a_branching_forest(self):
+        def recursive(node):
+            yield node
+            for child in node.children:
+                yield from recursive(child)
+
+        nodes = [ClockNode(ClockClass(id=i)) for i in range(12)]
+        for child, parent in [(1, 0), (2, 0), (3, 1), (4, 1), (5, 2), (6, 4),
+                              (7, 4), (8, 7), (10, 9), (11, 9)]:
+            nodes[parent].add_child(nodes[child])
+        forest = ClockForest()
+        forest.add_root(nodes[0])
+        forest.add_root(nodes[9])
+        expected = list(recursive(nodes[0])) + list(recursive(nodes[9]))
+        assert list(forest.iter_nodes()) == expected
+        assert list(nodes[1].iter_subtree()) == list(recursive(nodes[1]))
+        assert (forest.height(), nodes[1].height(), nodes[9].height()) == (4, 3, 1)
+
+    def test_walks_of_a_5000_deep_chain_do_not_recurse(self):
+        nodes = self._make_chain(5000)
+        forest = ClockForest()
+        forest.add_root(nodes[0])
+        # A chain's recursive pre-order is the chain itself.
+        assert list(nodes[0].iter_subtree()) == nodes
+        assert list(forest.iter_nodes()) == nodes
+        assert nodes[0].height() == forest.height() == 4999
+        assert nodes[0].size() == forest.node_count() == 5000
+
     def test_render_contains_all_nodes(self):
         nodes = self._make_chain(3)
         rendered = nodes[0].render(label=lambda n: f"k{n.clock_class.id}")

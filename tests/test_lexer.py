@@ -95,3 +95,67 @@ class TestCommentsAndPositions:
         with pytest.raises(LexerError) as excinfo:
             tokenize("ABC\n  #")
         assert excinfo.value.location.line == 2
+
+
+class TestAsciiLexicalRules:
+    """Identifiers are ``[A-Za-z_][A-Za-z0-9_]*`` and numerals ASCII digits."""
+
+    @pytest.mark.parametrize(
+        "source, column",
+        [("b := a + ²", 10), ("b := ⁵", 6), ("a² := 1", 2), ("été", 1)],
+    )
+    def test_non_ascii_characters_are_located_lexer_errors(self, source, column):
+        with pytest.raises(LexerError) as excinfo:
+            tokenize("% header\n" + source)
+        assert (excinfo.value.location.line, excinfo.value.location.column) == (2, column)
+
+    def test_ascii_identifier_with_digits_and_underscores(self):
+        assert texts("_a1 B_2c") == ["_a1", "B_2c"]
+
+    def test_numeral_followed_by_identifier_splits(self):
+        tokens = tokenize("12ab 3.5x")
+        assert [(t.kind, t.text) for t in tokens[:-1]] == [
+            ("integer", "12"), ("identifier", "ab"), ("real", "3.5"), ("identifier", "x"),
+        ]
+
+    def test_eof_location_follows_the_last_line(self):
+        eof = tokenize("X\n  % trailing comment\n   ")[-1]
+        assert (eof.kind, eof.location.line, eof.location.column) == ("eof", 3, 4)
+
+
+class TestNonAsciiSourcesThroughTheCompiler:
+    """``compile_source`` rejects them with a located :class:`SignalError`.
+
+    ``str.isdigit`` accepts ``²`` and ``⁵`` (``int()`` then raised a bare
+    ``ValueError``) and ``str.isalnum`` accepts ``a²`` (the generated Python
+    then failed to ``exec``).
+    """
+
+    @pytest.mark.parametrize(
+        "equation, column",
+        [("b := a + ²", 15), ("b := ⁵", 11), ("b := a²", 12)],
+    )
+    def test_compile_source_raises_a_located_signal_error(self, equation, column):
+        from repro import compile_source
+        from repro.errors import SignalError
+
+        source = (
+            "process P =\n"
+            "  ( ? integer a; ! integer b; )\n"
+            f"  (| {equation} |)\n"
+            "end;\n"
+        )
+        with pytest.raises(SignalError) as excinfo:
+            compile_source(source)
+        assert isinstance(excinfo.value, LexerError)
+        assert (excinfo.value.location.line, excinfo.value.location.column) == (3, column)
+
+    def test_non_ascii_identifier_declaration_is_rejected(self):
+        from repro import compile_source
+        from repro.errors import SignalError
+
+        source = "process P = ( ? integer a²; ! integer b; ) (| b := a² + 1 |) end;"
+        with pytest.raises(SignalError) as excinfo:
+            compile_source(source)
+        assert excinfo.value.location is not None
+        assert (excinfo.value.location.line, excinfo.value.location.column) == (1, 26)

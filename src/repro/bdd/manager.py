@@ -397,15 +397,21 @@ class BDDManager:
 
     # -- queries ---------------------------------------------------------------------------
     def node_count(self, f: BDD) -> int:
+        return self.shared_node_count((f,))
+
+    def shared_node_count(self, functions: Iterable[BDD]) -> int:
+        """Distinct decision nodes reachable from any of ``functions``, in one walk."""
+        nodes = self._nodes
         seen: Set[int] = set()
-        stack = [f.ref]
+        stack = [f.ref for f in functions]
         while stack:
             ref = stack.pop()
             if ref <= self.TRUE or ref in seen:
                 continue
             seen.add(ref)
-            stack.append(self._low(ref))
-            stack.append(self._high(ref))
+            _level, low, high = nodes[ref]
+            stack.append(low)
+            stack.append(high)
         return len(seen)
 
     def support(self, f: BDD) -> Set[int]:

@@ -90,6 +90,7 @@ from .service import (
     RemoteCompiler,
     RemoteError,
 )
+from .service.daemon import pin_allocator
 from .service.store import types_from_record
 
 __all__ = [
@@ -940,6 +941,7 @@ def run_batch(argv: List[str]) -> int:
 
 def run_serve(argv: List[str]) -> int:
     """The ``serve`` subcommand: run the compilation daemon until killed."""
+    pin_allocator()
     parser = build_serve_argument_parser()
     arguments = parser.parse_args(argv)
     if arguments.store_max_bytes is not None and arguments.store is None:
@@ -985,6 +987,7 @@ def run_serve(argv: List[str]) -> int:
 
 def run_gateway(argv: List[str]) -> int:
     """The ``gateway`` subcommand: front a fleet of compilation daemons."""
+    pin_allocator()
     parser = build_gateway_argument_parser()
     arguments = parser.parse_args(argv)
 

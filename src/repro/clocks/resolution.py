@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..bdd import BDD, BDDManager
 from ..errors import ClockCalculusError
@@ -286,13 +286,9 @@ class ClockHierarchy:
         a fresh manager of their own, so both are a function of the program
         alone.
         """
-        bdd_nodes = 0
-        seen_refs: Set[int] = set()
-        for clock_class in self.classes:
-            if clock_class.bdd is not None:
-                for ref, _level, _low, _high in self.manager.iter_nodes(clock_class.bdd):
-                    seen_refs.add(ref)
-        bdd_nodes = len(seen_refs)
+        bdd_nodes = self.manager.shared_node_count(
+            clock_class.bdd for clock_class in self.classes if clock_class.bdd is not None
+        )
         return {
             "classes": len(self.classes),
             "variables": self.system.variable_count(),

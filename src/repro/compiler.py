@@ -102,13 +102,20 @@ class CompilationResult:
         """A fresh reference interpreter for the same program."""
         return KernelInterpreter(self.program, self.types)
 
+    def _executable_of(self, style: GenerationStyle) -> Optional[CompiledProcess]:
+        """The executable of ``style`` this result holds, if any."""
+        if self.executable.style is style:
+            return self.executable
+        return self.executable_flat if style is GenerationStyle.FLAT else None
+
     def python_source(self, style: GenerationStyle = GenerationStyle.HIERARCHICAL) -> str:
-        ir = build_step_ir(self.schedule, self.types, style)
-        return generate_python_source(ir)
+        executable = self._executable_of(style)
+        if executable is not None and executable.observable:
+            return executable.source
+        return generate_python_source(self.step_ir(style))
 
     def c_source(self, style: GenerationStyle = GenerationStyle.HIERARCHICAL) -> str:
-        ir = build_step_ir(self.schedule, self.types, style)
-        return generate_c_source(ir)
+        return generate_c_source(self.step_ir(style))
 
     def c_shared_source(
         self, style: GenerationStyle = GenerationStyle.HIERARCHICAL
@@ -120,11 +127,15 @@ class CompilationResult:
         ``step_many`` entry point, so it can be built with ``cc -shared``
         and driven for whole populations by :mod:`repro.runtime.mass`.
         """
-        ir = build_step_ir(self.schedule, self.types, style)
-        return generate_c_shared_source(ir)
+        return generate_c_shared_source(self.step_ir(style))
 
     def step_ir(self, style: GenerationStyle = GenerationStyle.HIERARCHICAL) -> StepIR:
-        return build_step_ir(self.schedule, self.types, style)
+        """The IR of this result's executable of ``style`` (emitters never
+        mutate an IR, so every artifact renders from it), else a fresh one."""
+        executable = self._executable_of(style)
+        if executable is None:
+            return build_step_ir(self.schedule, self.types, style)
+        return executable.ir
 
     def tree_text(self) -> str:
         """The forest of clock trees plus the free clocks, as printed text.

@@ -65,6 +65,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import ctypes
 import errno
 import json
 import os
@@ -105,7 +106,7 @@ from .store import (
     types_from_record,
 )
 
-__all__ = ["PROTOCOL_VERSION", "CompilationDaemon", "ThreadedDaemon"]
+__all__ = ["PROTOCOL_VERSION", "CompilationDaemon", "ThreadedDaemon", "pin_allocator"]
 
 #: bumped when the request/response schema changes incompatibly
 PROTOCOL_VERSION = 1
@@ -115,6 +116,25 @@ MAX_LINE_BYTES = 16 * 1024 * 1024
 
 #: artifact kinds a compile request may ask for via ``emit``
 EMIT_KINDS = ("tree", "clocks", "kernel", "python", "c", "c_shared", "stats")
+
+def pin_allocator() -> bool:
+    """Fix glibc's malloc trim (256 MiB) and mmap (32 MiB) thresholds.
+
+    Left dynamic, glibc may trim a request thread's arena after a memory
+    hit and fault it back in on the next one, depending on the allocation
+    history of earlier compiles.  ``serve`` and ``gateway`` call this first.
+    Without a ``mallopt`` in the C library it does nothing and returns False.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    # M_TRIM_THRESHOLD is -1 and M_MMAP_THRESHOLD is -3 in <malloc.h>.
+    trimmed = mallopt(-1, 256 * 1024 * 1024)
+    return mallopt(-3, 32 * 1024 * 1024) == 1 == trimmed
+
 
 #: exception type -> protocol error code, most specific first
 _ERROR_CODES = (

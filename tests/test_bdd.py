@@ -177,6 +177,18 @@ class TestQueries:
         nodes = list(manager.iter_nodes(f))
         assert len(nodes) == f.node_count() == 2
 
+    def test_shared_node_count_counts_shared_nodes_once(self, manager):
+        a = manager.declare("a")
+        b = manager.declare("b")
+        c = manager.declare("c")
+        f = a & c
+        g = b & c
+        refs = {ref for h in (f, g) for ref, *_ in manager.iter_nodes(h)}
+        assert manager.shared_node_count([f, g]) == len(refs) == 3
+        assert manager.shared_node_count([f, f]) == f.node_count() == 2
+        assert manager.shared_node_count([manager.true, manager.false]) == 0
+        assert manager.shared_node_count([]) == 0
+
     def test_clear_caches_preserves_functions(self, manager):
         a = manager.declare("a")
         b = manager.declare("b")

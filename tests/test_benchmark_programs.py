@@ -106,6 +106,16 @@ class TestSuite:
         target = paper_reference(name)["variables"]
         assert abs(system.variable_count() - target) / target < 0.20
 
+    @pytest.mark.parametrize("name", benchmark_names())
+    def test_bdd_node_count_is_the_union_of_per_class_walks(self, name):
+        """One shared walk counts exactly the nodes of the per-class walks."""
+        _, _, _, hierarchy = analyze_source(benchmark_source(name))
+        refs = set()
+        for clock_class in hierarchy.classes:
+            if clock_class.bdd is not None:
+                refs.update(ref for ref, *_ in hierarchy.manager.iter_nodes(clock_class.bdd))
+        assert hierarchy.statistics()["bdd_nodes"] == len(refs) > 0
+
     @pytest.mark.slow
     @pytest.mark.parametrize("name", ["ALARM", "WATCH", "STOPWATCH"])
     def test_large_programs_resolve(self, name):

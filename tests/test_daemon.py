@@ -6,11 +6,14 @@ thread (:class:`ThreadedDaemon`) and talk to it through
 :class:`RemoteCompiler` or a raw socket.
 """
 
+import ctypes
 import io
 import json
 import os
+import platform
 import signal
 import socket
+import sys
 import threading
 import time
 
@@ -25,6 +28,7 @@ from repro.service import (
     RemoteError,
     ThreadedDaemon,
 )
+from repro.service.daemon import pin_allocator
 from repro.programs import ALARM_SOURCE, COUNTER_SOURCE, WATCHDOG_SOURCE
 
 
@@ -781,3 +785,23 @@ class TestStoreOps:
         response = CompilationDaemon().handle_request({"op": "nope"})
         assert "store-get" in response["error"]["message"]
         assert "store-put" in response["error"]["message"]
+
+
+class TestPinAllocator:
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+        reason="mallopt thresholds are a glibc interface",
+    )
+    def test_pins_both_thresholds_on_glibc(self):
+        assert pin_allocator() is True
+
+    def test_without_mallopt_it_does_nothing(self, monkeypatch):
+        class NoMallopt:
+            def __init__(self, name):
+                pass
+
+            def __getattr__(self, name):
+                raise AttributeError(name)
+
+        monkeypatch.setattr(ctypes, "CDLL", NoMallopt)
+        assert pin_allocator() is False

@@ -5,6 +5,7 @@ import pytest
 from repro import GenerationStyle, compile_source
 from repro.bdd import BDDManager
 from repro.clocks.encoding import ValueEncoder
+from repro.codegen.c_backend import generate_c_shared_source, generate_c_source
 from repro.codegen.ir import (
     ComputeValue,
     EmitOutput,
@@ -17,10 +18,18 @@ from repro.codegen.ir import (
     UpdateRegister,
     build_step_ir,
 )
+from repro.codegen.linker import ir_to_payload
+from repro.codegen.python_backend import generate_python_source
 from repro.lang.kernel import normalize
 from repro.lang.parser import parse_process
 from repro.lang.types import infer_types
-from repro.programs import ALARM_SOURCE, COUNTER_SOURCE
+from repro.programs import (
+    ALARM_SOURCE,
+    COUNTER_SOURCE,
+    ControlProgramSpec,
+    generate_control_program,
+)
+from repro.programs.suite import benchmark_source
 
 
 def flatten(statements):
@@ -169,3 +178,30 @@ class TestValueEncoder:
         )
         with pytest.raises(ValueError):
             encoder.value_of("N")
+
+
+MIXED_SPEC = ControlProgramSpec(
+    "MIXED", modules=3, with_filter=True, with_counter=True, with_arithmetic=True
+)
+
+
+@pytest.mark.parametrize(
+    "source",
+    [benchmark_source("STOPWATCH"), generate_control_program(MIXED_SPEC)],
+    ids=["STOPWATCH", "MIXED"],
+)
+@pytest.mark.parametrize("style", list(GenerationStyle))
+def test_emitters_do_not_mutate_the_step_ir(source, style):
+    """Every backend renders from one shared IR; none may change it."""
+    result = compile_source(source)
+    ir = build_step_ir(result.schedule, result.types, style)
+    before = ir_to_payload(ir)
+    emitters = {
+        "python": generate_python_source,
+        "c": generate_c_source,
+        "c_shared": generate_c_shared_source,
+    }
+    forward = {name: emit(ir) for name, emit in emitters.items()}
+    backward = {name: emitters[name](ir) for name in reversed(list(emitters))}
+    assert forward == backward
+    assert ir_to_payload(ir) == before

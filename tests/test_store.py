@@ -4,13 +4,19 @@ import json
 
 import pytest
 
+import repro.codegen.python_backend as python_backend
+import repro.compiler as compiler
 from repro import GenerationStyle, compile_source
+from repro.codegen.c_backend import generate_c_shared_source, generate_c_source
+from repro.codegen.ir import build_step_ir
+from repro.codegen.python_backend import generate_python_source
 from repro.lang.parser import parse_process
 from repro.lang.kernel import normalize
 from repro.programs import ALARM_SOURCE, COUNTER_SOURCE
 from repro.runtime import ReactiveExecutor, random_oracle
 from repro.compiler import compile_unit_record
 from repro.lang.units import split_units
+from repro.service import CompilationDaemon
 from repro.service.store import (
     LINKED_STYLE,
     STORE_FORMAT,
@@ -484,3 +490,74 @@ class TestMixedKindStore:
         assert stats["unit_store_hits"] == 0
         assert stats["unit_misses"] == 0
         assert stats["links"] == 0
+
+
+class TestStepIRSharing:
+    """A compile's record renders from the IR its executables were built from."""
+
+    @pytest.fixture
+    def ir_builds(self, monkeypatch):
+        builds = []
+        original = compiler.build_step_ir
+
+        def counting_build(*arguments, **options):
+            builds.append(arguments)
+            return original(*arguments, **options)
+
+        monkeypatch.setattr(compiler, "build_step_ir", counting_build)
+        monkeypatch.setattr(python_backend, "build_step_ir", counting_build)
+        return builds
+
+    @pytest.mark.parametrize(
+        "style, build_flat, expected",
+        [
+            (GenerationStyle.HIERARCHICAL, False, 1),
+            (GenerationStyle.HIERARCHICAL, True, 2),
+            (GenerationStyle.FLAT, False, 1),
+        ],
+    )
+    def test_one_ir_build_per_style_on_a_daemon_miss(
+        self, ir_builds, style, build_flat, expected
+    ):
+        daemon = CompilationDaemon()
+        record, origin = daemon.compile_record(ALARM_SOURCE, style=style, build_flat=build_flat)
+        assert origin == "compiled"
+        assert record["artifacts"]["c_shared"]
+        assert len(ir_builds) == expected
+
+    @pytest.mark.parametrize("style", list(GenerationStyle))
+    @pytest.mark.parametrize("build_flat", [False, True])
+    @pytest.mark.parametrize("observable", [True, False])
+    def test_record_artifacts_equal_renders_of_fresh_irs(self, style, build_flat, observable):
+        result = compile_source(
+            ALARM_SOURCE, style=style, build_flat=build_flat, observable=observable
+        )
+        record = record_from_result(
+            result, style, build_flat=build_flat, observable=observable
+        )
+        ir = build_step_ir(result.schedule, result.types, style)
+        assert record["artifacts"]["python"] == generate_python_source(ir)
+        assert record["artifacts"]["c"] == generate_c_source(ir)
+        assert record["artifacts"]["c_shared"] == generate_c_shared_source(ir)
+        assert result.step_ir(style) is result.executable.ir
+        if not observable:
+            # The executable runs non-observable code; the artifact is the
+            # observable rendering all the same.
+            assert result.python_source(style) != result.executable.source
+        else:
+            assert result.python_source(style) is result.executable.source
+        if build_flat and style is GenerationStyle.HIERARCHICAL:
+            flat = result.executable_flat
+            assert result.step_ir(GenerationStyle.FLAT) is flat.ir
+            assert (result.python_source(GenerationStyle.FLAT) is flat.source) == observable
+
+    def test_flat_artifacts_of_a_hierarchical_only_result(self):
+        result = compile_source(ALARM_SOURCE)
+        assert result.executable_flat is None
+        flat = GenerationStyle.FLAT
+        ir = build_step_ir(result.schedule, result.types, flat)
+        assert result.step_ir(flat) is not result.executable.ir
+        assert result.step_ir(flat).style is flat
+        assert result.python_source(flat) == generate_python_source(ir)
+        assert result.c_source(flat) == generate_c_source(ir)
+        assert result.python_source(flat) != result.python_source()

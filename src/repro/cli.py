@@ -259,7 +259,11 @@ def build_serve_argument_parser() -> argparse.ArgumentParser:
         "--max-entries",
         type=_positive_int,
         default=128,
-        help="capacity of the in-memory caches (default 128, minimum 1)",
+        help=(
+            "capacity of the daemon's in-memory record LRU (default 128, "
+            "minimum 1; the unit-record LRU holds 4x); misses compile on a "
+            "fresh manager, render the record and drop the result"
+        ),
     )
     parser.add_argument(
         "--jobs",

@@ -238,20 +238,24 @@ def split_units(program: KernelProgram) -> List[ProgramUnit]:
     return units
 
 
+#: a maximal alphanumeric run: the token ``rename_text`` looks up
+_ALNUM_RUN = re.compile(r"[A-Za-z0-9]+")
+
+
 def rename_text(text: str, mapping: Dict[str, str]) -> str:
     """Rename canonical signal tokens inside rendered artifact text.
 
-    Used by the link stage to rewrite per-unit clock-tree and clock-system
-    texts (produced under canonical names) back to the program's actual
-    names.  Tokens are matched with non-alphanumeric boundaries so that
-    derived identifiers (``h_C_i0``, ``z_i0``, ``[~i0]``) are rewritten
-    too; canonical names never occur as substrings of each other thanks to
-    the trailing-digit guard.
+    Used by the link stage to rewrite per-unit clock-tree, clock-system and
+    statement texts (produced under canonical names) back to the program's
+    actual names.  One linear scan looks every maximal alphanumeric run up
+    in ``mapping``, so derived identifiers (``h_C_i0``, ``z_i0``,
+    ``[~i0]``) are rewritten too.
+
+    Precondition: every key of ``mapping`` is itself a maximal alphanumeric
+    run -- the canonical ``i<n>``/``o<n>``/``l<n>`` names of
+    :func:`split_units` are.  A key containing any other character would
+    never match.
     """
     if not mapping or not text:
         return text
-    alternation = "|".join(
-        re.escape(name) for name in sorted(mapping, key=len, reverse=True)
-    )
-    pattern = re.compile(rf"(?<![A-Za-z0-9])(?:{alternation})(?![A-Za-z0-9])")
-    return pattern.sub(lambda match: mapping[match.group(0)], text)
+    return _ALNUM_RUN.sub(lambda match: mapping.get(match[0], match[0]), text)

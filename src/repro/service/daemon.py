@@ -3,8 +3,8 @@
 ``python -m repro serve`` starts an asyncio server speaking a JSON-line
 protocol (one JSON request per line, one JSON response per line) over TCP
 or a unix domain socket.  Many OS processes then share a single
-:class:`~repro.service.CompilationService` -- its in-memory compile and
-unit caches -- instead of each paying a cold cache.
+:class:`~repro.service.CompilationService` -- its unit cache and the
+daemon's record cache -- instead of each paying a cold cache.
 
 Caching tiers
 -------------
@@ -17,9 +17,10 @@ A ``compile`` request is answered from the first of three tiers:
 2. **store** -- the optional on-disk :class:`~repro.service.store.CompileStore`;
    a hit is promoted into tier 1, so a *restarted* daemon re-warms its
    memory cache from disk as traffic arrives;
-3. **compile** -- the wrapped :class:`CompilationService` runs the full
-   pipeline on a fresh BDD manager; the rendered record is written back to
-   tiers 1 and 2.
+3. **compile** -- the wrapped :class:`CompilationService` compiles on a
+   fresh BDD manager, renders the record and drops the result; the record
+   is written back to tiers 1 and 2.  No compilation result outlives its
+   request: the daemon caches records, never live results.
 
 Protocol
 --------
@@ -76,6 +77,7 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Dict, IO, Optional, Tuple, Union
 
 from ..codegen.ir import GenerationStyle
@@ -100,7 +102,7 @@ from .store import (
     executable_from_record,
     key_from_record,
     linked_store_key,
-    record_from_result,
+    record_from_result,  # noqa: F401 - perfbench's tracer wraps it by this name
     store_key,
     unit_store_key,
     types_from_record,
@@ -147,6 +149,7 @@ _ERROR_CODES = (
     (SimulationError, "simulation-error"),
     (ResourceLimitExceeded, "resource-limit"),
     (SignalError, "signal-error"),
+    (BrokenProcessPool, "worker-crashed"),
 )
 
 
@@ -316,33 +319,23 @@ class CompilationDaemon:
                 modular=modular,
             )
         elif modular:
-            if process is None:
-                process = parse_process(source)
-                program = normalize(process)
-            linked = self.service.compile_modular(
-                process=process,
+            record = self.service.compile_modular_record(
+                source,
                 style=style,
                 build_flat=build_flat,
                 observable=observable,
-                program=program,
                 store=self.store,  # None falls back to the service's own
-            )
-            record = record_from_result(
-                linked, style, build_flat=build_flat, observable=observable
+                process=process,
+                program=program,
             )
         else:
-            if process is None:
-                process = parse_process(source)
-                program = normalize(process)
-            result = self.service.compile_process(
-                process,
+            record = self.service.compile_record(
+                source,
                 style=style,
                 build_flat=build_flat,
                 observable=observable,
-                program=program,  # already normalized above; don't redo it
-            )
-            record = record_from_result(
-                result, style, build_flat=build_flat, observable=observable
+                process=process,
+                program=program,
             )
         self._records.put(key, record)
         if self.store is not None:
@@ -500,7 +493,7 @@ class CompilationDaemon:
             return self._count_error(_error_response(error_code(error), str(error), op))
         except Exception as error:  # noqa: BLE001 - the daemon must survive anything
             return self._count_error(
-                _error_response("internal-error", f"{type(error).__name__}: {error}", op)
+                _error_response(error_code(error), f"{type(error).__name__}: {error}", op)
             )
 
     def _dispatch_op(self, op: object, request: Dict[str, object]) -> Dict[str, object]:

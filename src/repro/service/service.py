@@ -10,10 +10,10 @@ of the compiler:
   entry;
 * every cache miss compiles on its own fresh :class:`~repro.bdd.BDDManager`,
   exactly like :func:`~repro.compiler.compile_source`, so a result's BDDs,
-  statistics and generated code are a function of its program alone.  The
-  manager's computed caches are dropped before the result is cached; its
-  unique table lives exactly as long as the cached result, so BDD memory is
-  bounded by the LRU;
+  statistics and generated code are a function of its program alone.  A
+  cached result keeps its manager's unique table, so BDD memory is bounded
+  by the LRU; the record entry points (``compile_record``,
+  ``compile_modular_record``: the daemon's miss path) cache no result;
 * :meth:`CompilationService.compile_batch` compiles many sources serially,
   and :meth:`CompilationService.compile_batch_records` fans them out to
   worker **processes** that return JSON artifact records and sidestep the
@@ -57,6 +57,7 @@ import contextlib
 import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
@@ -281,9 +282,9 @@ class CompilationService:
     ) -> CompilationResult:
         """Run one cache miss through the pipeline on a fresh manager.
 
-        The computed caches are dropped before the result is cached: nothing
-        reuses them, and the result keeps only the unique table its BDDs
-        need.
+        The computed caches are dropped before the result is cached or
+        rendered: nothing reuses them, a record's statistics are taken
+        after the drop, and the result keeps only its unique table.
         """
         manager = BDDManager()
         result = compile_process(
@@ -387,8 +388,7 @@ class CompilationService:
         """Like :meth:`compile` for an already-parsed process.
 
         ``program`` optionally supplies the already-normalized kernel form
-        of ``process`` (callers like the daemon normalize first to compute
-        the cache key; passing it through avoids normalizing twice).
+        of ``process``, so it is not normalized twice.
         """
         return self._compile_cached(
             None, process, style, build_flat, observable, program=program
@@ -396,20 +396,27 @@ class CompilationService:
 
     def compile_record(
         self,
-        source: str,
+        source: Optional[str] = None,
         style: GenerationStyle = GenerationStyle.HIERARCHICAL,
         build_flat: bool = False,
         observable: bool = True,
+        process: Optional[Process] = None,
+        program: Optional[KernelProgram] = None,
     ) -> Dict[str, object]:
         """Compile in-process and render the JSON-safe artifact record.
 
-        The inline counterpart of :meth:`compile_record_in_process`: same
-        output shape, produced on the caller's thread through the cached
-        path.
+        The inline, uncached counterpart of :meth:`compile_record_in_process`:
+        compile on a fresh manager (from ``process``/``program`` when already
+        parsed), render the record, drop the result.  The daemon caches the
+        record.
         """
-        result = self.compile(
-            source, style=style, build_flat=build_flat, observable=observable
-        )
+        with self._lock:
+            self._requests += 1
+        if process is None:
+            process = parse_process(source)
+        if program is None:
+            program = normalize(process)
+        result = self._compile_program(process, program, style, build_flat, observable)
         return record_from_result(
             result, style, build_flat=build_flat, observable=observable
         )
@@ -475,17 +482,28 @@ class CompilationService:
         trace-equivalent to the monolithic :meth:`compile` of the same
         source.
 
-        Composed results are cached in a third tier above the unit cache:
-        the **linked-result LRU**, keyed by the link fingerprint (ordered
-        unit tuple + renames + options), with ``kind: "linked"`` records
-        spilled to the disk store.  A repeat of the same composition is a
-        ``link_hits`` hit that skips unit resolution and the link stage and
-        returns a copy with fresh executables, exactly like :meth:`compile`
-        hits; a store hit rehydrates without loading unit records, so a
-        pruned unit record never forces a recompile while its linked record
-        survives.  Unit-granularity sharing is untouched -- a *novel*
-        composition of cached units still pays only the link.
+        Composed results are cached above the unit cache in the
+        **linked-result LRU**, keyed by the link fingerprint (ordered unit
+        tuple + renames + options), and spilled to the store as ``kind:
+        "linked"`` records.  A repeat composition is a ``link_hits`` hit
+        with fresh executables, like :meth:`compile` hits; a store hit
+        rehydrates without loading unit records.  A *novel* composition of
+        cached units still pays only the link.
         """
+        return self._compile_linked(
+            source, process, program, style, build_flat, observable, store,
+            self._linked_results,
+        )
+
+    def _compile_linked(
+        self, source: Optional[str], process: Optional[Process],
+        program: Optional[KernelProgram], style: GenerationStyle, build_flat: bool,
+        observable: bool, store: Optional[CompileStore],
+        results: Optional[LRUCache[LinkedCompilationResult]],
+    ) -> LinkedCompilationResult:
+        """The modular pipeline; ``results`` is the linked-result LRU to
+        read and fill, or None.  ``max_linked_entries=0`` also turns the
+        store's linked records off."""
         if source is None and process is None:
             raise ValueError("compile_modular needs source= or process=")
         with self._lock:
@@ -493,13 +511,14 @@ class CompilationService:
             self._modular_requests += 1
         if store is None:
             store = self.store
+        linked_store = store if self._linked_results is not None else None
 
         digest_key = None
-        if source is not None and self._linked_results is not None:
+        if source is not None and results is not None:
             digest_key = (source_digest(source), style.value, build_flat, observable)
             memo_fp = self._link_fingerprints.get(digest_key)
             if memo_fp is not None:
-                cached = self._linked_results.get(memo_fp)
+                cached = results.get(memo_fp)
                 if cached is not None:
                     return self._linked_fresh_hit(cached)
 
@@ -520,23 +539,24 @@ class CompilationService:
         )
         if digest_key is not None:
             self._link_fingerprints.put(digest_key, link_fp)
-        if self._linked_results is not None:
-            cached = self._linked_results.get(link_fp)
+        if results is not None:
+            cached = results.get(link_fp)
             if cached is not None:
                 return self._linked_fresh_hit(cached)
-            if store is not None:
-                record = store.get(linked_store_key(link_fp))
-                if (
-                    record is not None
-                    and record.get("program_fingerprint") == program.fingerprint()
-                ):
-                    with self._lock:
-                        self._link_store_hits += 1
-                    linked = linked_result_from_record(
-                        record, program, units, process=process
-                    )
-                    self._linked_results.put(link_fp, linked)
-                    return linked
+        if linked_store is not None:
+            record = linked_store.get(linked_store_key(link_fp))
+            if (
+                record is not None
+                and record.get("program_fingerprint") == program.fingerprint()
+            ):
+                with self._lock:
+                    self._link_store_hits += 1
+                linked = linked_result_from_record(
+                    record, program, units, process=process
+                )
+                if results is not None:
+                    results.put(link_fp, linked)
+                return linked
 
         with self._lock:
             self._link_misses += 1
@@ -552,28 +572,30 @@ class CompilationService:
         )
         with self._lock:
             self._links += 1
-        if self._linked_results is not None:
-            self._linked_results.put(link_fp, linked)
-            if store is not None:
-                try:
-                    store.put(
-                        linked_store_key(link_fp),
-                        linked_record_from_result(
-                            linked, link_fp, style,
-                            build_flat=build_flat, observable=observable,
-                        ),
-                    )
-                except OSError:
-                    pass  # best-effort spill, as for unit records
+        if results is not None:
+            results.put(link_fp, linked)
+        if linked_store is not None:
+            try:
+                linked_store.put(
+                    linked_store_key(link_fp),
+                    linked_record_from_result(
+                        linked, link_fp, style,
+                        build_flat=build_flat, observable=observable,
+                    ),
+                )
+            except OSError:
+                pass  # best-effort spill, as for unit records
         return linked
 
     def compile_modular_record(
         self,
-        source: str,
+        source: Optional[str] = None,
         style: GenerationStyle = GenerationStyle.HIERARCHICAL,
         build_flat: bool = False,
         observable: bool = True,
         store: Optional[CompileStore] = None,
+        process: Optional[Process] = None,
+        program: Optional[KernelProgram] = None,
     ) -> Dict[str, object]:
         """Modular compile rendered as a whole-program artifact record.
 
@@ -581,11 +603,11 @@ class CompilationService:
         ``"program"``, keyed by the *whole-program* fingerprint): consumers
         of records never see whether the miss path was monolithic or
         modular, which is what lets the daemon's record tiers stay keyed as
-        before.
+        before.  Like :meth:`compile_record` it keeps no live result; the
+        unit LRU and the store's unit and linked records still serve it.
         """
-        linked = self.compile_modular(
-            source, style=style, build_flat=build_flat, observable=observable,
-            store=store,
+        linked = self._compile_linked(
+            source, process, program, style, build_flat, observable, store, None
         )
         return record_from_result(
             linked, style, build_flat=build_flat, observable=observable
@@ -789,6 +811,11 @@ class CompilationService:
         the existing (smaller) pool; the growth happens on the next idle
         borrow.  Shrinking is never done implicitly -- idle workers cost
         little and keep their warm caches.
+
+        A worker that dies (an OOM kill, a crash) breaks the executor for
+        good: the borrow that sees ``BrokenProcessPool`` drops the pool and
+        re-raises, so only the requests in flight on it fail and the next
+        borrow builds a fresh one.
         """
         with self._lock:
             if (
@@ -805,6 +832,12 @@ class CompilationService:
             self._process_borrows += 1
         try:
             yield pool
+        except BrokenProcessPool:
+            with self._lock:
+                if self._process_pool is pool:
+                    self._process_pool, self._process_jobs = None, 0
+            pool.shutdown(wait=True)
+            raise
         finally:
             with self._lock:
                 self._process_borrows -= 1
@@ -845,54 +878,41 @@ class CompilationService:
     def statistics(self) -> Dict[str, object]:
         """Counters for monitoring: cache behaviour and cached BDD memory.
 
-        Every cached result holds the manager it compiled on, so ``scopes``
-        counts those managers and ``pooled_bdd_nodes`` sums their node
-        tables: the BDD memory the result LRU keeps alive.
+        Every result in the in-process result LRU holds the manager it
+        compiled on, so ``scopes`` counts those managers and
+        ``pooled_bdd_nodes`` sums their node tables: the BDD memory that
+        LRU keeps alive.  The daemon's record paths (:meth:`compile_record`,
+        :meth:`compile_modular_record`) compile on a fresh manager, render
+        the record and drop the result, so both are 0 under the daemon.
         """
         managers = {
             id(result.hierarchy.manager): result.hierarchy.manager
             for result in self._results.values()
         }
+        linked = self._linked_results
         with self._lock:
-            requests = self._requests
-            process_records = self._process_records
-            process_workers = self._process_jobs
-            modular_requests = self._modular_requests
-            unit_hits = self._unit_hits
-            unit_misses = self._unit_misses
-            unit_store_hits = self._unit_store_hits
-            links = self._links
-            link_hits = self._link_hits
-            link_misses = self._link_misses
-            link_store_hits = self._link_store_hits
-        stats = {
-            "requests": requests,
-            "cache_entries": len(self._results),
-            "cache_max_entries": self._results.max_entries,
-            "scopes": len(managers),
-            "source_fast_path_hits": self._source_fingerprints.stats.hits,
-            "pooled_bdd_nodes": sum(manager.num_nodes for manager in managers.values()),
-            "process_pool_workers": process_workers,
-            "process_records": process_records,
-            "modular_requests": modular_requests,
-            "unit_cache_entries": len(self._unit_records),
-            "unit_cache_max_entries": self._unit_records.max_entries,
-            "unit_hits": unit_hits,
-            "unit_misses": unit_misses,
-            "unit_store_hits": unit_store_hits,
-            "links": links,
-            "link_hits": link_hits,
-            "link_misses": link_misses,
-            "link_store_hits": link_store_hits,
-            "linked_cache_entries": (
-                len(self._linked_results) if self._linked_results is not None else 0
-            ),
-            "linked_cache_max_entries": (
-                self._linked_results.max_entries
-                if self._linked_results is not None
-                else 0
-            ),
-        }
+            stats = {
+                "requests": self._requests,
+                "cache_entries": len(self._results),
+                "cache_max_entries": self._results.max_entries,
+                "scopes": len(managers),
+                "source_fast_path_hits": self._source_fingerprints.stats.hits,
+                "pooled_bdd_nodes": sum(m.num_nodes for m in managers.values()),
+                "process_pool_workers": self._process_jobs,
+                "process_records": self._process_records,
+                "modular_requests": self._modular_requests,
+                "unit_cache_entries": len(self._unit_records),
+                "unit_cache_max_entries": self._unit_records.max_entries,
+                "unit_hits": self._unit_hits,
+                "unit_misses": self._unit_misses,
+                "unit_store_hits": self._unit_store_hits,
+                "links": self._links,
+                "link_hits": self._link_hits,
+                "link_misses": self._link_misses,
+                "link_store_hits": self._link_store_hits,
+                "linked_cache_entries": len(linked) if linked is not None else 0,
+                "linked_cache_max_entries": linked.max_entries if linked is not None else 0,
+            }
         stats.update(
             {f"cache_{name}": value for name, value in self._results.stats.as_dict().items()}
         )

@@ -7,6 +7,7 @@ thread (:class:`ThreadedDaemon`) and talk to it through
 """
 
 import ctypes
+import gc
 import io
 import json
 import os
@@ -29,7 +30,15 @@ from repro.service import (
     ThreadedDaemon,
 )
 from repro.service.daemon import pin_allocator
-from repro.programs import ALARM_SOURCE, COUNTER_SOURCE, WATCHDOG_SOURCE
+from repro.programs import (
+    ALARM_SOURCE,
+    COUNTER_SOURCE,
+    WATCHDOG_SOURCE,
+    ControlProgramSpec,
+    FleetSpec,
+    generate_control_program,
+    generate_fleet,
+)
 
 
 class TestEngine:
@@ -371,7 +380,9 @@ class TestParallelDaemon:
                 stats = client.stats()
                 assert stats["daemon"]["jobs"] == 3
                 assert stats["daemon"]["compiles"] == len(sources)
-                assert stats["service"]["scopes"] == len(sources)
+                # Misses keep no live result, hence no BDD manager.
+                assert stats["service"]["scopes"] == 0
+                assert stats["service"]["pooled_bdd_nodes"] == 0
 
     def test_process_workers_compile_and_cache(self):
         """workers="processes": misses compile in worker processes, repeats
@@ -401,6 +412,41 @@ class TestParallelDaemon:
                 # The daemon and its process pool survive the failure.
                 assert client.compile(COUNTER_SOURCE).name == "COUNT"
 
+    def test_killed_worker_costs_one_request(self):
+        """SIGKILL the pool's worker mid-compile: that request fails with
+        ``worker-crashed``, and the next compile runs on a fresh pool."""
+        slow = generate_control_program(
+            ControlProgramSpec(name="SLOW", modules=150, branching=3, sensors=3)
+        )
+        with ThreadedDaemon(workers="processes", jobs=1) as daemon:
+            service = daemon.daemon.service
+            with RemoteCompiler(*daemon.address) as client:
+                client.compile(WATCHDOG_SOURCE)  # starts the worker process
+            [pid] = list(service._process_pool._processes)
+            errors = []
+
+            def compile_slowly():
+                with RemoteCompiler(*daemon.address) as client:
+                    try:
+                        client.compile(slow)
+                    except RemoteError as error:
+                        errors.append(error)
+
+            worker = threading.Thread(target=compile_slowly)
+            worker.start()
+            time.sleep(0.3)  # the slow compile is now running in the worker
+            os.kill(pid, signal.SIGKILL)
+            worker.join(30)
+            assert not worker.is_alive()
+            assert [error.code for error in errors] == ["worker-crashed"]
+            with RemoteCompiler(*daemon.address) as client:
+                answer = client.compile(COUNTER_SOURCE, emit=["python"])
+            assert answer.origin == "compiled"
+            assert answer.artifacts["python"] == compile_source(
+                COUNTER_SOURCE
+            ).python_source()
+            assert pid not in service._process_pool._processes
+
     def test_process_workers_simulate_from_records(self):
         """Simulation runs on an executable rebuilt from the worker's record."""
         from repro.runtime import ReactiveExecutor, random_oracle, timing_diagram
@@ -415,23 +461,84 @@ class TestParallelDaemon:
         assert result.simulation["diagram"] == timing_diagram(trace.observations())
 
 
+class TestRecordOnlyMisses:
+    """The daemon caches records, never live compilation results."""
+
+    def test_misses_keep_no_result_and_match_fresh_compiles(self):
+        from repro.compiler import CompilationResult, LinkedCompilationResult
+        from repro.service import record_from_result
+
+        results = (CompilationResult, LinkedCompilationResult)
+        monolithic = [COUNTER_SOURCE, WATCHDOG_SOURCE, ALARM_SOURCE]
+        modular = generate_fleet(
+            FleetSpec(name="RO", programs=3, library_size=5, units_per_program=3,
+                      shared_units=2, seed=5)
+        )
+        gc.collect()
+        before = [obj for obj in gc.get_objects() if isinstance(obj, results)]
+        daemon = CompilationDaemon()
+        served = [daemon.compile_record(source) for source in monolithic]
+        served += [daemon.compile_record(source, modular=True) for source in modular]
+        assert [origin for _, origin in served] == ["compiled"] * len(served)
+
+        stats = daemon.statistics()["service"]
+        assert stats["cache_entries"] == 0
+        assert stats["linked_cache_entries"] == 0
+        assert stats["scopes"] == 0
+        assert stats["pooled_bdd_nodes"] == 0
+        gc.collect()
+        leaked = [
+            obj for obj in gc.get_objects()
+            if isinstance(obj, results) and not any(obj is old for old in before)
+        ]
+        assert leaked == []
+
+        for source in monolithic:
+            assert daemon.compile_record(source)[1] == "memory"
+        for source in modular:
+            assert daemon.compile_record(source, modular=True)[1] == "memory"
+
+        def dumped(record):
+            return json.dumps(record, sort_keys=True)
+
+        for source, (record, _) in zip(monolithic, served):
+            expected = record_from_result(
+                compile_source(source), GenerationStyle.HIERARCHICAL
+            )
+            assert dumped(record) == dumped(expected)
+        with CompilationService() as reference:
+            for source, (record, _) in zip(modular, served[len(monolithic):]):
+                expected = record_from_result(
+                    reference.compile_modular(source), GenerationStyle.HIERARCHICAL
+                )
+                assert dumped(record) == dumped(expected)
+
+
 class _SlowService(CompilationService):
-    """A service whose compiles block until released (drain testing)."""
+    """A service whose compiles block until released (drain testing).
+
+    The delay sits on :meth:`compile_record`, the entry point of the
+    daemon's monolithic miss path; ``delayed`` counts the delays that ran,
+    so a test can prove a compile really was in flight.
+    """
 
     def __init__(self, delay=0.3):
         super().__init__()
         self.delay = delay
+        self.delayed = 0
 
-    def compile_process(self, *args, **kwargs):
+    def compile_record(self, *args, **kwargs):
         time.sleep(self.delay)
-        return super().compile_process(*args, **kwargs)
+        self.delayed += 1
+        return super().compile_record(*args, **kwargs)
 
 
 class TestGracefulDrain:
     def test_drain_finishes_inflight_compiles_before_exit(self):
         """request_shutdown(drain=True) mid-compile: the client still gets
         its full response, then the server exits."""
-        daemon = ThreadedDaemon(daemon=CompilationDaemon(service=_SlowService()))
+        service = _SlowService()
+        daemon = ThreadedDaemon(daemon=CompilationDaemon(service=service))
         daemon.start()
         try:
             host, port = daemon.address
@@ -448,6 +555,7 @@ class TestGracefulDrain:
             worker.join(10)
             assert not worker.is_alive()
             assert len(responses) == 1
+            assert service.delayed == 1
             assert responses[0].artifacts["python"] == compile_source(
                 COUNTER_SOURCE
             ).python_source()
@@ -456,7 +564,8 @@ class TestGracefulDrain:
 
     def test_shutdown_op_with_drain_answers_inflight_requests(self):
         """A client-requested drain shutdown behaves like SIGTERM."""
-        daemon = ThreadedDaemon(daemon=CompilationDaemon(service=_SlowService()))
+        service = _SlowService()
+        daemon = ThreadedDaemon(daemon=CompilationDaemon(service=service))
         daemon.start()
         try:
             host, port = daemon.address
@@ -474,6 +583,7 @@ class TestGracefulDrain:
             worker.join(10)
             assert not worker.is_alive()
             assert len(responses) == 1 and responses[0].name == "COUNT"
+            assert service.delayed == 1
         finally:
             daemon.stop()
 
@@ -481,7 +591,8 @@ class TestGracefulDrain:
         """Once draining, an established connection cannot submit new work
         (its next request sees the connection close), while the in-flight
         compile still completes and answers."""
-        daemon = ThreadedDaemon(daemon=CompilationDaemon(service=_SlowService(0.6)))
+        service = _SlowService(0.6)
+        daemon = ThreadedDaemon(daemon=CompilationDaemon(service=service))
         daemon.start()
         try:
             host, port = daemon.address
@@ -503,6 +614,7 @@ class TestGracefulDrain:
             worker.join(10)
             assert not worker.is_alive()
             assert len(responses) == 1 and responses[0].name == "COUNT"
+            assert service.delayed == 1
         finally:
             daemon.stop()
 

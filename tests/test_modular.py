@@ -19,14 +19,16 @@ section below:
 """
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import CausalityError, CompilationService, compile_source
+from repro.compiler import compile_unit_record
 from repro.lang import normalize, parse_process
 from repro.lang.kernel import rename_program
-from repro.lang.units import UNIT_FINGERPRINT_VERSION, split_units
+from repro.lang.units import UNIT_FINGERPRINT_VERSION, rename_text, split_units
 from repro.programs import (
     FleetSpec,
     fleet_member_modules,
@@ -34,6 +36,7 @@ from repro.programs import (
     library_module_source,
 )
 from repro.programs.generators import _assemble_program
+from repro.programs.suite import benchmark_names, benchmark_source, fleet_sources
 from repro.runtime import ReactiveExecutor, random_input_schedule
 from repro.service import CompileStore
 
@@ -265,6 +268,48 @@ def test_incremental_link_is_byte_identical_to_ir_emission():
     assert linked.executable.source == linked.python_source(
         GenerationStyle.HIERARCHICAL
     )
+
+
+def _alternation_renamer(mapping):
+    """The boundary-lookaround regex ``rename_text`` used to build per call,
+    kept here only as the oracle for the linear token scan."""
+    alternation = "|".join(
+        re.escape(name) for name in sorted(mapping, key=len, reverse=True)
+    )
+    pattern = re.compile(rf"(?<![A-Za-z0-9])(?:{alternation})(?![A-Za-z0-9])")
+    return lambda text: pattern.sub(lambda match: mapping[match.group(0)], text)
+
+
+def _record_texts(value):
+    """Every text of a unit record: strings, dict keys, and line lists
+    joined the way the linker joins statement bodies."""
+    if isinstance(value, str):
+        yield value
+    elif isinstance(value, dict):
+        yield "\n".join(map(str, value))
+        for item in value.values():
+            yield from _record_texts(item)
+    elif isinstance(value, list):
+        if value and all(isinstance(item, str) for item in value):
+            yield "\n".join(value)
+        else:
+            for item in value:
+                yield from _record_texts(item)
+
+
+def test_rename_text_scan_matches_the_alternation_oracle():
+    """The token scan renames every unit text of Figure 13 and of the
+    reference fleet exactly like the old alternation regex."""
+    sources = [benchmark_source(name) for name in benchmark_names()] + fleet_sources()
+    checked = 0
+    for source in sources:
+        for unit in split_units(kernel_of(source)):
+            mapping = unit.from_canonical
+            oracle = _alternation_renamer(mapping)
+            for text in _record_texts(compile_unit_record(unit)):
+                assert rename_text(text, mapping) == oracle(text)
+                checked += 1
+    assert checked > 100
 
 
 def test_batch_fan_out_matches_serial_modular():

@@ -10,9 +10,10 @@ of the compiler:
   entry;
 * every cache miss compiles on its own fresh :class:`~repro.bdd.BDDManager`,
   exactly like :func:`~repro.compiler.compile_source`, so a result's BDDs,
-  statistics and generated code are a function of its program alone.  A
-  cached result keeps its manager's unique table, so BDD memory is bounded
-  by the LRU; the record entry points (``compile_record``,
+  statistics and generated code are a function of its program alone.  The
+  manager's computed caches are dropped before the result is cached; its
+  unique table lives exactly as long as the cached result, so BDD memory is
+  bounded by the LRU.  The record entry points (``compile_record``,
   ``compile_modular_record``: the daemon's miss path) cache no result;
 * :meth:`CompilationService.compile_batch` compiles many sources serially,
   and :meth:`CompilationService.compile_batch_records` fans them out to
@@ -388,7 +389,8 @@ class CompilationService:
         """Like :meth:`compile` for an already-parsed process.
 
         ``program`` optionally supplies the already-normalized kernel form
-        of ``process``, so it is not normalized twice.
+        of ``process`` (callers like the daemon normalize first to compute
+        the cache key; passing it through avoids normalizing twice).
         """
         return self._compile_cached(
             None, process, style, build_flat, observable, program=program
@@ -482,13 +484,16 @@ class CompilationService:
         trace-equivalent to the monolithic :meth:`compile` of the same
         source.
 
-        Composed results are cached above the unit cache in the
-        **linked-result LRU**, keyed by the link fingerprint (ordered unit
-        tuple + renames + options), and spilled to the store as ``kind:
-        "linked"`` records.  A repeat composition is a ``link_hits`` hit
-        with fresh executables, like :meth:`compile` hits; a store hit
-        rehydrates without loading unit records.  A *novel* composition of
-        cached units still pays only the link.
+        Composed results are cached in a third tier above the unit cache:
+        the **linked-result LRU**, keyed by the link fingerprint (ordered
+        unit tuple + renames + options), with ``kind: "linked"`` records
+        spilled to the disk store.  A repeat of the same composition is a
+        ``link_hits`` hit that skips unit resolution and the link stage and
+        returns a copy with fresh executables, exactly like :meth:`compile`
+        hits; a store hit rehydrates without loading unit records, so a
+        pruned unit record never forces a recompile while its linked record
+        survives.  Unit-granularity sharing is untouched -- a *novel*
+        composition of cached units still pays only the link.
         """
         return self._compile_linked(
             source, process, program, style, build_flat, observable, store,
@@ -889,30 +894,46 @@ class CompilationService:
             id(result.hierarchy.manager): result.hierarchy.manager
             for result in self._results.values()
         }
-        linked = self._linked_results
         with self._lock:
-            stats = {
-                "requests": self._requests,
-                "cache_entries": len(self._results),
-                "cache_max_entries": self._results.max_entries,
-                "scopes": len(managers),
-                "source_fast_path_hits": self._source_fingerprints.stats.hits,
-                "pooled_bdd_nodes": sum(m.num_nodes for m in managers.values()),
-                "process_pool_workers": self._process_jobs,
-                "process_records": self._process_records,
-                "modular_requests": self._modular_requests,
-                "unit_cache_entries": len(self._unit_records),
-                "unit_cache_max_entries": self._unit_records.max_entries,
-                "unit_hits": self._unit_hits,
-                "unit_misses": self._unit_misses,
-                "unit_store_hits": self._unit_store_hits,
-                "links": self._links,
-                "link_hits": self._link_hits,
-                "link_misses": self._link_misses,
-                "link_store_hits": self._link_store_hits,
-                "linked_cache_entries": len(linked) if linked is not None else 0,
-                "linked_cache_max_entries": linked.max_entries if linked is not None else 0,
-            }
+            requests = self._requests
+            process_records = self._process_records
+            process_workers = self._process_jobs
+            modular_requests = self._modular_requests
+            unit_hits = self._unit_hits
+            unit_misses = self._unit_misses
+            unit_store_hits = self._unit_store_hits
+            links = self._links
+            link_hits = self._link_hits
+            link_misses = self._link_misses
+            link_store_hits = self._link_store_hits
+        stats = {
+            "requests": requests,
+            "cache_entries": len(self._results),
+            "cache_max_entries": self._results.max_entries,
+            "scopes": len(managers),
+            "source_fast_path_hits": self._source_fingerprints.stats.hits,
+            "pooled_bdd_nodes": sum(manager.num_nodes for manager in managers.values()),
+            "process_pool_workers": process_workers,
+            "process_records": process_records,
+            "modular_requests": modular_requests,
+            "unit_cache_entries": len(self._unit_records),
+            "unit_cache_max_entries": self._unit_records.max_entries,
+            "unit_hits": unit_hits,
+            "unit_misses": unit_misses,
+            "unit_store_hits": unit_store_hits,
+            "links": links,
+            "link_hits": link_hits,
+            "link_misses": link_misses,
+            "link_store_hits": link_store_hits,
+            "linked_cache_entries": (
+                len(self._linked_results) if self._linked_results is not None else 0
+            ),
+            "linked_cache_max_entries": (
+                self._linked_results.max_entries
+                if self._linked_results is not None
+                else 0
+            ),
+        }
         stats.update(
             {f"cache_{name}": value for name, value in self._results.stats.as_dict().items()}
         )

@@ -34,9 +34,7 @@ from repro.programs import (
     ALARM_SOURCE,
     COUNTER_SOURCE,
     WATCHDOG_SOURCE,
-    ControlProgramSpec,
     FleetSpec,
-    generate_control_program,
     generate_fleet,
 )
 
@@ -413,28 +411,33 @@ class TestParallelDaemon:
                 assert client.compile(COUNTER_SOURCE).name == "COUNT"
 
     def test_killed_worker_costs_one_request(self):
-        """SIGKILL the pool's worker mid-compile: that request fails with
-        ``worker-crashed``, and the next compile runs on a fresh pool."""
-        slow = generate_control_program(
-            ControlProgramSpec(name="SLOW", modules=150, branching=3, sensors=3)
-        )
+        """SIGKILL the pool's worker while a compile is in flight on it:
+        that request fails with ``worker-crashed``, and the next compile
+        runs on a fresh pool."""
         with ThreadedDaemon(workers="processes", jobs=1) as daemon:
             service = daemon.daemon.service
             with RemoteCompiler(*daemon.address) as client:
                 client.compile(WATCHDOG_SOURCE)  # starts the worker process
-            [pid] = list(service._process_pool._processes)
+            pool = service._process_pool
+            [pid] = list(pool._processes)
+            # Keep the only worker busy, so the compile below is still in
+            # flight when the kill lands however fast the compile would be.
+            pool.submit(time.sleep, 60)
             errors = []
 
-            def compile_slowly():
+            def compile_in_flight():
                 with RemoteCompiler(*daemon.address) as client:
                     try:
-                        client.compile(slow)
+                        client.compile(ALARM_SOURCE)
                     except RemoteError as error:
                         errors.append(error)
 
-            worker = threading.Thread(target=compile_slowly)
+            worker = threading.Thread(target=compile_in_flight)
             worker.start()
-            time.sleep(0.3)  # the slow compile is now running in the worker
+            deadline = time.monotonic() + 30
+            while len(pool._pending_work_items) < 2:  # the sleep and the compile
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
             os.kill(pid, signal.SIGKILL)
             worker.join(30)
             assert not worker.is_alive()

@@ -34,18 +34,19 @@ error-code table are documented in ``docs/ARCHITECTURE.md``.
 Concurrency
 -----------
 
-The server processes requests on a pool of ``jobs`` worker threads (one by
-default) while the event loop stays free to accept connections and read
-requests, so concurrent clients queue fairly instead of timing out on
-connect.  With ``jobs > 1`` the daemon answers cache tiers concurrently and
-compiles misses in parallel:
+The event loop reads and parses each request line once.  It answers a
+``compile`` the memory tier holds (digest memo and record LRU, no
+``simulate``) itself; everything else runs on a pool of ``jobs`` worker
+threads (one by default), so a memory hit never waits behind a compile and
+the loop stays free to accept connections.  With ``jobs > 1`` the workers
+compile misses in parallel:
 
-* ``workers="threads"`` compiles each miss on its request thread, on a fresh
+* ``workers="threads"`` compiles each miss on its worker thread, on a fresh
   BDD manager and without a lock, so misses overlap but share the GIL
-  (``CompileGateway`` uses this for its local fallback, whose request
+  (``CompileGateway`` uses this for its local fallback, whose worker
   threads mostly wait on backends);
 * ``workers="processes"`` ships each miss to the service's worker-process
-  pool and parks the request thread on the result, so ``jobs`` compilations
+  pool and parks the worker thread on the result, so ``jobs`` compilations
   proceed on ``jobs`` cores (``python -m repro serve --jobs N`` with
   ``N > 1``).
 
@@ -122,9 +123,9 @@ EMIT_KINDS = ("tree", "clocks", "kernel", "python", "c", "c_shared", "stats")
 def pin_allocator() -> bool:
     """Fix glibc's malloc trim (256 MiB) and mmap (32 MiB) thresholds.
 
-    Left dynamic, glibc may trim a request thread's arena after a memory
-    hit and fault it back in on the next one, depending on the allocation
-    history of earlier compiles.  ``serve`` and ``gateway`` call this first.
+    Left dynamic, glibc may trim the event loop thread's arena after a
+    memory hit and fault it back in on the next one, depending on the
+    allocation history of earlier compiles.  ``serve`` and ``gateway`` call this first.
     Without a ``mallopt`` in the C library it does nothing and returns False.
     """
     try:
@@ -181,6 +182,76 @@ def _field(request: Dict[str, object], name: str, expected_type: type, default):
     elif not isinstance(value, expected_type):
         raise _RequestError(f"field {name!r} must be of type {expected_type.__name__}")
     return value
+
+
+def _style_field(request: Dict[str, object]) -> GenerationStyle:
+    style_name = _field(request, "style", str, GenerationStyle.HIERARCHICAL.value)
+    try:
+        return GenerationStyle(style_name)
+    except ValueError:
+        raise _RequestError(
+            f"field 'style' must be one of {[s.value for s in GenerationStyle]}"
+        ) from None
+
+
+def _compile_arguments(request: Dict[str, object]) -> tuple:
+    """Validate a ``compile`` request; returns its ``compile_record`` arguments."""
+    source = request.get("source")
+    if not isinstance(source, str) or not source.strip():
+        raise _RequestError("field 'source' must be a non-empty string")
+    style = _style_field(request)
+    build_flat = _field(request, "build_flat", bool, False)
+    observable = _field(request, "observable", bool, True)
+    modular = _field(request, "modular", bool, False)
+    _field(request, "simulate", int, 0)
+    _field(request, "seed", int, 0)
+    emit = request.get("emit", [])
+    if not isinstance(emit, list) or not all(isinstance(kind, str) for kind in emit):
+        raise _RequestError("field 'emit' must be a list of artifact names")
+    unknown = [kind for kind in emit if kind not in EMIT_KINDS]
+    if unknown:
+        raise _RequestError(f"unknown emit kind(s) {unknown}; expected {list(EMIT_KINDS)}")
+    return source, style, build_flat, observable, modular
+
+
+def _compile_response(request: dict, record: dict, origin: str) -> Dict[str, object]:
+    """The response to a validated ``compile`` answered by ``record``."""
+    response: Dict[str, object] = {
+        "ok": True,
+        "op": "compile",
+        "name": record["name"],
+        "fingerprint": record["fingerprint"],
+        "origin": origin,
+        "statistics": record["statistics"],
+    }
+    if request.get("modular"):
+        response["modular"] = True
+    emit, simulate, seed = request.get("emit"), request.get("simulate", 0), request.get("seed", 0)
+    if emit:
+        artifacts = dict(record["artifacts"])
+        artifacts["stats"] = record["statistics"]
+        response["artifacts"] = {kind: artifacts[kind] for kind in emit}
+    if simulate > 0:
+        executable = executable_from_record(record)
+        oracle = random_oracle(types_from_record(record), seed=seed)
+        trace = ReactiveExecutor(executable).run(simulate, oracle)
+        response["simulation"] = {
+            "reactions": simulate,
+            "seed": seed,
+            "diagram": timing_diagram(trace.observations()),
+        }
+    return response
+
+
+def _parse_line(line: Union[str, bytes]) -> Tuple[Optional[dict], Optional[dict]]:
+    """``(request, None)`` for a JSON object line, else ``(None, error response)``."""
+    try:
+        request = json.loads(line)
+    except (ValueError, UnicodeDecodeError) as error:
+        return None, _error_response("invalid-json", f"request is not valid JSON: {error}")
+    if not isinstance(request, dict):
+        return None, _error_response("invalid-request", "request must be a JSON object")
+    return request, None
 
 
 class CompilationDaemon:
@@ -267,36 +338,24 @@ class CompilationDaemon:
         and vice versa, because both paths render equivalent artifacts.
 
         Thread-safe without a global compile lock: the record/digest LRUs
-        and the store synchronize themselves, so ``jobs`` request threads
-        probe the tiers and compile misses concurrently.  Two threads
-        racing on the *same* key may both compile and both publish --
-        wasteful but harmless, because compilation is deterministic and
-        every tier is last-writer-wins.
+        and the store synchronize themselves, so ``jobs`` worker threads
+        (and the event loop, for memory hits) probe the tiers and compile
+        misses concurrently.  Two threads racing on the *same* key may both
+        compile and both publish -- wasteful but harmless, because
+        compilation is deterministic and every tier is last-writer-wins.
         """
         with self._lock:
             self._compile_requests += 1
         digest = source_digest(source)
-        # The digest memo lets repeat traffic reach the record tiers
-        # without parsing; it must live here (not only in the service)
-        # because a memory/store hit never enters the service at all.
-        fingerprint = self._digests.get(digest)
+        key, record = self._memory_tier(digest, style, build_flat, observable)
         process = None
         program = None
-        if fingerprint is None:
+        if key is None:
             process = parse_process(source)
             program = normalize(process)
-            fingerprint = program.fingerprint()
-            self._digests.put(digest, fingerprint)
-        key = store_key(fingerprint, style, build_flat, observable)
-
-        record = self._records.get(key)
+            self._digests.put(digest, program.fingerprint())
+            key, record = self._memory_tier(digest, style, build_flat, observable)
         if record is not None:
-            with self._lock:
-                self._memory_hits += 1
-            if self.store is not None:
-                # Keep the disk entry's recency honest: without this, hot
-                # records served from memory would look cold to prune().
-                self.store.touch(key)
             return record, "memory"
 
         if self.store is not None:
@@ -352,6 +411,31 @@ class CompilationDaemon:
         with self._lock:
             self._compiles += 1
         return record, "compiled"
+
+    def _memory_tier(
+        self, digest: str, style: GenerationStyle, build_flat: bool, observable: bool
+    ) -> Tuple[Optional[tuple], Optional[dict]]:
+        """Tier 1: ``(key, record)``, ``record`` None on a miss.
+
+        ``key`` is None when the digest memo does not know the source.  Never
+        parses, compiles or reads the store, so the event loop may call it.
+        """
+        # The digest memo lets repeat traffic reach the record tiers
+        # without parsing; it must live here (not only in the service)
+        # because a memory/store hit never enters the service at all.
+        fingerprint = self._digests.get(digest)
+        if fingerprint is None:
+            return None, None
+        key = store_key(fingerprint, style, build_flat, observable)
+        record = self._records.get(key)
+        if record is not None:
+            with self._lock:
+                self._memory_hits += 1
+            if self.store is not None:
+                # Keep the disk entry's recency honest: without this, hot
+                # records served from memory would look cold to prune().
+                self.store.touch(key)
+        return key, record
 
     def _enforce_store_budget(self) -> None:
         """Apply the ``--store-max-bytes`` policy after a successful spill."""
@@ -458,35 +542,55 @@ class CompilationDaemon:
     # -- request dispatch ----------------------------------------------------
     def handle_line(self, line: Union[str, bytes]) -> Dict[str, object]:
         """Parse one protocol line and dispatch it; never raises."""
+        return self._handle_parsed(*_parse_line(line))
+
+    def _handle_parsed(self, request: Optional[dict], refusal: Optional[dict]) -> dict:
+        """Answer one parsed line: ``request``, or the ``refusal`` its parse gave."""
         with self._lock:
             self._requests += 1
-        started = time.perf_counter()
-        try:
-            request = json.loads(line)
-        except (ValueError, UnicodeDecodeError) as error:
-            response = self._count_error(
-                _error_response("invalid-json", f"request is not valid JSON: {error}")
-            )
-            self._log_request(None, response, time.perf_counter() - started)
-            return response
-        if not isinstance(request, dict):
-            response = self._count_error(
-                _error_response("invalid-request", "request must be a JSON object")
-            )
-            self._log_request(None, response, time.perf_counter() - started)
-            return response
-        return self.handle_request(request)
+        if refusal is None:
+            return self.handle_request(request)
+        self._log_request(None, self._count_error(refusal), 0.0)
+        return refusal
 
     def handle_request(self, request: Dict[str, object]) -> Dict[str, object]:
         started = time.perf_counter()
-        response = self._dispatch(request)
-        self._log_request(request.get("op"), response, time.perf_counter() - started)
+        op = request.get("op")
+        response = self._guard(op, self._dispatch_op, op, request)
+        self._log_request(op, response, time.perf_counter() - started)
         return response
 
-    def _dispatch(self, request: Dict[str, object]) -> Dict[str, object]:
-        op = request.get("op")
+    def _answer_from_memory(self, request: Dict[str, object]) -> Optional[Dict[str, object]]:
+        """The event loop's answer to a memory-tier ``compile`` hit, else None.
+
+        Counts, responds and logs like a worker.  Leaves ``simulate``, and any
+        subclass that replaces ``_handle_compile`` (the gateway forwards), to
+        the workers.
+        """
+        if request.get("op") != "compile" or request.get("simulate") or (
+            type(self)._handle_compile is not CompilationDaemon._handle_compile
+        ):
+            return None
+        started = time.perf_counter()
         try:
-            return self._dispatch_op(op, request)
+            source, style, build_flat, observable, _ = _compile_arguments(request)
+            digest = source_digest(source)
+        except (_RequestError, UnicodeError):  # the pool answers the error
+            return None
+        _, record = self._memory_tier(digest, style, build_flat, observable)
+        if record is None:
+            return None
+        with self._lock:
+            self._requests += 1
+            self._compile_requests += 1
+        response = self._guard("compile", _compile_response, request, record, "memory")
+        self._log_request("compile", response, time.perf_counter() - started)
+        return response
+
+    def _guard(self, op: object, handler: Callable[..., dict], *args) -> Dict[str, object]:
+        """``handler(*args)``, with every exception turned into an error response."""
+        try:
+            return handler(*args)
         except _RequestError as error:
             return self._count_error(_error_response("invalid-request", str(error), op))
         except SignalError as error:
@@ -501,7 +605,7 @@ class CompilationDaemon:
 
         Subclasses (the gateway) override this to reinterpret or add ops
         and fall through to ``super()`` for the rest; the exception ladder
-        in :meth:`_dispatch` stays in force either way.
+        in :meth:`_guard` stays in force either way.
         """
         if op == "compile":
             return self._handle_compile(request)
@@ -548,13 +652,7 @@ class CompilationDaemon:
             return linked_store_key(fingerprint)
         if kind != "program":
             raise _RequestError("field 'kind' must be 'program', 'unit' or 'linked'")
-        style_name = _field(request, "style", str, GenerationStyle.HIERARCHICAL.value)
-        try:
-            style = GenerationStyle(style_name)
-        except ValueError:
-            raise _RequestError(
-                f"field 'style' must be one of {[s.value for s in GenerationStyle]}"
-            ) from None
+        style = _style_field(request)
         build_flat = _field(request, "build_flat", bool, False)
         observable = _field(request, "observable", bool, True)
         return store_key(fingerprint, style, build_flat, observable)
@@ -631,56 +729,8 @@ class CompilationDaemon:
         return response
 
     def _handle_compile(self, request: Dict[str, object]) -> Dict[str, object]:
-        source = request.get("source")
-        if not isinstance(source, str) or not source.strip():
-            raise _RequestError("field 'source' must be a non-empty string")
-        style_name = _field(request, "style", str, GenerationStyle.HIERARCHICAL.value)
-        try:
-            style = GenerationStyle(style_name)
-        except ValueError:
-            raise _RequestError(
-                f"field 'style' must be one of {[s.value for s in GenerationStyle]}"
-            ) from None
-        build_flat = _field(request, "build_flat", bool, False)
-        observable = _field(request, "observable", bool, True)
-        modular = _field(request, "modular", bool, False)
-        simulate = _field(request, "simulate", int, 0)
-        seed = _field(request, "seed", int, 0)
-        emit = request.get("emit", [])
-        if not isinstance(emit, list) or not all(isinstance(kind, str) for kind in emit):
-            raise _RequestError("field 'emit' must be a list of artifact names")
-        unknown = [kind for kind in emit if kind not in EMIT_KINDS]
-        if unknown:
-            raise _RequestError(f"unknown emit kind(s) {unknown}; expected {list(EMIT_KINDS)}")
-
-        record, origin = self.compile_record(
-            source, style=style, build_flat=build_flat, observable=observable,
-            modular=modular,
-        )
-        response: Dict[str, object] = {
-            "ok": True,
-            "op": "compile",
-            "name": record["name"],
-            "fingerprint": record["fingerprint"],
-            "origin": origin,
-            "statistics": record["statistics"],
-        }
-        if modular:
-            response["modular"] = True
-        if emit:
-            artifacts = dict(record["artifacts"])
-            artifacts["stats"] = record["statistics"]
-            response["artifacts"] = {kind: artifacts[kind] for kind in emit}
-        if simulate > 0:
-            executable = executable_from_record(record)
-            oracle = random_oracle(types_from_record(record), seed=seed)
-            trace = ReactiveExecutor(executable).run(simulate, oracle)
-            response["simulation"] = {
-                "reactions": simulate,
-                "seed": seed,
-                "diagram": timing_diagram(trace.observations()),
-            }
-        return response
+        record, origin = self.compile_record(*_compile_arguments(request))
+        return _compile_response(request, record, origin)
 
     # -- asyncio server ------------------------------------------------------
     async def _handle_connection(
@@ -720,9 +770,14 @@ class CompilationDaemon:
                 if self._idle is not None:
                     self._idle.clear()
                 try:
-                    response = await loop.run_in_executor(
-                        self._pool, self.handle_line, line
-                    )
+                    # A memory hit is answered right here, so it never queues
+                    # behind a compile; everything else goes to a worker.
+                    request, refusal = _parse_line(line)
+                    response = None if request is None else self._answer_from_memory(request)
+                    if response is None:
+                        response = await loop.run_in_executor(
+                            self._pool, self._handle_parsed, request, refusal
+                        )
                     writer.write((json.dumps(response) + "\n").encode("utf-8"))
                     await writer.drain()
                 finally:
@@ -769,7 +824,7 @@ class CompilationDaemon:
         self._drain_requested = False
         self._connections = set()
         # `jobs` request workers; with one worker compilations serialize
-        # exactly like the historical daemon, the event loop stays free.
+        # exactly like the historical daemon, and memory hits skip them.
         self._pool = ThreadPoolExecutor(
             max_workers=self._jobs, thread_name_prefix="repro-daemon"
         )

@@ -522,16 +522,24 @@ class _SlowService(CompilationService):
 
     The delay sits on :meth:`compile_record`, the entry point of the
     daemon's monolithic miss path; ``delayed`` counts the delays that ran,
-    so a test can prove a compile really was in flight.
+    so a test can prove a compile really was in flight.  With a ``gate``
+    a compile waits until the gate is set instead of sleeping, and
+    ``entered`` is set as soon as a compile has started waiting.
     """
 
-    def __init__(self, delay=0.3):
+    def __init__(self, delay=0.3, gate=None):
         super().__init__()
         self.delay = delay
+        self.gate = gate
+        self.entered = threading.Event()
         self.delayed = 0
 
     def compile_record(self, *args, **kwargs):
-        time.sleep(self.delay)
+        self.entered.set()
+        if self.gate is None:
+            time.sleep(self.delay)
+        else:
+            assert self.gate.wait(30), "the test never released the compile"
         self.delayed += 1
         return super().compile_record(*args, **kwargs)
 
@@ -640,7 +648,101 @@ class TestGracefulDrain:
         assert not os.path.exists(socket_path)
 
 
-class TestRequestLog:
+class TestMemoryHitsOnTheEventLoop:
+    def test_memory_hit_does_not_wait_behind_a_compile(self):
+        """With one worker held by a miss, a memory hit on another
+        connection is still answered: the event loop answers it."""
+        gate = threading.Event()
+        gate.set()
+        service = _SlowService(gate=gate)
+        with ThreadedDaemon(daemon=CompilationDaemon(service=service, jobs=1)) as daemon:
+            with RemoteCompiler(*daemon.address) as client:
+                assert client.compile(COUNTER_SOURCE).origin == "compiled"
+            gate.clear()
+            service.entered.clear()
+            held = []
+
+            def compile_miss():
+                with RemoteCompiler(*daemon.address, timeout=60) as client:
+                    held.append(client.compile(WATCHDOG_SOURCE))
+
+            miss = threading.Thread(target=compile_miss)
+            miss.start()
+            try:
+                assert service.entered.wait(10), "the miss never reached the worker"
+                with RemoteCompiler(*daemon.address, timeout=5) as client:
+                    hit = client.compile(COUNTER_SOURCE, emit=["python"])
+                assert hit.origin == "memory" and hit.name == "COUNT"
+                assert miss.is_alive() and held == []  # still held by the gate
+            finally:
+                gate.set()
+                miss.join(30)
+            assert not miss.is_alive()
+            assert len(held) == 1 and held[0].origin == "compiled"
+            assert service.delayed == 2
+
+    def test_served_answers_match_in_process_answers(self):
+        """The same lines over a socket and through ``handle_line`` on a
+        fresh engine: identical response bytes, counters and log fields."""
+        fingerprint = compile_source(COUNTER_SOURCE).program.fingerprint()
+        compile_counter = {"op": "compile", "source": COUNTER_SOURCE}
+        # A record another node put without its "name": answering a hit on
+        # it fails inside the response builder, on the loop as in a worker.
+        broken, _ = CompilationDaemon().compile_record(WATCHDOG_SOURCE)
+        broken = {key: value for key, value in broken.items() if key != "name"}
+        compile_watchdog = {"op": "compile", "source": WATCHDOG_SOURCE}
+        lines = [
+            json.dumps(request).encode() + b"\n"
+            for request in (
+                compile_counter,  # miss
+                compile_counter,  # hit
+                {**compile_counter, "emit": ["python", "stats"]},  # hit with emit
+                {**compile_counter, "simulate": 4, "seed": 7},  # hit with simulate
+            )
+        ] + [
+            b"definitely not json\n",
+            b'{"op": "nope"}\n',
+            json.dumps({"op": "compile", "source": "\ud800"}).encode() + b"\n",
+            json.dumps({"op": "store-get", "fingerprint": fingerprint}).encode() + b"\n",
+            json.dumps({"op": "store-put", "record": broken}).encode() + b"\n",
+            json.dumps(compile_watchdog).encode() + b"\n",  # parsed, then a hit
+            json.dumps(compile_watchdog).encode() + b"\n",  # a hit
+            b'{"op": "stats"}\n',
+        ]
+        served_log = io.StringIO()
+        with ThreadedDaemon(request_log=served_log) as daemon:
+            raw = socket.create_connection(daemon.address, timeout=30)
+            stream = raw.makefile("rwb")
+            try:
+                served = []
+                for line in lines:
+                    stream.write(line)
+                    stream.flush()
+                    served.append(stream.readline())
+            finally:
+                raw.close()
+        local_log = io.StringIO()
+        engine = CompilationDaemon(request_log=local_log)
+        local = [
+            (json.dumps(engine.handle_line(line)) + "\n").encode() for line in lines
+        ]
+        assert [json.loads(line).get("origin") for line in served[:4]] == [
+            "compiled", "memory", "memory", "memory",
+        ]
+        assert [json.loads(line)["error"]["code"] for line in served[-3:-1]] == [
+            "internal-error", "internal-error",
+        ]
+        assert served == local  # the stats line carries every counter
+
+        def fields(log):
+            entries = [json.loads(line) for line in log.getvalue().splitlines()]
+            for entry in entries:
+                del entry["ts"], entry["elapsed_ms"]
+            return entries
+
+        assert len(fields(served_log)) == len(lines)
+        assert fields(served_log) == fields(local_log)
+
     def test_log_lines_cover_every_request(self):
         log = io.StringIO()
         daemon = CompilationDaemon(request_log=log)

@@ -376,6 +376,37 @@ class TestGatewayServer:
                     assert stats["gateway"]["fleet"]["compiles"] == len(sources)
                     assert len(stats["backends"]) == 2
 
+    def test_served_gateway_forwards_off_the_event_loop(self, tmp_path):
+        """A gateway whose own memory tier holds a program (from a local
+        fallback) still forwards it once the backend is up, and forwards
+        on a worker thread, never on the server's event loop thread."""
+        spec = str(tmp_path / "backend.sock")
+        gateway = CompileGateway(
+            backends=[spec], health_interval=0, retry_backoff=0.01,
+            connect_timeout=1.0, recheck_interval=0.0,
+        )
+        request = {"op": "compile", "source": COUNTER_SOURCE}
+        assert gateway.handle_request(request)["backend"] == "local"
+        assert gateway.statistics()["daemon"]["record_entries"] == 1
+        forwarding_threads = []
+        forward = gateway._forward
+
+        def recording_forward(state, payload):
+            forwarding_threads.append(threading.current_thread())
+            return forward(state, payload)
+
+        gateway._forward = recording_forward
+        with ThreadedDaemon(socket_path=spec):
+            assert gateway.check_backends() == {spec: True}
+            with ThreadedDaemon(daemon=gateway) as front:
+                with RemoteCompiler(*front.address) as client:
+                    response = client.call(request)
+                loop_thread = front._thread
+        assert response["ok"] and response["backend"] == spec
+        assert len(forwarding_threads) == 1
+        assert forwarding_threads[0] is not loop_thread
+        assert forwarding_threads[0].name.startswith("repro-daemon_")
+
     def test_clear_cache_broadcasts_to_backends(self):
         with ThreadedDaemon() as one, ThreadedDaemon() as two:
             gateway = gateway_over(one, two)

@@ -442,7 +442,7 @@ def build_remote_argument_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "compile misses unit-by-unit on the daemon (shared modules hit "
-            "its unit cache, repeated compositions its linked-result cache)"
+            "its unit cache; repeats hit its record tiers like any compile)"
         ),
     )
     parser.add_argument(

@@ -443,10 +443,10 @@ class LinkedCompilationResult:
     process: Optional[Process] = None
     executable: Optional[CompiledProcess] = None
     executable_flat: Optional[CompiledProcess] = None
-    #: the persisted linked record this result was rehydrated from, if any;
+    #: the whole-program record this result was rehydrated from, if any;
     #: record-backed results serve artifacts from the record (the unit
-    #: records are deliberately not loaded -- that is the point of the
-    #: linked tier) and can only render the style the record was built for
+    #: records are deliberately not loaded) and can only render the style
+    #: the record was built for
     record: Optional[dict] = None
     _linked_irs: Dict[GenerationStyle, StepIR] = field(
         default_factory=dict, repr=False, compare=False
@@ -458,11 +458,6 @@ class LinkedCompilationResult:
     @property
     def name(self) -> str:
         return self.program.name
-
-    def unit_fingerprints(self) -> list:
-        if self.record is not None and not self.units:
-            return list(self.record["unit_fingerprints"])
-        return [unit.fingerprint() for unit in self.units]
 
     def interpreter(self) -> KernelInterpreter:
         """A fresh reference interpreter for the same (whole) program."""
@@ -495,7 +490,7 @@ class LinkedCompilationResult:
         if self.record is not None and not self.unit_records:
             raise ValueError(
                 "linked result was rehydrated from a store record rendered "
-                f"for style {self.record['options']['style']!r}; other "
+                f"for style {self.record['style']!r}; other "
                 "artifacts require a re-link from unit records"
             )
 
@@ -505,7 +500,7 @@ class LinkedCompilationResult:
         """The stored artifact of a record-backed result, or ``None``."""
         if self.record is None:
             return None
-        if style is not None and style.value != self.record["options"]["style"]:
+        if style is not None and style.value != self.record["style"]:
             return None
         return self.record["artifacts"][key]
 
@@ -745,26 +740,27 @@ def linked_result_from_record(
     units: list,
     process: Optional[Process] = None,
 ) -> LinkedCompilationResult:
-    """Rehydrate a linked result from a persisted ``kind: "linked"`` record.
+    """Rehydrate a linked result from a persisted whole-program record.
 
-    No unit records are loaded: artifacts and statistics come straight from
-    the record and the executables are re-executed from their stored step
-    sources, so a pruned unit record never forces a recompile as long as
-    the linked record survives.
+    The record is the ``kind: "program"`` record of the same store key,
+    written by a modular or a monolithic compile.  No unit records are
+    loaded: artifacts and statistics come straight from the record and the
+    executables are re-executed from their stored step sources, so a pruned
+    unit record never forces a recompile as long as the program record
+    survives.
     """
     from .service.store import executable_from_record, types_from_record
 
-    options = record["options"]
     executable = executable_from_record(record, flat=False)
     executable_flat = None
-    if options["build_flat"] and record.get("executable_flat") is not None:
+    if record["build_flat"] and record.get("executable_flat") is not None:
         executable_flat = executable_from_record(record, flat=True)
     return LinkedCompilationResult(
         program=program,
         types=types_from_record(record),
         units=list(units),
         unit_records=[],
-        observable=options["observable"],
+        observable=record["observable"],
         process=process,
         executable=executable,
         executable_flat=executable_flat,

@@ -25,24 +25,22 @@ It does **not** normalize away process names, signal names, declared types,
 or equation order: those are part of the canonical form, so renamed or
 reordered programs compile separately even when semantically equivalent.
 The same fingerprint also keys the on-disk artifact store
-(:mod:`repro.service.store`): every layer of caching shares one identity
-for "the same program".
+(:mod:`repro.service.store`) and the service's linked-result LRU: every
+layer of caching, modular or monolithic, shares one identity for "the same
+program".
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Generic, Hashable, Mapping, Optional, Sequence, Tuple, TypeVar
+from typing import Dict, Generic, Hashable, Optional, Tuple, TypeVar
 
 __all__ = [
     "CacheStats",
     "LRUCache",
-    "LINK_FINGERPRINT_VERSION",
-    "link_fingerprint",
     "source_digest",
 ]
 
@@ -52,50 +50,6 @@ T = TypeVar("T")
 def source_digest(source: str) -> str:
     """SHA-256 of raw source text (the exact-repeat fast path key)."""
     return hashlib.sha256(source.encode("utf-8")).hexdigest()
-
-
-#: version tag folded into every link fingerprint; bump whenever the link
-#: stage's output could change for identical inputs (renaming scheme, root
-#: presence-key derivation, code emission) so stale linked records miss
-LINK_FINGERPRINT_VERSION = "link-fingerprint-v1"
-
-
-def link_fingerprint(
-    name: str,
-    unit_fingerprints: Sequence[str],
-    renames: Sequence[Mapping[str, str]],
-    input_order: Sequence[str],
-    output_order: Sequence[str],
-    style_value: str,
-    build_flat: bool,
-    observable: bool,
-) -> str:
-    """The persistent identity of one *linked* compilation result.
-
-    A linked result is fully determined by the ordered tuple of unit
-    fingerprints (each unit fingerprint already pins the unit's canonical
-    kernel), the per-unit canonical->actual rename maps, the enclosing
-    program's name and interface declaration order, and the code-generation
-    options.  Hashing exactly these inputs means two different programs that
-    embed the same modules under the same actual names share one linked
-    record, while any change that could alter the composed artifacts
-    (renames, unit order, options) produces a different key.
-    """
-    payload = json.dumps(
-        [
-            LINK_FINGERPRINT_VERSION,
-            name,
-            list(unit_fingerprints),
-            [sorted(rename.items()) for rename in renames],
-            list(input_order),
-            list(output_order),
-            style_value,
-            bool(build_flat),
-            bool(observable),
-        ],
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 @dataclass

@@ -268,8 +268,8 @@ class RemoteCompiler:
         """Compile SIGNAL source on the daemon and fetch rendered artifacts.
 
         ``modular=True`` asks the daemon to compile misses unit-by-unit
-        against its unit and linked-result caches; hits and the response
-        shape are unchanged (the record tiers stay whole-program keyed).
+        against its unit cache; hits and the response shape are unchanged
+        (the record tiers stay whole-program keyed).
         """
         style_value = style.value if isinstance(style, GenerationStyle) else str(style)
         request: Dict[str, object] = {

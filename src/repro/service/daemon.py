@@ -102,7 +102,6 @@ from .store import (
     CompileStore,
     executable_from_record,
     key_from_record,
-    linked_store_key,
     record_from_result,  # noqa: F401 - perfbench's tracer wraps it by this name
     store_key,
     unit_store_key,
@@ -638,9 +637,9 @@ class CompilationDaemon:
         """Build the cache key a ``store-get`` request names.
 
         ``kind: "unit"`` addresses a per-unit artifact record by its unit
-        fingerprint (modular compilation), ``kind: "linked"`` a composed
-        linked record by its link fingerprint; the default kind
-        ``"program"`` keeps the historical whole-program addressing.
+        fingerprint (modular compilation); the default kind ``"program"``
+        addresses a whole-program record by kernel fingerprint and options,
+        whether a monolithic or a modular compile wrote it.
         """
         fingerprint = request.get("fingerprint")
         if not isinstance(fingerprint, str) or not fingerprint:
@@ -648,10 +647,8 @@ class CompilationDaemon:
         kind = _field(request, "kind", str, "program")
         if kind == "unit":
             return unit_store_key(fingerprint)
-        if kind == "linked":
-            return linked_store_key(fingerprint)
         if kind != "program":
-            raise _RequestError("field 'kind' must be 'program', 'unit' or 'linked'")
+            raise _RequestError("field 'kind' must be 'program' or 'unit'")
         style = _style_field(request)
         build_flat = _field(request, "build_flat", bool, False)
         observable = _field(request, "observable", bool, True)

@@ -14,7 +14,12 @@ of the compiler:
   manager's computed caches are dropped before the result is cached; its
   unique table lives exactly as long as the cached result, so BDD memory is
   bounded by the LRU.  The record entry points (``compile_record``,
-  ``compile_modular_record``: the daemon's miss path) cache no result;
+  ``compile_modular_record``: the daemon's miss path and the process
+  workers') cache no whole program;
+* :meth:`CompilationService.compile_modular` compiles unit by unit against
+  a unit-record LRU and links; its composed results are cached under the
+  same key as :meth:`CompilationService.compile`'s, in a linked-result LRU
+  above the disk store's ``kind: "program"`` records;
 * :meth:`CompilationService.compile_batch` compiles many sources serially,
   and :meth:`CompilationService.compile_batch_records` fans them out to
   worker **processes** that return JSON artifact records and sidestep the
@@ -46,10 +51,12 @@ manager), so process workers return the JSON-safe **artifact records** of
 :func:`repro.service.store.record_from_result` -- rendered sources, the
 clock tree, statistics, and enough metadata to rebuild a runnable step via
 :func:`repro.service.store.executable_from_record`.  Each worker process
-keeps its own small ``CompilationService``, so repeats within one worker
-are warm; the pool is created lazily, reused across batches, grown when a
-larger ``jobs`` arrives, and torn down by :meth:`close` (closing is safe --
-the next process-mode call simply builds a fresh pool).
+compiles through its own ``CompilationService``'s record entry points, so
+it keeps no compiled result: a repeat within one worker is warm only
+through the worker's unit-record LRU (modular compiles) and the parent's
+disk store.  The pool is created lazily, reused across batches, grown when
+a larger ``jobs`` arrives, and torn down by :meth:`close` (closing is safe
+-- the next process-mode call simply builds a fresh pool).
 """
 
 from __future__ import annotations
@@ -76,15 +83,8 @@ from ..lang.ast import Process
 from ..lang.kernel import KernelProgram, normalize
 from ..lang.parser import parse_process
 from ..lang.units import split_units
-from .cache import LRUCache, link_fingerprint, source_digest
-from .store import (
-    CompileStore,
-    linked_record_from_result,
-    linked_store_key,
-    record_from_result,
-    store_key,
-    unit_store_key,
-)
+from .cache import LRUCache, source_digest
+from .store import CompileStore, record_from_result, store_key, unit_store_key
 
 __all__ = ["CompilationService"]
 
@@ -100,7 +100,7 @@ def _blame(index: int):
 
 
 # -- process-pool worker side -------------------------------------------------
-#: per-worker-process compilation service (warm caches within one worker)
+#: per-worker-process compilation service (it keeps unit records only)
 _WORKER_SERVICE: Optional["CompilationService"] = None
 
 #: per-worker-process handles on parent disk stores, keyed by directory
@@ -119,17 +119,17 @@ def _process_worker_record(
 ) -> Dict[str, object]:
     """Compile one source in a worker process; return its artifact record.
 
-    Runs in the pool's child processes.  The worker keeps a small private
-    ``CompilationService`` alive between tasks so repeated sources within
-    one worker hit a warm cache; the record that crosses back to the parent
-    is plain JSON (see the module docstring).  Toolchain errors propagate
-    to the parent as the original ``SignalError`` subclass.
+    Runs in the pool's child processes, through the record entry points of
+    a private ``CompilationService``: the worker keeps no compiled result,
+    and the record that crosses back to the parent is plain JSON (see the
+    module docstring).  Toolchain errors propagate to the parent as the
+    original ``SignalError`` subclass.
 
-    When the parent configured a disk :class:`CompileStore`, the worker
-    layers it under its private cache: the key is probed *before* the
-    pipeline runs (so a record any daemon/node spilled earlier is a warm
-    start here), and a genuine compile is spilled back (best-effort) so it
-    warms every process and node sharing the directory.
+    When the parent configured a disk :class:`CompileStore`, a monolithic
+    compile's key is probed *before* the pipeline runs (so a record any
+    daemon/node spilled earlier is a warm start here), and a genuine
+    compile is spilled back (best-effort) so it warms every process and
+    node sharing the directory.
     """
     global _WORKER_SERVICE
     if _WORKER_SERVICE is None:
@@ -145,30 +145,21 @@ def _process_worker_record(
             source, style=style, build_flat=build_flat, observable=observable,
             store=store,
         )
-    if store is None:
-        result = _WORKER_SERVICE.compile(
-            source, style=style, build_flat=build_flat, observable=observable
-        )
-        return record_from_result(
-            result, style, build_flat=build_flat, observable=observable
-        )
     process = parse_process(source)
     program = normalize(process)
     key = store_key(program.fingerprint(), style, build_flat, observable)
-    record = store.get(key)
+    record = store.get(key) if store is not None else None
     if record is not None:
         return record
-    result = _WORKER_SERVICE.compile_process(
-        process, style=style, build_flat=build_flat, observable=observable,
-        program=program,
+    record = _WORKER_SERVICE.compile_record(
+        style=style, build_flat=build_flat, observable=observable,
+        process=process, program=program,
     )
-    record = record_from_result(
-        result, style, build_flat=build_flat, observable=observable
-    )
-    try:
-        store.put(key, record)
-    except OSError:
-        pass  # a full disk must not fail a successful compile
+    if store is not None:
+        try:
+            store.put(key, record)
+        except OSError:
+            pass  # a full disk must not fail a successful compile
     return record
 
 
@@ -208,12 +199,13 @@ class CompilationService:
         Capacity of the LRU compile cache (whole compilation results).
     store:
         Optionally, a disk :class:`~repro.service.store.CompileStore` (or
-        its directory path) that **process workers** layer under their
-        private caches: workers probe it before compiling and spill genuine
-        compiles back, so cross-process batches warm-start from (and warm)
-        every daemon/node sharing the directory.  The in-process compile
-        path does not consult it -- the daemon layers the store above the
-        service, exactly as before.
+        its directory path).  **Process workers** probe it before compiling
+        and spill genuine compiles back, so cross-process batches
+        warm-start from (and warm) every daemon/node sharing the directory.
+        :meth:`compile_modular` reads and writes its unit records and its
+        whole-program records.  :meth:`compile` and the record entry points
+        never read a whole-program record from it: the daemon layers the
+        store above the service.
     max_unit_entries, max_linked_entries:
         Capacities of the modular unit-record and linked-result LRUs.
     """
@@ -239,23 +231,20 @@ class CompilationService:
         if max_unit_entries is None:
             max_unit_entries = max(max_entries * 4, 16)
         self._unit_records: LRUCache[Dict[str, object]] = LRUCache(max_unit_entries)
-        # Composed linked results (modular compilation), keyed by the link
-        # fingerprint -- the digest of the ordered unit-fingerprint tuple,
-        # the rename maps and the code-generation options (see
-        # :func:`repro.service.cache.link_fingerprint`).  A hit skips unit
-        # resolution and the link stage entirely.  ``max_linked_entries=0``
-        # disables the tier (every modular request re-links from units, the
-        # pre-link behaviour benchmarks compare against).
+        # Composed linked results (modular compilation), keyed by the store
+        # key of the whole program.  A hit skips unit resolution and the
+        # link stage entirely.  ``max_linked_entries=0`` disables the tier
+        # and compile_modular's whole-program store records with it (every
+        # modular request re-links from units, the baseline benchmarks
+        # compare against).
         if max_linked_entries is None:
             max_linked_entries = max_entries
         self._linked_results: Optional[LRUCache[LinkedCompilationResult]] = (
             LRUCache(max_linked_entries) if max_linked_entries > 0 else None
         )
-        # Source-text digest -> kernel fingerprint (exact-repeat fast path).
+        # Source-text digest -> kernel fingerprint (exact-repeat fast path of
+        # both the result and the linked-result LRU).
         self._source_fingerprints: LRUCache[str] = LRUCache(max(max_entries * 4, 16))
-        # (source digest, options) -> link fingerprint: the modular
-        # exact-repeat fast path (skips parse + normalize + split on a hit).
-        self._link_fingerprints: LRUCache[str] = LRUCache(max(max_entries * 4, 16))
         self._lock = threading.Lock()
         self._process_pool: Optional[ProcessPoolExecutor] = None
         self._process_jobs = 0
@@ -484,16 +473,20 @@ class CompilationService:
         trace-equivalent to the monolithic :meth:`compile` of the same
         source.
 
-        Composed results are cached in a third tier above the unit cache:
-        the **linked-result LRU**, keyed by the link fingerprint (ordered
-        unit tuple + renames + options), with ``kind: "linked"`` records
-        spilled to the disk store.  A repeat of the same composition is a
-        ``link_hits`` hit that skips unit resolution and the link stage and
-        returns a copy with fresh executables, exactly like :meth:`compile`
-        hits; a store hit rehydrates without loading unit records, so a
-        pruned unit record never forces a recompile while its linked record
-        survives.  Unit-granularity sharing is untouched -- a *novel*
-        composition of cached units still pays only the link.
+        Composed results are cached under the whole program's store key
+        (kernel fingerprint plus options, the key :meth:`compile` uses), in
+        the **linked-result LRU** above the store's ``kind: "program"``
+        records.  A repeat is a ``link_hits`` hit that skips unit
+        resolution and the link stage and returns a copy with fresh
+        executables, exactly like :meth:`compile` hits.  A store hit
+        (``link_store_hits``) rehydrates from the program record without
+        loading unit records, so a pruned unit record never forces a
+        recompile while the program record survives.  That record is one
+        thing for both paths: one written by a monolithic compile of the
+        same key answers here too, with artifacts that are trace-equivalent
+        to, not byte-equal with, a fresh link.  Unit-granularity sharing is
+        untouched -- a *novel* composition of cached units still pays only
+        the link.
         """
         return self._compile_linked(
             source, process, program, style, build_flat, observable, store,
@@ -506,9 +499,9 @@ class CompilationService:
         observable: bool, store: Optional[CompileStore],
         results: Optional[LRUCache[LinkedCompilationResult]],
     ) -> LinkedCompilationResult:
-        """The modular pipeline; ``results`` is the linked-result LRU to
-        read and fill, or None.  ``max_linked_entries=0`` also turns the
-        store's linked records off."""
+        """The modular pipeline.  ``results`` is the linked-result LRU to read
+        and fill, with the store's whole-program records beside it, or None:
+        then only unit records are cached."""
         if source is None and process is None:
             raise ValueError("compile_modular needs source= or process=")
         with self._lock:
@@ -516,14 +509,13 @@ class CompilationService:
             self._modular_requests += 1
         if store is None:
             store = self.store
-        linked_store = store if self._linked_results is not None else None
 
-        digest_key = None
+        digest = None
         if source is not None and results is not None:
-            digest_key = (source_digest(source), style.value, build_flat, observable)
-            memo_fp = self._link_fingerprints.get(digest_key)
-            if memo_fp is not None:
-                cached = results.get(memo_fp)
+            digest = source_digest(source)
+            fingerprint = self._source_fingerprints.get(digest)
+            if fingerprint is not None:
+                cached = results.get(store_key(fingerprint, style, build_flat, observable))
                 if cached is not None:
                     return self._linked_fresh_hit(cached)
 
@@ -532,35 +524,19 @@ class CompilationService:
         if program is None:
             program = normalize(process)
         units = split_units(program)
-        link_fp = link_fingerprint(
-            program.name,
-            [unit.fingerprint() for unit in units],
-            [unit.from_canonical for unit in units],
-            program.inputs,
-            program.outputs,
-            style.value,
-            build_flat,
-            observable,
-        )
-        if digest_key is not None:
-            self._link_fingerprints.put(digest_key, link_fp)
+        key = store_key(program.fingerprint(), style, build_flat, observable)
+        if digest is not None:
+            self._source_fingerprints.put(digest, key[0])
         if results is not None:
-            cached = results.get(link_fp)
+            cached = results.get(key)
             if cached is not None:
                 return self._linked_fresh_hit(cached)
-        if linked_store is not None:
-            record = linked_store.get(linked_store_key(link_fp))
-            if (
-                record is not None
-                and record.get("program_fingerprint") == program.fingerprint()
-            ):
+            record = store.get(key) if store is not None else None
+            if record is not None:
                 with self._lock:
                     self._link_store_hits += 1
-                linked = linked_result_from_record(
-                    record, program, units, process=process
-                )
-                if results is not None:
-                    results.put(link_fp, linked)
+                linked = linked_result_from_record(record, program, units, process=process)
+                results.put(key, linked)
                 return linked
 
         with self._lock:
@@ -578,18 +554,14 @@ class CompilationService:
         with self._lock:
             self._links += 1
         if results is not None:
-            results.put(link_fp, linked)
-        if linked_store is not None:
-            try:
-                linked_store.put(
-                    linked_store_key(link_fp),
-                    linked_record_from_result(
-                        linked, link_fp, style,
-                        build_flat=build_flat, observable=observable,
-                    ),
-                )
-            except OSError:
-                pass  # best-effort spill, as for unit records
+            results.put(key, linked)
+            if store is not None:
+                try:
+                    store.put(key, record_from_result(
+                        linked, style, build_flat=build_flat, observable=observable
+                    ))
+                except OSError:
+                    pass  # best-effort spill, as for unit records
         return linked
 
     def compile_modular_record(
@@ -608,8 +580,9 @@ class CompilationService:
         ``"program"``, keyed by the *whole-program* fingerprint): consumers
         of records never see whether the miss path was monolithic or
         modular, which is what lets the daemon's record tiers stay keyed as
-        before.  Like :meth:`compile_record` it keeps no live result; the
-        unit LRU and the store's unit and linked records still serve it.
+        before.  Like :meth:`compile_record` it caches no whole program,
+        neither a live result nor a store record, because the daemon owns
+        that key; the unit LRU and the store's unit records still serve it.
         """
         linked = self._compile_linked(
             source, process, program, style, build_flat, observable, store, None
@@ -874,7 +847,6 @@ class CompilationService:
         if self._linked_results is not None:
             self._linked_results.clear()
         self._source_fingerprints.clear()
-        self._link_fingerprints.clear()
 
     @property
     def cache_size(self) -> int:

@@ -45,19 +45,16 @@ from ..codegen.python_backend import CompiledProcess
 from ..lang.types import SignalType
 
 if TYPE_CHECKING:  # avoid a circular import at runtime
-    from ..compiler import CompilationResult, LinkedCompilationResult
+    from ..compiler import CompilationResult
 
 __all__ = [
     "STORE_FORMAT",
     "UNIT_STYLE",
-    "LINKED_STYLE",
     "CompileStore",
     "store_key",
     "unit_store_key",
-    "linked_store_key",
     "key_from_record",
     "record_from_result",
-    "linked_record_from_result",
     "executable_from_record",
     "types_from_record",
 ]
@@ -70,18 +67,15 @@ __all__ = [
 #: (``"unit"``, modular compilation).  Format-1/2 entries found in a store
 #: directory are quarantined on read: reported as misses, counted in
 #: ``invalid`` and unlinked, never parsed for artifacts.)
+#: A whole program has one record kind, ``"program"``, whether a monolithic
+#: or a modular compile wrote it.  ``"linked"`` files left by older format-3
+#: code are never addressed again and age out through :meth:`CompileStore.prune`.
 STORE_FORMAT = 3
 
 #: the pseudo-style under which per-unit artifact records are keyed; unit
 #: records are style-independent (they carry the IR of *both* generation
 #: styles), so the style slot of the key is this constant instead
 UNIT_STYLE = "unit"
-
-#: the pseudo-style under which *linked-result* records are keyed; the
-#: code-generation options of a linked record live inside its link
-#: fingerprint (see :func:`repro.service.cache.link_fingerprint`), so --
-#: like unit records -- the remaining key slots are fixed
-LINKED_STYLE = "linked"
 
 #: store key: (kernel fingerprint, style value, build_flat, observable)
 StoreKey = Tuple[str, str, bool, bool]
@@ -113,18 +107,6 @@ def unit_store_key(fingerprint: str) -> StoreKey:
     :data:`repro.lang.units.UNIT_FINGERPRINT_VERSION`).
     """
     return (fingerprint, UNIT_STYLE, False, True)
-
-
-def linked_store_key(link_fingerprint: str) -> StoreKey:
-    """The persistent identity of one linked-result record.
-
-    Linked records are keyed by the link fingerprint alone (which already
-    digests the unit tuple, the rename maps and the code-generation
-    options, see :func:`repro.service.cache.link_fingerprint`); the
-    ``LINKED_STYLE`` marker keeps them disjoint from whole-program and
-    per-unit entries in a shared store directory.
-    """
-    return (link_fingerprint, LINKED_STYLE, False, True)
 
 
 def _executable_record(executable: CompiledProcess) -> Dict[str, object]:
@@ -174,60 +156,6 @@ def record_from_result(
     return record
 
 
-def linked_record_from_result(
-    result: "LinkedCompilationResult",
-    link_fingerprint: str,
-    style: GenerationStyle,
-    build_flat: bool = False,
-    observable: bool = True,
-) -> Dict[str, object]:
-    """Serialize a linked compilation result into a JSON-safe record.
-
-    The record captures the full artifact surface of the linked result --
-    rendered sources, composed clock texts, summed statistics, runnable
-    executables -- so a later :func:`linked_result_from_record
-    <repro.compiler.linked_result_from_record>` rehydration answers
-    everything the daemon protocol serves without touching the unit
-    records, let alone relinking.  The real code-generation options are
-    recorded under ``"options"``; the top-level ``style``/``build_flat``/
-    ``observable`` fields are the fixed key slots of
-    :func:`linked_store_key` (the options already live inside the link
-    fingerprint).
-    """
-    return {
-        "format": STORE_FORMAT,
-        "kind": "linked",
-        "fingerprint": link_fingerprint,
-        "style": LINKED_STYLE,
-        "build_flat": False,
-        "observable": True,
-        "options": {
-            "style": style.value,
-            "build_flat": bool(build_flat),
-            "observable": bool(observable),
-        },
-        "program_fingerprint": result.program.fingerprint(),
-        "unit_fingerprints": result.unit_fingerprints(),
-        "name": result.name,
-        "statistics": result.statistics(),
-        "types": {name: type_.value for name, type_ in result.types.items()},
-        "artifacts": {
-            "tree": result.tree_text(),
-            "clocks": str(result.clock_system),
-            "kernel": str(result.program),
-            "python": result.python_source(style),
-            "c": result.c_source(style),
-            "c_shared": result.c_shared_source(style),
-        },
-        "executable": _executable_record(result.executable),
-        "executable_flat": (
-            _executable_record(result.executable_flat)
-            if result.executable_flat is not None
-            else None
-        ),
-    }
-
-
 def key_from_record(record: Dict[str, object]) -> StoreKey:
     """The store key a self-describing record belongs under.
 
@@ -253,12 +181,6 @@ def key_from_record(record: Dict[str, object]) -> StoreKey:
                 f"unit record carries style {record.get('style')!r} instead of {UNIT_STYLE!r}"
             )
         return unit_store_key(fingerprint)
-    if kind == "linked":
-        if record.get("style") != LINKED_STYLE:
-            raise ValueError(
-                f"linked record carries style {record.get('style')!r} instead of {LINKED_STYLE!r}"
-            )
-        return linked_store_key(fingerprint)
     if kind != "program":
         raise ValueError(f"record carries unknown kind {kind!r}")
     try:

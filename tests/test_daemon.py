@@ -933,47 +933,34 @@ class TestStoreOps:
         assert origin == "memory"
         assert daemon.statistics()["daemon"]["compiles"] == 0
 
-    def test_linked_records_ride_the_store_ops(self, tmp_path):
-        """A modular compile spills its ``kind: "linked"`` record; the
-        store-get/store-put ops address it by link fingerprint, and an
-        injected linked record answers a modular miss on another daemon
-        without loading (or compiling) a single unit."""
-        from repro.codegen.ir import GenerationStyle
+    def test_store_get_refuses_the_linked_kind(self, tmp_path):
+        """A whole program has one record kind: ``store-get`` answers
+        ``kind: "linked"`` with ``invalid-request`` naming the two kinds
+        it serves, and a modular compile spills only program and unit
+        records, which ``store-get`` finds under those kinds."""
         from repro.lang.kernel import normalize
         from repro.lang.parser import parse_process
         from repro.lang.units import split_units
-        from repro.service.cache import link_fingerprint
 
-        daemon = CompilationDaemon(store=str(tmp_path / "first"))
-        daemon.compile_record(COUNTER_SOURCE, modular=True)
-        program = normalize(parse_process(COUNTER_SOURCE))
-        units = split_units(program)
-        link_fp = link_fingerprint(
-            program.name,
-            [unit.fingerprint() for unit in units],
-            [unit.from_canonical for unit in units],
-            program.inputs,
-            program.outputs,
-            GenerationStyle.HIERARCHICAL.value,
-            False,
-            True,
-        )
+        daemon = CompilationDaemon(store=str(tmp_path))
+        record, _ = daemon.compile_record(COUNTER_SOURCE, modular=True)
         response = daemon.handle_request(
-            {"op": "store-get", "kind": "linked", "fingerprint": link_fp}
+            {"op": "store-get", "kind": "linked", "fingerprint": record["fingerprint"]}
         )
-        assert response["ok"] and response["found"]
-        record = response["record"]
-        assert record["kind"] == "linked"
-        assert record["fingerprint"] == link_fp
+        assert not response["ok"]
+        assert response["error"]["code"] == "invalid-request"
+        assert "'program' or 'unit'" in response["error"]["message"]
 
-        other = CompilationDaemon(store=str(tmp_path / "second"))
-        put = other.handle_request({"op": "store-put", "record": record})
-        assert put["ok"] and put["stored"] is True
-        other.compile_record(COUNTER_SOURCE, modular=True)
-        service_stats = other.statistics()["service"]
-        assert service_stats["link_store_hits"] == 1
-        assert service_stats["unit_store_hits"] == 0
-        assert service_stats["unit_misses"] == 0
+        units = split_units(normalize(parse_process(COUNTER_SOURCE)))
+        assert len(daemon.store) == len(units) + 1
+        kinds = {"program": record["fingerprint"]}
+        kinds.update({"unit": unit.fingerprint() for unit in units})
+        for kind, fingerprint in kinds.items():
+            found = daemon.handle_request(
+                {"op": "store-get", "kind": kind, "fingerprint": fingerprint}
+            )
+            assert found["ok"] and found["found"]
+            assert found["record"]["kind"] == kind
 
     def test_store_put_without_disk_store_feeds_memory_only(self):
         record = self._record()

@@ -25,6 +25,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import CausalityError, CompilationService, compile_source
+from repro.codegen.ir import GenerationStyle
 from repro.compiler import compile_unit_record
 from repro.lang import normalize, parse_process
 from repro.lang.kernel import rename_program
@@ -39,8 +40,10 @@ from repro.programs.generators import _assemble_program
 from repro.programs.suite import benchmark_names, benchmark_source, fleet_sources
 from repro.runtime import ReactiveExecutor, random_input_schedule
 from repro.service import CompileStore
+from repro.service.store import record_from_result, store_key
 
 LIBRARY = list(range(6))
+STYLE = GenerationStyle.HIERARCHICAL
 
 
 def kernel_of(source):
@@ -186,40 +189,59 @@ _LINK_SOURCE = generate_fleet(_LINK_SPEC)[0]
 
 
 def test_link_determinism_cold_vs_warm(tmp_path):
-    """A record linked from freshly compiled units equals one rehydrated
-    from the store's linked record in a brand-new service (byte-for-byte).
+    """A record linked from freshly compiled units equals one rendered from
+    a result rehydrated out of the store in a brand-new service
+    (byte-for-byte).
 
-    The cold compile spills both the three unit records and the composed
-    ``kind: "linked"`` record; the warm service short-circuits on the
-    linked record alone -- it never loads a unit record, which is what
-    makes the linked tier a genuine third level above the unit cache.
+    The cold ``compile_modular`` spills the three unit records and the
+    composed ``kind: "program"`` record under the whole program's store
+    key; the warm service short-circuits on that record alone -- it never
+    loads a unit record, which is what makes the whole-program record a
+    genuine level above the unit cache.
     """
     store = CompileStore(tmp_path)
     with CompilationService(store=store) as cold_service:
-        cold = cold_service.compile_modular_record(_LINK_SOURCE, build_flat=True)
+        cold = record_from_result(
+            cold_service.compile_modular(_LINK_SOURCE, build_flat=True),
+            STYLE, build_flat=True,
+        )
         assert cold_service.statistics()["unit_misses"] == 3
+    key = store_key(kernel_of(_LINK_SOURCE).fingerprint(), STYLE, True)
+    assert store.get(key) == cold
+    assert len(store) == 3 + 1
 
     with CompilationService(store=store) as warm_service:
-        warm = warm_service.compile_modular_record(_LINK_SOURCE, build_flat=True)
+        rehydrated = warm_service.compile_modular(_LINK_SOURCE, build_flat=True)
+        assert rehydrated.record is not None and rehydrated.unit_records == []
+        warm = record_from_result(rehydrated, STYLE, build_flat=True)
         stats = warm_service.statistics()
         assert stats["link_store_hits"] == 1
         assert stats["unit_store_hits"] == 0
         assert stats["unit_misses"] == 0
         assert stats["links"] == 0
     assert cold == warm
+    with CompilationService() as uncached:
+        assert uncached.compile_modular_record(_LINK_SOURCE, build_flat=True) == cold
 
 
 def test_relink_from_units_when_linked_tier_disabled(tmp_path):
     """``max_linked_entries=0`` restores the pre-linked-cache behaviour:
-    every modular request re-links from (store-warmed) unit records."""
+    every modular request re-links from (store-warmed) unit records, and
+    the whole-program record the cold compile spilled is never read."""
     store = CompileStore(tmp_path)
     with CompilationService(store=store) as cold_service:
-        cold = cold_service.compile_modular_record(_LINK_SOURCE, build_flat=True)
+        cold = record_from_result(
+            cold_service.compile_modular(_LINK_SOURCE, build_flat=True),
+            STYLE, build_flat=True,
+        )
 
     with CompilationService(store=store, max_linked_entries=0) as relink_service:
-        relinked = relink_service.compile_modular_record(_LINK_SOURCE, build_flat=True)
-        relinked_again = relink_service.compile_modular_record(
-            _LINK_SOURCE, build_flat=True
+        relinked, relinked_again = (
+            record_from_result(
+                relink_service.compile_modular(_LINK_SOURCE, build_flat=True),
+                STYLE, build_flat=True,
+            )
+            for _ in range(2)
         )
         stats = relink_service.statistics()
         assert stats["link_store_hits"] == 0
@@ -239,6 +261,48 @@ def test_link_cache_hits_return_isolated_executables():
         assert service.statistics()["link_hits"] == 1
         assert second.executable.step_instance is not first.executable.step_instance
         assert second.executable.source == first.executable.source
+
+
+_ORDER_A = """process P =
+  ( ? integer a, b; boolean c;
+    ! integer x, y; )
+  (| x := a + 1
+   | y := b when c
+   |)
+end;
+"""
+_ORDER_B = _ORDER_A.replace(
+    "(| x := a + 1\n   | y := b when c", "(| y := b when c\n   | x := a + 1"
+)
+
+
+def test_equation_order_is_part_of_the_linked_identity():
+    """Two sources that differ only in the order of two independent
+    equations share every unit and rename, but not their kernel: each
+    answer carries its own fingerprint and kernel text, and the second
+    costs a link instead of a ``link_hits`` answer."""
+    programs = [kernel_of(_ORDER_A), kernel_of(_ORDER_B)]
+    assert programs[0].fingerprint() != programs[1].fingerprint()
+    assert unit_fingerprints(_ORDER_A) == unit_fingerprints(_ORDER_B)
+
+    with CompilationService() as service:
+        records = service.compile_batch_records([_ORDER_A, _ORDER_B], modular=True)
+        assert [record["fingerprint"] for record in records] == [
+            program.fingerprint() for program in programs
+        ]
+        assert [record["artifacts"]["kernel"] for record in records] == [
+            str(program) for program in programs
+        ]
+        stats = service.statistics()
+        assert (stats["links"], stats["link_hits"]) == (2, 0)
+
+    with CompilationService() as service:
+        for source, program in zip((_ORDER_A, _ORDER_B), programs):
+            linked = service.compile_modular(source)
+            assert linked.program.fingerprint() == program.fingerprint()
+            assert str(linked.program) == str(program)
+        stats = service.statistics()
+        assert (stats["links"], stats["link_hits"]) == (2, 0)
 
 
 def test_clear_cache_drops_linked_results():

@@ -334,8 +334,30 @@ class TestBatchFailurePath:
         assert service.statistics()["cache_entries"] == 0
 
 
+def _worker_service_statistics():
+    """Run in a pool worker: the statistics of its private service."""
+    import importlib
+
+    return importlib.import_module("repro.service.service")._WORKER_SERVICE.statistics()
+
+
 class TestProcessBatch:
     SOURCES = [COUNTER_SOURCE, WATCHDOG_SOURCE, ACCUMULATOR_SOURCE]
+
+    def test_workers_keep_no_compiled_result(self):
+        """A worker compiles through the record entry points: after
+        monolithic and modular process-mode compiles its service holds no
+        result and no BDD manager, only unit records."""
+        with CompilationService() as service:
+            for source in self.SOURCES:
+                service.compile_record_in_process(source, jobs=1)
+                service.compile_record_in_process(source, jobs=1, modular=True)
+            with service._borrow_process_pool(1) as pool:
+                stats = pool.submit(_worker_service_statistics).result()
+        assert stats["cache_entries"] == 0
+        assert stats["scopes"] == 0
+        assert stats["pooled_bdd_nodes"] == 0
+        assert stats["unit_cache_entries"] > 0
 
     def test_process_batch_returns_records_in_order(self):
         with CompilationService() as service:

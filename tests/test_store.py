@@ -18,13 +18,11 @@ from repro.compiler import compile_unit_record
 from repro.lang.units import split_units
 from repro.service import CompilationDaemon
 from repro.service.store import (
-    LINKED_STYLE,
     STORE_FORMAT,
     UNIT_STYLE,
     CompileStore,
     executable_from_record,
     key_from_record,
-    linked_store_key,
     record_from_result,
     store_key,
     types_from_record,
@@ -377,16 +375,15 @@ class TestRehydration:
 
 
 class TestMixedKindStore:
-    """Program, unit and linked records coexisting in one store directory."""
+    """Program and unit records coexisting in one store directory."""
 
     def _spill_modular(self, tmp_path):
-        """One modular compile spilled to disk: unit records + the linked record.
+        """One modular compile spilled to disk: unit records + the program record.
 
-        Returns ``(store, source, linked_key, unit_keys)``.
+        Returns ``(store, source, program_key, unit_keys)``.
         """
         from repro import CompilationService
         from repro.programs import FleetSpec, generate_fleet
-        from repro.service.cache import link_fingerprint
 
         spec = FleetSpec(
             name="MIX", programs=1, library_size=4, units_per_program=3,
@@ -396,69 +393,59 @@ class TestMixedKindStore:
         store = CompileStore(tmp_path)
         with CompilationService(store=store) as service:
             service.compile_modular(source)
-        program = normalize(parse_process(source))
-        units = split_units(program)
-        link_fp = link_fingerprint(
-            program.name,
-            [unit.fingerprint() for unit in units],
-            [unit.from_canonical for unit in units],
-            program.inputs,
-            program.outputs,
-            STYLE.value,
-            False,
-            True,
-        )
+        units = split_units(normalize(parse_process(source)))
         unit_keys = [unit_store_key(unit.fingerprint()) for unit in units]
-        return store, source, linked_store_key(link_fp), unit_keys
+        return store, source, store_key(fingerprint_of(source), STYLE), unit_keys
 
-    def test_linked_record_round_trips_and_derives_its_key(self, tmp_path):
-        store, _, linked_key, unit_keys = self._spill_modular(tmp_path)
+    def test_modular_program_record_round_trips_and_derives_its_key(self, tmp_path):
+        store, _, program_key, unit_keys = self._spill_modular(tmp_path)
         assert len(store) == len(unit_keys) + 1
-        record = store.get(linked_key)
+        record = store.get(program_key)
         assert record is not None
-        assert record["kind"] == "linked"
-        assert record["style"] == LINKED_STYLE
-        assert key_from_record(record) == linked_key
+        assert record["kind"] == "program"
+        assert record["style"] == STYLE.value
+        assert key_from_record(record) == program_key
         assert json.loads(json.dumps(record)) == record
 
     def test_prune_recency_orders_across_kinds(self, tmp_path):
-        """Eviction is pure LRU: kinds grant no seniority.  With the linked
-        record oldest and a unit record next, a two-eviction prune removes
-        exactly those two, leaving the newer unit and program entries."""
+        """Eviction is pure LRU: kinds grant no seniority.  With the modular
+        program record oldest and a unit record next, a two-eviction prune
+        removes exactly those two, leaving the newer unit and program
+        entries."""
         import os
 
-        store, _, linked_key, unit_keys = self._spill_modular(tmp_path)
-        _, prog_record, prog_key = make_record()
-        store.put(prog_key, prog_record)
-        every = [linked_key] + unit_keys + [prog_key]
+        store, _, program_key, unit_keys = self._spill_modular(tmp_path)
+        _, other_record, other_key = make_record()
+        store.put(other_key, other_record)
+        every = [program_key] + unit_keys + [other_key]
         for index, key in enumerate(every):
             os.utime(store._entry_path(key), (1000 + index, 1000 + index))
         sizes = {key: store._entry_path(key).stat().st_size for key in every}
-        budget = sum(sizes.values()) - sizes[linked_key] - sizes[unit_keys[0]]
+        budget = sum(sizes.values()) - sizes[program_key] - sizes[unit_keys[0]]
         report = store.prune(budget)
         assert report["removed"] == 2
-        assert store.get(linked_key) is None
+        assert store.get(program_key) is None
         assert store.get(unit_keys[0]) is None
-        for key in unit_keys[1:] + [prog_key]:
+        for key in unit_keys[1:] + [other_key]:
             assert store.get(key) is not None
 
-    def test_pruned_linked_record_falls_back_to_relink_not_recompile(self, tmp_path):
-        """Losing the linked record costs one link; the surviving unit
-        records still spare every unit compile."""
+    def test_pruned_program_record_falls_back_to_relink_not_recompile(self, tmp_path):
+        """Losing the whole-program record costs one link; the surviving
+        unit records still spare every unit compile."""
         import os
 
         from repro import CompilationService
 
-        store, source, linked_key, unit_keys = self._spill_modular(tmp_path)
-        os.utime(store._entry_path(linked_key), (1000, 1000))  # the oldest
+        store, source, program_key, unit_keys = self._spill_modular(tmp_path)
+        os.utime(store._entry_path(program_key), (1000, 1000))  # the oldest
         total = sum(
             store._entry_path(key).stat().st_size
-            for key in [linked_key] + unit_keys
+            for key in [program_key] + unit_keys
         )
-        linked_size = store._entry_path(linked_key).stat().st_size
-        report = store.prune(total - linked_size)
+        program_size = store._entry_path(program_key).stat().st_size
+        report = store.prune(total - program_size)
         assert report["removed"] == 1
-        assert store.get(linked_key) is None
+        assert store.get(program_key) is None
 
         with CompilationService(store=store) as service:
             service.compile_modular(source)
@@ -468,20 +455,20 @@ class TestMixedKindStore:
         assert stats["unit_misses"] == 0  # re-linked, never re-compiled
         assert stats["links"] == 1
 
-    def test_pruned_unit_record_is_covered_by_the_linked_record(self, tmp_path):
-        """The converse: with the linked record alive, pruned unit records
+    def test_pruned_unit_record_is_covered_by_the_program_record(self, tmp_path):
+        """The converse: with the program record alive, pruned unit records
         cost nothing -- rehydration never loads them."""
         import os
 
         from repro import CompilationService
 
-        store, source, linked_key, unit_keys = self._spill_modular(tmp_path)
+        store, source, program_key, unit_keys = self._spill_modular(tmp_path)
         for key in unit_keys:
             os.utime(store._entry_path(key), (1000, 1000))
-        linked_size = store._entry_path(linked_key).stat().st_size
-        report = store.prune(linked_size)
+        program_size = store._entry_path(program_key).stat().st_size
+        report = store.prune(program_size)
         assert report["removed"] == len(unit_keys)
-        assert store.get(linked_key) is not None
+        assert store.get(program_key) is not None
 
         with CompilationService(store=store) as service:
             service.compile_modular(source)
@@ -490,6 +477,56 @@ class TestMixedKindStore:
         assert stats["unit_store_hits"] == 0
         assert stats["unit_misses"] == 0
         assert stats["links"] == 0
+
+    def test_leftover_linked_file_is_never_served_and_ages_out(self, tmp_path):
+        """A format-3 ``kind: "linked"`` file written by older code sits
+        under a key nothing computes any more: compiles never read it, the
+        protocol ops refuse its kind, and ``prune`` evicts it by recency
+        like any other file."""
+        import hashlib
+        import os
+
+        from repro import CompilationService
+
+        _, record, _ = make_record()
+        link_fingerprint = hashlib.sha256(b"a link fingerprint").hexdigest()
+        leftover = {
+            **record,
+            "kind": "linked",
+            "fingerprint": link_fingerprint,
+            "style": "linked",
+            "options": {"style": STYLE.value, "build_flat": False, "observable": True},
+            "program_fingerprint": record["fingerprint"],
+            "unit_fingerprints": [],
+        }
+        store = CompileStore(tmp_path)
+        leftover_key = (link_fingerprint, "linked", False, True)
+        store.put(leftover_key, leftover)
+        leftover_path = store._entry_path(leftover_key)
+        with pytest.raises(ValueError, match="unknown kind 'linked'"):
+            key_from_record(leftover)
+
+        with CompilationService(store=store) as service:
+            service.compile_modular(COUNTER_SOURCE)
+            assert service.statistics()["link_store_hits"] == 0
+            assert service.statistics()["links"] == 1
+        daemon = CompilationDaemon(store=store)
+        _, origin = daemon.compile_record(COUNTER_SOURCE, modular=True)
+        assert origin == "store"  # the program record compile_modular spilled
+        for request in (
+            {"op": "store-get", "kind": "linked", "fingerprint": link_fingerprint},
+            {"op": "store-put", "record": leftover},
+        ):
+            response = daemon.handle_request(request)
+            assert response["error"]["code"] == "invalid-request"
+
+        os.utime(leftover_path, (1000, 1000))  # never refreshed: the oldest
+        entries = [path for path in tmp_path.iterdir() if path.suffix == ".json"]
+        total = sum(path.stat().st_size for path in entries)
+        report = store.prune(total - leftover_path.stat().st_size)
+        assert report["removed"] == 1
+        assert not leftover_path.exists()
+        assert report["remaining_entries"] == len(entries) - 1
 
 
 class TestStepIRSharing:

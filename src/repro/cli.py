@@ -200,9 +200,9 @@ def build_batch_argument_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="DIR",
         help=(
-            "compile-store directory consulted by the worker processes of "
-            "--jobs > 1 before compiling (e.g. a daemon's --store), so "
-            "cross-process batches start warm"
+            "compile-store directory that a --jobs > 1 batch probes before "
+            "compiling and fills with what its worker processes compile "
+            "(e.g. a daemon's --store), so cross-process batches start warm"
         ),
     )
     parser.add_argument(
@@ -353,7 +353,8 @@ def build_gateway_argument_parser() -> argparse.ArgumentParser:
         help=(
             "concurrent request workers (default 8; forwarding threads "
             "mostly wait on backend I/O, so more than one core's worth is "
-            "fine)"
+            "fine); with N > 1 a local-fallback compile runs in one of N "
+            "worker processes, spawned on first use"
         ),
     )
     parser.add_argument(
@@ -910,8 +911,8 @@ def run_batch(argv: List[str]) -> int:
                 return 1
             elapsed = time.perf_counter() - started
             if arguments.jobs > 1:
-                # Worker-process caches are not the service's; hit counts
-                # would be misleading here.
+                # Process batches bypass the result cache; hit counts would
+                # be misleading here.
                 summary = f"{arguments.jobs} process worker(s)"
             else:
                 hits = service.statistics()["cache_hits"] - hits_before
@@ -955,7 +956,6 @@ def run_serve(argv: List[str]) -> int:
     daemon = CompilationDaemon(
         store=arguments.store,
         max_entries=arguments.max_entries,
-        workers="processes" if arguments.jobs > 1 else "threads",
         jobs=arguments.jobs,
         request_log=arguments.log_requests,
         store_max_bytes=arguments.store_max_bytes,

@@ -182,7 +182,8 @@ def split_units(program: KernelProgram) -> List[ProgramUnit]:
         for other in names[1:]:
             uf.union(names[0], other)
 
-    # Group signals by component root, ordered by first declaration.
+    # Group signals by component root, ordered by first declaration, and
+    # processes by the root of their first signal, in program order.
     component_of: Dict[str, List[str]] = {}
     order: List[str] = []
     for signal in program.signals:
@@ -191,6 +192,11 @@ def split_units(program: KernelProgram) -> List[ProgramUnit]:
             component_of[root] = []
             order.append(root)
         component_of[root].append(signal)
+    processes_of: Dict[str, List[KernelProcess]] = {}
+    for process in program.processes:
+        names = process_signals(process)
+        if names:
+            processes_of.setdefault(uf.find(names[0]), []).append(process)
 
     units: List[ProgramUnit] = []
     for index, root in enumerate(order):
@@ -205,11 +211,7 @@ def split_units(program: KernelProgram) -> List[ProgramUnit]:
                 for s in program.signals
                 if s in members
             },
-            processes=[
-                p
-                for p in program.processes
-                if process_signals(p) and uf.find(process_signals(p)[0]) == root
-            ],
+            processes=processes_of.get(root, []),
         )
         to_canonical, from_canonical = _canonical_maps(sub)
         canonical = rename_program(sub, to_canonical, name=UNIT_PROGRAM_NAME)

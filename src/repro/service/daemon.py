@@ -38,17 +38,17 @@ The event loop reads and parses each request line once.  It answers a
 ``compile`` the memory tier holds (digest memo and record LRU, no
 ``simulate``) itself; everything else runs on a pool of ``jobs`` worker
 threads (one by default), so a memory hit never waits behind a compile and
-the loop stays free to accept connections.  With ``jobs > 1`` the workers
-compile misses in parallel:
+the loop stays free to accept connections.  How a miss compiles depends on
+``jobs``:
 
-* ``workers="threads"`` compiles each miss on its worker thread, on a fresh
-  BDD manager and without a lock, so misses overlap but share the GIL
-  (``CompileGateway`` uses this for its local fallback, whose worker
-  threads mostly wait on backends);
-* ``workers="processes"`` ships each miss to the service's worker-process
-  pool and parks the worker thread on the result, so ``jobs`` compilations
-  proceed on ``jobs`` cores (``python -m repro serve --jobs N`` with
-  ``N > 1``).
+* ``jobs=1`` compiles it on the worker thread, on a fresh BDD manager;
+* ``jobs > 1`` ships it to the service's worker-process pool and parks the
+  worker thread on the result, so ``jobs`` compilations proceed on ``jobs``
+  cores (``python -m repro serve --jobs N``, and the local fallback of a
+  ``CompileGateway`` started with ``jobs > 1``).  The worker gets the source
+  and, for a modular miss, the unit records the daemon's service already
+  holds; every cache lookup, store probe and spill stays in the daemon's
+  process.
 
 Operability
 -----------
@@ -267,26 +267,21 @@ class CompilationDaemon:
         service: Optional[CompilationService] = None,
         store: Optional[Union[CompileStore, str, os.PathLike]] = None,
         max_entries: int = 128,
-        workers: str = "threads",
         jobs: int = 1,
         request_log: Optional[Union[str, os.PathLike, IO[str]]] = None,
         store_max_bytes: Optional[int] = None,
         drain_timeout: float = 30.0,
     ):
-        if workers not in ("threads", "processes"):
-            raise ValueError(f"workers must be 'threads' or 'processes' (got {workers!r})")
         if jobs < 1:
             raise ValueError("jobs must be at least 1")
         if store is not None and not isinstance(store, CompileStore):
             store = CompileStore(store)
         self.store: Optional[CompileStore] = store
-        # A self-created service shares the daemon's store, so its process
-        # workers warm-start from disk too (an injected service keeps
-        # whatever store its owner configured).
+        # A self-created service shares the daemon's store (an injected
+        # service keeps whatever store its owner configured).
         self.service = service if service is not None else CompilationService(
             max_entries=max_entries, store=store
         )
-        self._workers = workers
         self._jobs = jobs
         self._store_max_bytes = store_max_bytes
         self.drain_timeout = drain_timeout
@@ -365,36 +360,17 @@ class CompilationDaemon:
                 self._records.put(key, record)
                 return record, "store"
 
-        if self._workers == "processes":
-            # Park this request thread on a worker process: the pipeline
-            # runs on another core, and sibling request threads do the same.
-            record = self.service.compile_record_in_process(
-                source,
-                style=style,
-                build_flat=build_flat,
-                observable=observable,
-                jobs=self._jobs,
-                modular=modular,
-            )
-        elif modular:
-            record = self.service.compile_modular_record(
-                source,
-                style=style,
-                build_flat=build_flat,
-                observable=observable,
-                store=self.store,  # None falls back to the service's own
-                process=process,
-                program=program,
-            )
-        else:
-            record = self.service.compile_record(
-                source,
-                style=style,
-                build_flat=build_flat,
-                observable=observable,
-                process=process,
-                program=program,
-            )
+        record = self.service.compile_record(
+            source,
+            style=style,
+            build_flat=build_flat,
+            observable=observable,
+            process=process,
+            program=program,
+            modular=modular,
+            store=self.store,  # None falls back to the service's own
+            jobs=self._jobs,
+        )
         self._records.put(key, record)
         if self.store is not None:
             # Best-effort spill: the compile succeeded and the record is
@@ -453,7 +429,7 @@ class CompilationDaemon:
         with self._lock:
             daemon = {
                 "protocol": PROTOCOL_VERSION,
-                "workers": self._workers,
+                "workers": "processes" if self._jobs > 1 else "threads",
                 "jobs": self._jobs,
                 "requests": self._requests,
                 "compile_requests": self._compile_requests,
@@ -883,7 +859,7 @@ class CompilationDaemon:
             # this wait block -- but its non-daemon executor thread would
             # block interpreter exit regardless.)
             self._pool.shutdown(wait=True, cancel_futures=True)
-            if self._workers == "processes":
+            if self._jobs > 1:
                 # The daemon started the service's worker-process pool; a
                 # clean exit must not leave orphan workers behind.  close()
                 # is recoverable, so an injected service stays usable.

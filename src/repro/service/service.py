@@ -13,9 +13,8 @@ of the compiler:
   statistics and generated code are a function of its program alone.  The
   manager's computed caches are dropped before the result is cached; its
   unique table lives exactly as long as the cached result, so BDD memory is
-  bounded by the LRU.  The record entry points (``compile_record``,
-  ``compile_modular_record``: the daemon's miss path and the process
-  workers') cache no whole program;
+  bounded by the LRU.  :meth:`CompilationService.compile_record`, the one
+  record entry point (the daemon's miss path), caches no whole program;
 * :meth:`CompilationService.compile_modular` compiles unit by unit against
   a unit-record LRU and links; its composed results are cached under the
   same key as :meth:`CompilationService.compile`'s, in a linked-result LRU
@@ -36,9 +35,10 @@ Concurrency
 
 Compilations share no BDD state, so the compile path takes no lock:
 concurrent callers (the daemon's request threads) compile distinct misses
-side by side, bounded only by the GIL.  Two threads missing on the same key
-both compile and the cache keeps the last result, which is harmless because
-compilation is deterministic.  The service lock guards counters only.
+side by side, bounded only by the GIL (by cores with ``jobs > 1``).  Two
+threads missing on the same key both compile and the cache keeps the last
+result, which is harmless because compilation is deterministic.  The
+service lock guards counters only.
 
 Process workers
 ---------------
@@ -50,13 +50,17 @@ to a persistent :class:`~concurrent.futures.ProcessPoolExecutor`.  A live
 manager), so process workers return the JSON-safe **artifact records** of
 :func:`repro.service.store.record_from_result` -- rendered sources, the
 clock tree, statistics, and enough metadata to rebuild a runnable step via
-:func:`repro.service.store.executable_from_record`.  Each worker process
-compiles through its own ``CompilationService``'s record entry points, so
-it keeps no compiled result: a repeat within one worker is warm only
-through the worker's unit-record LRU (modular compiles) and the parent's
-disk store.  The pool is created lazily, reused across batches, grown when
-a larger ``jobs`` arrives, and torn down by :meth:`close` (closing is safe
--- the next process-mode call simply builds a fresh pool).
+:func:`repro.service.store.executable_from_record`.  ``compile_record(...,
+jobs=N)`` runs one compile the same way, so the daemon's request threads
+park on worker processes instead of sharing the GIL.
+
+Workers compile, parents cache: a worker is a pure function of its payload
+(a source or a pickled unit, plus the unit records the parent holds for a
+modular compile).  It keeps no cache and never opens a store; the process
+that owns a key does every lookup, store probe and spill, and counts the
+work its workers did.  The pool is created lazily, reused, grown when a
+larger ``jobs`` arrives, and torn down by :meth:`close` (closing is safe --
+the next process-mode call simply builds a fresh pool).
 """
 
 from __future__ import annotations
@@ -82,7 +86,7 @@ from ..compiler import (
 from ..lang.ast import Process
 from ..lang.kernel import KernelProgram, normalize
 from ..lang.parser import parse_process
-from ..lang.units import split_units
+from ..lang.units import ProgramUnit, split_units
 from .cache import LRUCache, source_digest
 from .store import CompileStore, record_from_result, store_key, unit_store_key
 
@@ -99,95 +103,75 @@ def _blame(index: int):
         raise
 
 
-# -- process-pool worker side -------------------------------------------------
-#: per-worker-process compilation service (it keeps unit records only)
-_WORKER_SERVICE: Optional["CompilationService"] = None
+def _spill(store: Optional[CompileStore], key: tuple, record: Dict[str, object]) -> None:
+    """Write ``record`` to ``store`` best-effort: a full disk must not fail a compile."""
+    if store is not None:
+        with contextlib.suppress(OSError):
+            store.put(key, record)
 
-#: per-worker-process handles on parent disk stores, keyed by directory
-_WORKER_STORES: Dict[str, CompileStore] = {}
 
-
-def _worker_store(path: Optional[str]) -> Optional[CompileStore]:
-    store = _WORKER_STORES.get(path) if path is not None else None
-    if path is not None and store is None:
-        store = _WORKER_STORES[path] = CompileStore(path)
-    return store
+# -- the compile body, inline or in a worker process -------------------------
+def _compile_result(
+    process: Process,
+    program: KernelProgram,
+    style: GenerationStyle,
+    build_flat: bool,
+    observable: bool,
+    known: Optional[Dict[str, Dict[str, object]]],
+    units: Optional[List[ProgramUnit]] = None,
+) -> Tuple[CompilationResult, Dict[str, Dict[str, object]]]:
+    """Compile one parsed program; also return the records of the units
+    compiled on the way.  ``known=None`` compiles the whole program on a
+    fresh manager.  Otherwise ``known`` maps unit fingerprints to the records
+    the caller holds, the other units (of ``units``, split here when None)
+    are compiled, and everything is linked."""
+    compiled: Dict[str, Dict[str, object]] = {}
+    if known is None:
+        result = CompilationService._compile_program(
+            process, program, style, build_flat, observable
+        )
+        return result, compiled
+    if units is None:
+        units = split_units(program)
+    for unit in units:
+        if unit.fingerprint() not in known and unit.fingerprint() not in compiled:
+            compiled[unit.fingerprint()] = compile_unit_record(unit)
+    linked = link_units(
+        program,
+        units,
+        [known.get(unit.fingerprint()) or compiled[unit.fingerprint()] for unit in units],
+        style=style,
+        build_flat=build_flat,
+        observable=observable,
+        process=process,
+    )
+    return linked, compiled
 
 
 def _process_worker_record(
-    payload: Tuple[str, str, bool, bool, Optional[str], bool]
-) -> Dict[str, object]:
-    """Compile one source in a worker process; return its artifact record.
+    source: str,
+    style: GenerationStyle,
+    build_flat: bool,
+    observable: bool,
+    known: Optional[Dict[str, Dict[str, object]]],
+) -> Tuple[Dict[str, object], Dict[str, Dict[str, object]]]:
+    """:func:`_compile_result` of one source in a worker process, rendered.
 
-    Runs in the pool's child processes, through the record entry points of
-    a private ``CompilationService``: the worker keeps no compiled result,
-    and the record that crosses back to the parent is plain JSON (see the
-    module docstring).  Toolchain errors propagate to the parent as the
+    Workers are pure functions of their payload: they hold no cache and
+    never touch a store.  Toolchain errors propagate to the parent as the
     original ``SignalError`` subclass.
-
-    When the parent configured a disk :class:`CompileStore`, a monolithic
-    compile's key is probed *before* the pipeline runs (so a record any
-    daemon/node spilled earlier is a warm start here), and a genuine
-    compile is spilled back (best-effort) so it warms every process and
-    node sharing the directory.
     """
-    global _WORKER_SERVICE
-    if _WORKER_SERVICE is None:
-        _WORKER_SERVICE = CompilationService(max_entries=64)
-    source, style_value, build_flat, observable, store_path, modular = payload
-    style = GenerationStyle(style_value)
-    store = _worker_store(store_path)
-    if modular:
-        # Modular compiles share at unit granularity: the worker's private
-        # unit LRU plus the parent's disk store (probed and written back
-        # per unit inside compile_modular) replace the whole-program probe.
-        return _WORKER_SERVICE.compile_modular_record(
-            source, style=style, build_flat=build_flat, observable=observable,
-            store=store,
-        )
     process = parse_process(source)
-    program = normalize(process)
-    key = store_key(program.fingerprint(), style, build_flat, observable)
-    record = store.get(key) if store is not None else None
-    if record is not None:
-        return record
-    record = _WORKER_SERVICE.compile_record(
-        style=style, build_flat=build_flat, observable=observable,
-        process=process, program=program,
+    result, compiled = _compile_result(
+        process, normalize(process), style, build_flat, observable, known
     )
-    if store is not None:
-        try:
-            store.put(key, record)
-        except OSError:
-            pass  # a full disk must not fail a successful compile
-    return record
+    record = record_from_result(result, style, build_flat=build_flat, observable=observable)
+    return record, compiled
 
 
-def _process_worker_unit_record(
-    payload: Tuple[str, str, Optional[str]]
-) -> Dict[str, object]:
-    """Resolve one *unit* in a worker process; return its artifact record.
-
-    The parallel-link fan-out unit: the parent splits a modular batch into
-    distinct units and ships each one here as ``(source containing it, unit
-    fingerprint, store path)``.  The worker re-splits the source (cheap and
-    BDD-free), locates the unit by fingerprint, and resolves it through its
-    private unit LRU and the shared disk store -- so two workers racing on
-    one unit at worst duplicate a compile, never diverge (unit compilation
-    is deterministic).
-    """
-    global _WORKER_SERVICE
-    if _WORKER_SERVICE is None:
-        _WORKER_SERVICE = CompilationService(max_entries=64)
-    source, unit_fingerprint, store_path = payload
-    store = _worker_store(store_path)
-    program = normalize(parse_process(source))
-    for unit in split_units(program):
-        if unit.fingerprint() == unit_fingerprint:
-            return _WORKER_SERVICE._unit_record_for(unit, store)
-    raise ValueError(
-        f"batch bookkeeping error: source contains no unit {unit_fingerprint}"
-    )
+def _process_worker_unit_record(unit: ProgramUnit) -> Dict[str, object]:
+    """Compile one unit of a modular batch in a worker process."""
+    return compile_unit_record(unit)
 
 
 class CompilationService:
@@ -199,13 +183,14 @@ class CompilationService:
         Capacity of the LRU compile cache (whole compilation results).
     store:
         Optionally, a disk :class:`~repro.service.store.CompileStore` (or
-        its directory path).  **Process workers** probe it before compiling
-        and spill genuine compiles back, so cross-process batches
-        warm-start from (and warm) every daemon/node sharing the directory.
-        :meth:`compile_modular` reads and writes its unit records and its
-        whole-program records.  :meth:`compile` and the record entry points
-        never read a whole-program record from it: the daemon layers the
-        store above the service.
+        its directory path).  :meth:`compile_batch_records` with ``jobs > 1``
+        probes it for each program before compiling and spills what the
+        workers return, so cross-process batches warm-start from (and warm)
+        every daemon/node sharing the directory.  :meth:`compile_modular`
+        reads and writes its unit records and its whole-program records.
+        :meth:`compile` and :meth:`compile_record` never read a
+        whole-program record from it: the daemon layers the store above the
+        service.
     max_unit_entries, max_linked_entries:
         Capacities of the modular unit-record and linked-result LRUs.
     """
@@ -219,9 +204,8 @@ class CompilationService:
     ):
         if store is not None and not isinstance(store, CompileStore):
             store = CompileStore(store)
-        #: disk store process workers layer under their caches (may be None)
+        #: disk store under the unit records and process batches (may be None)
         self.store: Optional[CompileStore] = store
-        self._store_path = str(store.path) if store is not None else None
         #: (kernel fingerprint, style, build_flat, observable) -> result
         self._results: LRUCache[CompilationResult] = LRUCache(max_entries)
         # Per-unit artifact records (modular compilation), keyed by unit
@@ -262,8 +246,8 @@ class CompilationService:
         self._link_store_hits = 0
 
     # -- cache plumbing -----------------------------------------------------
+    @staticmethod
     def _compile_program(
-        self,
         process: Process,
         program: KernelProgram,
         style: GenerationStyle,
@@ -393,57 +377,100 @@ class CompilationService:
         observable: bool = True,
         process: Optional[Process] = None,
         program: Optional[KernelProgram] = None,
+        modular: bool = False,
+        store: Optional[CompileStore] = None,
+        jobs: int = 1,
     ) -> Dict[str, object]:
-        """Compile in-process and render the JSON-safe artifact record.
+        """Compile one program and render its JSON-safe artifact record.
 
-        The inline, uncached counterpart of :meth:`compile_record_in_process`:
-        compile on a fresh manager (from ``process``/``program`` when already
-        parsed), render the record, drop the result.  The daemon caches the
-        record.
+        The service's only record entry point.  It caches no whole program
+        (its caller, the daemon, owns that key): compile on a fresh manager,
+        from ``process``/``program`` when already parsed, render, drop the
+        result.  ``modular`` compiles unit by unit against the unit LRU and
+        ``store``'s unit records (None: the service's own), then links.
+        ``jobs > 1`` runs the compile on the worker-process pool and needs
+        ``source``: a modular compile ships the unit records this process
+        holds, and the units the worker compiled are kept here.
         """
         with self._lock:
             self._requests += 1
-        if process is None:
-            process = parse_process(source)
-        if program is None:
-            program = normalize(process)
-        result = self._compile_program(process, program, style, build_flat, observable)
-        return record_from_result(
-            result, style, build_flat=build_flat, observable=observable
-        )
+            if modular:
+                self._modular_requests += 1
+                self._link_misses += 1
+        if modular or jobs <= 1:
+            if process is None:
+                process = parse_process(source)
+            if program is None:
+                program = normalize(process)
+        known = units = None
+        if modular:
+            if store is None:
+                store = self.store
+            units = split_units(program)
+            # Inline, every unit is resolved here; a worker compiles the rest.
+            known = self._known_units(units, store, compile_missing=jobs <= 1)
+        if jobs <= 1:
+            result, compiled = _compile_result(
+                process, program, style, build_flat, observable, known, units
+            )
+            record = record_from_result(
+                result, style, build_flat=build_flat, observable=observable
+            )
+        else:
+            with self._borrow_process_pool(jobs) as pool:
+                record, compiled = pool.submit(
+                    _process_worker_record, source, style, build_flat, observable, known
+                ).result()
+            with self._lock:
+                self._process_records += 1
+        if modular:
+            self._keep_units(compiled, store)
+            with self._lock:
+                self._links += 1
+        return record
 
     # -- modular compilation -------------------------------------------------
-    def _unit_record_for(self, unit, store: Optional[CompileStore]) -> Dict[str, object]:
-        """The artifact record of one unit: memory LRU, disk store, or compile.
-
-        A genuine compile runs on the fresh manager of
-        :func:`~repro.compiler.compile_unit_record` and is spilled to the
-        store best-effort, so any daemon or worker process sharing the
-        directory warms at module granularity.
-        """
-        fingerprint = unit.fingerprint()
-        record = self._unit_records.get(fingerprint)
-        if record is not None:
-            with self._lock:
-                self._unit_hits += 1
-            return record
-        if store is not None:
-            record = store.get(unit_store_key(fingerprint))
+    def _known_units(
+        self,
+        units: Iterable[ProgramUnit],
+        store: Optional[CompileStore],
+        compile_missing: bool = False,
+    ) -> Dict[str, Dict[str, object]]:
+        """The records of ``units`` by unit fingerprint: from the unit LRU,
+        else from ``store``, else (with ``compile_missing``) from a genuine
+        compile on the fresh manager of
+        :func:`~repro.compiler.compile_unit_record`, kept at once, so a later
+        unit's failure loses nothing."""
+        known = {}
+        for unit in units:
+            fingerprint = unit.fingerprint()
+            record = self._unit_records.get(fingerprint)
             if record is not None:
                 with self._lock:
-                    self._unit_store_hits += 1
-                self._unit_records.put(fingerprint, record)
-                return record
-        record = compile_unit_record(unit)
+                    self._unit_hits += 1
+            elif store is not None:
+                record = store.get(unit_store_key(fingerprint))
+                if record is not None:
+                    with self._lock:
+                        self._unit_store_hits += 1
+                    self._unit_records.put(fingerprint, record)
+            if record is None and compile_missing:
+                record = compile_unit_record(unit)
+                self._keep_units({fingerprint: record}, store)
+            if record is not None:
+                known[fingerprint] = record
+        return known
+
+    def _keep_units(
+        self, compiled: Dict[str, Dict[str, object]], store: Optional[CompileStore]
+    ) -> None:
+        """Count genuine unit compiles, cache their records and spill them to
+        ``store``, which warms any daemon or batch sharing the directory."""
         with self._lock:
-            self._unit_misses += 1
-        self._unit_records.put(fingerprint, record)
-        if store is not None:
-            try:
-                store.put(unit_store_key(fingerprint), record)
-            except OSError:
-                pass  # best-effort spill, as for whole-program records
-        return record
+            self._unit_misses += len(compiled)
+        for fingerprint, record in compiled.items():
+            self._unit_records.put(fingerprint, record)
+            _spill(store, unit_store_key(fingerprint), record)
 
     def _linked_fresh_hit(
         self, cached: LinkedCompilationResult
@@ -488,20 +515,6 @@ class CompilationService:
         untouched -- a *novel* composition of cached units still pays only
         the link.
         """
-        return self._compile_linked(
-            source, process, program, style, build_flat, observable, store,
-            self._linked_results,
-        )
-
-    def _compile_linked(
-        self, source: Optional[str], process: Optional[Process],
-        program: Optional[KernelProgram], style: GenerationStyle, build_flat: bool,
-        observable: bool, store: Optional[CompileStore],
-        results: Optional[LRUCache[LinkedCompilationResult]],
-    ) -> LinkedCompilationResult:
-        """The modular pipeline.  ``results`` is the linked-result LRU to read
-        and fill, with the store's whole-program records beside it, or None:
-        then only unit records are cached."""
         if source is None and process is None:
             raise ValueError("compile_modular needs source= or process=")
         with self._lock:
@@ -511,11 +524,12 @@ class CompilationService:
             store = self.store
 
         digest = None
-        if source is not None and results is not None:
+        if source is not None and self._linked_results is not None:
             digest = source_digest(source)
             fingerprint = self._source_fingerprints.get(digest)
             if fingerprint is not None:
-                cached = results.get(store_key(fingerprint, style, build_flat, observable))
+                key = store_key(fingerprint, style, build_flat, observable)
+                cached = self._linked_results.get(key)
                 if cached is not None:
                     return self._linked_fresh_hit(cached)
 
@@ -527,8 +541,8 @@ class CompilationService:
         key = store_key(program.fingerprint(), style, build_flat, observable)
         if digest is not None:
             self._source_fingerprints.put(digest, key[0])
-        if results is not None:
-            cached = results.get(key)
+        if self._linked_results is not None:
+            cached = self._linked_results.get(key)
             if cached is not None:
                 return self._linked_fresh_hit(cached)
             record = store.get(key) if store is not None else None
@@ -536,60 +550,24 @@ class CompilationService:
                 with self._lock:
                     self._link_store_hits += 1
                 linked = linked_result_from_record(record, program, units, process=process)
-                results.put(key, linked)
+                self._linked_results.put(key, linked)
                 return linked
 
         with self._lock:
             self._link_misses += 1
-        records = [self._unit_record_for(unit, store) for unit in units]
-        linked = link_units(
-            program,
-            units,
-            records,
-            style=style,
-            build_flat=build_flat,
-            observable=observable,
-            process=process,
+        linked, _ = _compile_result(
+            process, program, style, build_flat, observable,
+            self._known_units(units, store, compile_missing=True), units,
         )
         with self._lock:
             self._links += 1
-        if results is not None:
-            results.put(key, linked)
+        if self._linked_results is not None:
+            self._linked_results.put(key, linked)
             if store is not None:
-                try:
-                    store.put(key, record_from_result(
-                        linked, style, build_flat=build_flat, observable=observable
-                    ))
-                except OSError:
-                    pass  # best-effort spill, as for unit records
+                _spill(store, key, record_from_result(
+                    linked, style, build_flat=build_flat, observable=observable
+                ))
         return linked
-
-    def compile_modular_record(
-        self,
-        source: Optional[str] = None,
-        style: GenerationStyle = GenerationStyle.HIERARCHICAL,
-        build_flat: bool = False,
-        observable: bool = True,
-        store: Optional[CompileStore] = None,
-        process: Optional[Process] = None,
-        program: Optional[KernelProgram] = None,
-    ) -> Dict[str, object]:
-        """Modular compile rendered as a whole-program artifact record.
-
-        The record has the exact shape of :meth:`compile_record`'s (kind
-        ``"program"``, keyed by the *whole-program* fingerprint): consumers
-        of records never see whether the miss path was monolithic or
-        modular, which is what lets the daemon's record tiers stay keyed as
-        before.  Like :meth:`compile_record` it caches no whole program,
-        neither a live result nor a store record, because the daemon owns
-        that key; the unit LRU and the store's unit records still serve it.
-        """
-        linked = self._compile_linked(
-            source, process, program, style, build_flat, observable, store, None
-        )
-        return record_from_result(
-            linked, style, build_flat=build_flat, observable=observable
-        )
 
     def compile_batch(
         self,
@@ -634,9 +612,9 @@ class CompilationService:
         :class:`ProcessPoolExecutor` of ``jobs`` worker processes (see the
         module docstring); the parent's result cache is neither consulted
         nor populated.  With ``modular=True`` the *unit*, not the source, is
-        the fan-out grain: each distinct unit the parent has not cached
-        becomes one pool task, and the parent composes every program from
-        the returned unit records.  Otherwise the batch is
+        the fan-out grain: each distinct unit found in neither the unit LRU
+        nor the store becomes one pool task, and the parent composes every
+        program from the returned unit records.  Otherwise the batch is
         :meth:`compile_batch` with every live result rendered into its
         record.  A failing source raises with ``batch_index`` either way.
         """
@@ -667,41 +645,39 @@ class CompilationService:
         """The parallel link stage.
 
         Units (not whole sources) are the fan-out grain: each distinct unit
-        not already in the parent's unit LRU becomes one pool task, its
-        returned record is injected back into the parent's LRU, and the
-        parent composes every program serially from warm units -- the
-        compose step is BDD-free, so only per-unit compilation crosses the
-        process boundary.  Workers spill through the shared disk store when
-        one is configured, exactly like whole-source modular workers.
+        found in neither the parent's unit LRU nor the store becomes one
+        pool task, its returned record is kept (cached, counted, spilled)
+        like an inline unit compile's, and the parent composes every program
+        serially from warm units -- the compose step is BDD-free, so only
+        per-unit compilation crosses the process boundary.
         """
+        store = self.store
         parsed = []
-        owners: Dict[str, int] = {}  # unit fingerprint -> first source holding it
+        owners: Dict[str, Tuple[int, ProgramUnit]] = {}  # first source holding each unit
         for index, source in enumerate(source_list):
             with _blame(index):
                 process = parse_process(source)
                 program = normalize(process)
             parsed.append((process, program))
             for unit in split_units(program):
-                owners.setdefault(unit.fingerprint(), index)
-        pending = {
-            fingerprint: index
-            for fingerprint, index in owners.items()
-            if self._unit_records.peek(fingerprint) is None
-        }
+                owners.setdefault(unit.fingerprint(), (index, unit))
+        uncached = [
+            unit for _, unit in owners.values()
+            if self._unit_records.peek(unit.fingerprint()) is None
+        ]
+        stored = self._known_units(uncached, store)
+        pending = [unit for unit in uncached if unit.fingerprint() not in stored]
         if pending:
             with self._borrow_process_pool(jobs) as pool:
-                futures = {
-                    fingerprint: pool.submit(
-                        _process_worker_unit_record,
-                        (source_list[index], fingerprint, self._store_path),
-                    )
-                    for fingerprint, index in pending.items()
-                }
-                for fingerprint, future in futures.items():
+                futures = [
+                    (unit.fingerprint(), pool.submit(_process_worker_unit_record, unit))
+                    for unit in pending
+                ]
+                for fingerprint, future in futures:
                     # Blame the first source containing the unit.
-                    with _blame(pending[fingerprint]):
+                    with _blame(owners[fingerprint][0]):
                         record = future.result()
-                    self._unit_records.put(fingerprint, record)
+                    self._keep_units({fingerprint: record}, store)
         records = []
         for index, (source, (process, program)) in enumerate(zip(source_list, parsed)):
             with _blame(index):
@@ -730,52 +706,37 @@ class CompilationService:
         build_flat: bool,
         observable: bool,
     ) -> List[Dict[str, object]]:
-        payloads = [
-            (source, style.value, bool(build_flat), bool(observable),
-             self._store_path, False)
-            for source in source_list
-        ]
+        """Ship every source the store does not hold to a worker process.
+
+        With a store, each source is parsed here (a parse error raises at
+        once) and probed before it is submitted, and every record a worker
+        returns is spilled.
+        """
+        store = self.store
+        answers = []  # per source: (store key, store record or worker future)
         with self._borrow_process_pool(jobs) as pool:
-            futures = [
-                pool.submit(_process_worker_record, payload) for payload in payloads
-            ]
+            for index, source in enumerate(source_list):
+                key = record = None
+                if store is not None:
+                    with _blame(index):
+                        program = normalize(parse_process(source))
+                    key = store_key(program.fingerprint(), style, build_flat, observable)
+                    record = store.get(key)
+                answers.append((key, record or pool.submit(
+                    _process_worker_record, source, style, build_flat, observable, None
+                )))
             records = []
-            for index, future in enumerate(futures):
-                with _blame(index):
-                    records.append(future.result())
+            for index, (key, answer) in enumerate(answers):
+                if not isinstance(answer, dict):  # a worker's future, not a store hit
+                    with _blame(index):
+                        answer, _ = answer.result()
+                    _spill(store, key, answer)
+                    with self._lock:
+                        self._process_records += 1
+                records.append(answer)
         with self._lock:
             self._requests += len(source_list)
-            self._process_records += len(records)
         return records
-
-    def compile_record_in_process(
-        self,
-        source: str,
-        style: GenerationStyle = GenerationStyle.HIERARCHICAL,
-        build_flat: bool = False,
-        observable: bool = True,
-        jobs: int = 1,
-        modular: bool = False,
-    ) -> Dict[str, object]:
-        """Compile one source on the process pool; return its artifact record.
-
-        The daemon's parallel compile tier: ``K`` request threads each park
-        here while their compilation runs in a worker process, so ``K``
-        compilations proceed on ``K`` cores instead of serializing on the
-        GIL.  ``jobs`` sizes (and can grow) the shared pool.  ``modular``
-        makes the worker compile unit-by-unit (warming, and warmed by, the
-        parent's disk store at unit granularity).
-        """
-        with self._borrow_process_pool(max(jobs, 1)) as pool:
-            record = pool.submit(
-                _process_worker_record,
-                (source, style.value, bool(build_flat), bool(observable),
-                 self._store_path, bool(modular)),
-            ).result()
-        with self._lock:
-            self._requests += 1
-            self._process_records += 1
-        return record
 
     @contextlib.contextmanager
     def _borrow_process_pool(self, jobs: int):
@@ -788,7 +749,7 @@ class CompilationService:
         borrower asking for more workers while the pool is busy simply uses
         the existing (smaller) pool; the growth happens on the next idle
         borrow.  Shrinking is never done implicitly -- idle workers cost
-        little and keep their warm caches.
+        little.
 
         A worker that dies (an OOM kill, a crash) breaks the executor for
         good: the borrow that sees ``BrokenProcessPool`` drops the pool and
@@ -858,9 +819,9 @@ class CompilationService:
         Every result in the in-process result LRU holds the manager it
         compiled on, so ``scopes`` counts those managers and
         ``pooled_bdd_nodes`` sums their node tables: the BDD memory that
-        LRU keeps alive.  The daemon's record paths (:meth:`compile_record`,
-        :meth:`compile_modular_record`) compile on a fresh manager, render
-        the record and drop the result, so both are 0 under the daemon.
+        LRU keeps alive.  The daemon's record path (:meth:`compile_record`)
+        compiles on a fresh manager, renders the record and drops the
+        result, so both are 0 under the daemon.
         """
         managers = {
             id(result.hierarchy.manager): result.hierarchy.manager

@@ -10,6 +10,7 @@ import ctypes
 import gc
 import io
 import json
+import multiprocessing
 import os
 import platform
 import signal
@@ -348,11 +349,11 @@ class TestServer:
 
 
 class TestParallelDaemon:
-    """The daemon with several request workers, threads and processes."""
+    """The daemon with several request threads, each parked on a worker process."""
 
     def test_thread_workers_compile_concurrently(self):
-        """jobs=3 request threads compiling distinct programs concurrently,
-        each on its own fresh manager: every answer matches a local compile."""
+        """jobs=3 request threads compiling distinct programs concurrently
+        on worker processes: every answer matches a local compile."""
         sources = [COUNTER_SOURCE, WATCHDOG_SOURCE, ALARM_SOURCE]
         with ThreadedDaemon(jobs=3) as daemon:
             errors = []
@@ -383,9 +384,9 @@ class TestParallelDaemon:
                 assert stats["service"]["pooled_bdd_nodes"] == 0
 
     def test_process_workers_compile_and_cache(self):
-        """workers="processes": misses compile in worker processes, repeats
-        hit the daemon's memory tier, artifacts match a local compile."""
-        with ThreadedDaemon(workers="processes", jobs=2) as daemon:
+        """jobs > 1: misses compile in worker processes, repeats hit the
+        daemon's memory tier, artifacts match a local compile."""
+        with ThreadedDaemon(jobs=2) as daemon:
             with RemoteCompiler(*daemon.address) as client:
                 first = client.compile(COUNTER_SOURCE, emit=["python", "c"])
                 second = client.compile(COUNTER_SOURCE)
@@ -399,7 +400,7 @@ class TestParallelDaemon:
         assert daemon.daemon.service._process_pool is None
 
     def test_process_worker_errors_reach_the_client(self):
-        with ThreadedDaemon(workers="processes", jobs=2) as daemon:
+        with ThreadedDaemon(jobs=2) as daemon:
             with RemoteCompiler(*daemon.address) as client:
                 with pytest.raises(RemoteError) as excinfo:
                     client.compile(
@@ -411,18 +412,19 @@ class TestParallelDaemon:
                 assert client.compile(COUNTER_SOURCE).name == "COUNT"
 
     def test_killed_worker_costs_one_request(self):
-        """SIGKILL the pool's worker while a compile is in flight on it:
+        """SIGKILL a pool worker while a compile is in flight on the pool:
         that request fails with ``worker-crashed``, and the next compile
         runs on a fresh pool."""
-        with ThreadedDaemon(workers="processes", jobs=1) as daemon:
+        with ThreadedDaemon(jobs=2) as daemon:
             service = daemon.daemon.service
             with RemoteCompiler(*daemon.address) as client:
-                client.compile(WATCHDOG_SOURCE)  # starts the worker process
+                client.compile(WATCHDOG_SOURCE)  # starts the worker processes
             pool = service._process_pool
-            [pid] = list(pool._processes)
-            # Keep the only worker busy, so the compile below is still in
+            # Keep both workers busy, so the compile below is still in
             # flight when the kill lands however fast the compile would be.
             pool.submit(time.sleep, 60)
+            pool.submit(time.sleep, 60)
+            pid = next(iter(pool._processes))
             errors = []
 
             def compile_in_flight():
@@ -435,7 +437,7 @@ class TestParallelDaemon:
             worker = threading.Thread(target=compile_in_flight)
             worker.start()
             deadline = time.monotonic() + 30
-            while len(pool._pending_work_items) < 2:  # the sleep and the compile
+            while len(pool._pending_work_items) < 3:  # the sleeps and the compile
                 assert time.monotonic() < deadline
                 time.sleep(0.01)
             os.kill(pid, signal.SIGKILL)
@@ -458,10 +460,51 @@ class TestParallelDaemon:
         trace = ReactiveExecutor(local.executable).run(
             5, random_oracle(local.types, seed=9)
         )
-        with ThreadedDaemon(workers="processes", jobs=2) as daemon:
+        with ThreadedDaemon(jobs=2) as daemon:
             with RemoteCompiler(*daemon.address) as client:
                 result = client.compile(COUNTER_SOURCE, simulate=5, seed=9)
         assert result.simulation["diagram"] == timing_diagram(trace.observations())
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the workers must inherit the wrapped store methods",
+    )
+    def test_process_miss_touches_the_store_once_per_key_from_the_daemon(
+        self, tmp_path, monkeypatch
+    ):
+        """Workers compile, the daemon caches: with jobs=2 a monolithic and a
+        modular miss read and write each store key once, all from the
+        daemon's process."""
+        log = tmp_path / "store-io.log"
+
+        def logged(name):
+            method = getattr(CompileStore, name)
+
+            def wrapper(self, key, *args):
+                with open(log, "a", encoding="utf-8") as stream:
+                    stream.write(f"{os.getpid()}\t{name}\t{key!r}\n")
+                return method(self, key, *args)
+
+            return wrapper
+
+        monkeypatch.setattr(CompileStore, "get", logged("get"))
+        monkeypatch.setattr(CompileStore, "put", logged("put"))
+        modular = generate_fleet(
+            FleetSpec(name="IO", programs=1, library_size=3, units_per_program=3,
+                      shared_units=1, seed=7)
+        )[0]
+        daemon = CompilationDaemon(store=tmp_path / "store", jobs=2)
+        try:
+            assert daemon.compile_record(COUNTER_SOURCE)[1] == "compiled"
+            assert daemon.compile_record(modular, modular=True)[1] == "compiled"
+            assert daemon.service.statistics()["process_records"] == 2
+        finally:
+            daemon.service.close()
+        calls = [line.split("\t") for line in log.read_text().splitlines()]
+        assert {pid for pid, _, _ in calls} == {str(os.getpid())}
+        for name in ("get", "put"):
+            keys = [key for _, op, key in calls if op == name]
+            assert len(keys) == len(set(keys)) == 2 + 3, name  # 2 programs, 3 units
 
 
 class TestRecordOnlyMisses:

@@ -461,7 +461,7 @@ def test_modular_fleet_cold_then_warm_records_identical():
     total_units = sum(len(modules) for modules in members)
     with CompilationService() as service:
         cold = [
-            service.compile_modular_record(source, build_flat=True)
+            service.compile_record(source, build_flat=True, modular=True)
             for source in sources
         ]
         stats = service.statistics()
@@ -469,7 +469,7 @@ def test_modular_fleet_cold_then_warm_records_identical():
         assert stats["unit_hits"] == total_units - distinct_modules
 
         warm = [
-            service.compile_modular_record(source, build_flat=True)
+            service.compile_record(source, build_flat=True, modular=True)
             for source in sources
         ]
         assert warm == cold

@@ -273,6 +273,23 @@ class TestFailover:
         stats = gateway.handle_request({"op": "stats"})
         assert stats["gateway"]["failed_over"] == 1
 
+    def test_served_local_fallback_compiles_on_worker_processes(self):
+        """With jobs > 1 a served gateway's local fallback compiles on the
+        service's worker processes, answers like ``compile_source``, and
+        shuts that pool down when it stops."""
+        from repro import compile_source
+
+        gateway = CompileGateway(backends=[], jobs=2, health_interval=0)
+        with ThreadedDaemon(daemon=gateway) as front:
+            with RemoteCompiler(*front.address) as client:
+                response = client.call(
+                    {"op": "compile", "source": COUNTER_SOURCE, "emit": ["python"]}
+                )
+            assert gateway.service.statistics()["process_records"] == 1
+        assert response["ok"] and response["backend"] == "local"
+        assert response["artifacts"]["python"] == compile_source(COUNTER_SOURCE).python_source()
+        assert gateway.service._process_pool is None
+
     def test_no_backend_error_when_fallback_is_disabled(self):
         daemon = ThreadedDaemon().start()
         spec = spec_of(daemon)

@@ -18,6 +18,7 @@ section below:
   scope too.
 """
 
+import os
 import random
 import re
 
@@ -40,6 +41,7 @@ from repro.programs.generators import _assemble_program
 from repro.programs.suite import benchmark_names, benchmark_source, fleet_sources
 from repro.runtime import ReactiveExecutor, random_input_schedule
 from repro.service import CompileStore
+from repro.service import service as service_module
 from repro.service.store import record_from_result, store_key
 
 LIBRARY = list(range(6))
@@ -221,7 +223,7 @@ def test_link_determinism_cold_vs_warm(tmp_path):
         assert stats["links"] == 0
     assert cold == warm
     with CompilationService() as uncached:
-        assert uncached.compile_modular_record(_LINK_SOURCE, build_flat=True) == cold
+        assert uncached.compile_record(_LINK_SOURCE, build_flat=True, modular=True) == cold
 
 
 def test_relink_from_units_when_linked_tier_disabled(tmp_path):
@@ -376,7 +378,7 @@ def test_rename_text_scan_matches_the_alternation_oracle():
     assert checked > 100
 
 
-def test_batch_fan_out_matches_serial_modular():
+def test_batch_fan_out_matches_serial_modular(monkeypatch):
     """``compile_batch_records(modular=True, jobs>1)`` resolves units on
     worker processes but must compose exactly what serial modular compiles
     produce."""
@@ -397,6 +399,15 @@ def test_batch_fan_out_matches_serial_modular():
             )
             for source in sources
         ]
+    parent = os.getpid()
+    inline = []
+
+    def recording(unit):
+        if os.getpid() == parent:
+            inline.append(unit.fingerprint())
+        return compile_unit_record(unit)
+
+    monkeypatch.setattr(service_module, "compile_unit_record", recording)
     with CompilationService() as batch_service:
         batched = batch_service.compile_batch_records(
             sources, jobs=2, build_flat=True, modular=True
@@ -406,17 +417,18 @@ def test_batch_fan_out_matches_serial_modular():
     # Every unit compiles on its own manager, so even ``bdd_nodes_total``
     # is independent of the order the workers ran in.
     assert batched == expected
-    # The fan-out shipped each distinct unit to the workers exactly once;
-    # the parent compiled none itself.
+    # The fan-out shipped each distinct unit to the workers exactly once,
+    # counted each as a unit compile, and compiled none in this process.
     members = fleet_member_modules(spec)
     distinct = len({module for modules in members for module in modules})
     assert stats["unit_cache_entries"] == distinct
-    assert stats["unit_misses"] == 0
+    assert stats["unit_misses"] == distinct
+    assert inline == []
 
 
 def test_modular_record_is_whole_program_keyed():
     with CompilationService() as service:
-        record = service.compile_modular_record(_LINK_SOURCE)
+        record = service.compile_record(_LINK_SOURCE, modular=True)
     assert record["kind"] == "program"
     assert record["fingerprint"] == kernel_of(_LINK_SOURCE).fingerprint()
 

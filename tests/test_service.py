@@ -334,30 +334,57 @@ class TestBatchFailurePath:
         assert service.statistics()["cache_entries"] == 0
 
 
-def _worker_service_statistics():
-    """Run in a pool worker: the statistics of its private service."""
-    import importlib
+def _held_objects():
+    """Run in a pool worker: its pid and the compile state it holds."""
+    import gc
+    import os
+    import time
 
-    return importlib.import_module("repro.service.service")._WORKER_SERVICE.statistics()
+    from repro.compiler import CompilationResult, LinkedCompilationResult
+    from repro.service import CompileStore
+
+    time.sleep(0.2)  # keep this worker busy, so sibling probes reach the others
+    gc.collect()
+    kinds = (
+        (CompilationResult, LinkedCompilationResult), BDDManager,
+        CompilationService, CompileStore,
+    )
+    objects = gc.get_objects()
+    return os.getpid(), [sum(isinstance(o, kind) for o in objects) for kind in kinds]
 
 
 class TestProcessBatch:
     SOURCES = [COUNTER_SOURCE, WATCHDOG_SOURCE, ACCUMULATOR_SOURCE]
 
+    @staticmethod
+    def _probe(pool, jobs):
+        """The held-object counts of the pool's workers, by pid."""
+        futures = [pool.submit(_held_objects) for _ in range(2 * jobs)]
+        return dict(future.result() for future in futures)
+
     def test_workers_keep_no_compiled_result(self):
-        """A worker compiles through the record entry points: after
-        monolithic and modular process-mode compiles its service holds no
-        result and no BDD manager, only unit records."""
+        """Workers are stateless: monolithic and modular process-mode
+        compiles leave no result, BDD manager, service or store behind in
+        any worker."""
+        from repro.programs import FleetSpec, generate_fleet
+
+        modular = generate_fleet(
+            FleetSpec(name="KEEP", programs=3, library_size=5, units_per_program=3,
+                      shared_units=2, seed=3)
+        )
         with CompilationService() as service:
+            service.compile_record(COUNTER_SOURCE, jobs=2)  # starts the workers
+            with service._borrow_process_pool(2) as pool:
+                before = self._probe(pool, 2)
             for source in self.SOURCES:
-                service.compile_record_in_process(source, jobs=1)
-                service.compile_record_in_process(source, jobs=1, modular=True)
-            with service._borrow_process_pool(1) as pool:
-                stats = pool.submit(_worker_service_statistics).result()
-        assert stats["cache_entries"] == 0
-        assert stats["scopes"] == 0
-        assert stats["pooled_bdd_nodes"] == 0
-        assert stats["unit_cache_entries"] > 0
+                service.compile_record(source, jobs=2)
+            for source in modular:
+                service.compile_record(source, modular=True, jobs=2)
+            with service._borrow_process_pool(2) as pool:
+                after = self._probe(pool, 2)
+        assert set(before) & set(after)
+        for pid in set(before) & set(after):
+            assert after[pid] <= before[pid], pid
 
     def test_process_batch_returns_records_in_order(self):
         with CompilationService() as service:
@@ -376,32 +403,55 @@ class TestProcessBatch:
 
     def test_process_pool_grows_between_batches_and_survives_close(self):
         with CompilationService() as service:
-            service.compile_record_in_process(self.SOURCES[0], jobs=1)
-            assert service._process_jobs == 1
-            service.compile_batch_records(self.SOURCES, jobs=2)
+            service.compile_record(self.SOURCES[0], jobs=2)
             assert service._process_jobs == 2
+            service.compile_batch_records(self.SOURCES, jobs=3)
+            assert service._process_jobs == 3
             service.close()  # recoverable: the next call rebuilds the pool
-            record = service.compile_record_in_process(self.SOURCES[0])
+            record = service.compile_record(self.SOURCES[0], jobs=2)
             assert record["name"] == "COUNT"
 
     def test_compile_record_matches_in_process_record(self):
         """The inline and worker-process record paths produce equal JSON."""
         with CompilationService() as service:
             inline = service.compile_record(COUNTER_SOURCE)
-            remote = service.compile_record_in_process(COUNTER_SOURCE)
+            remote = service.compile_record(COUNTER_SOURCE, jobs=2)
         assert inline == remote
+
+    def test_pooled_modular_record_matches_inline_and_counts_its_units(self):
+        """A pooled modular compile ships the units the parent holds, gets
+        back the ones the worker compiled, and counts them here."""
+        from repro.programs import FleetSpec, generate_fleet
+
+        first, second = generate_fleet(
+            FleetSpec(name="POOL", programs=2, library_size=4, units_per_program=3,
+                      shared_units=2, seed=11)
+        )
+        with CompilationService() as inline:
+            expected = [inline.compile_record(s, modular=True) for s in (first, second)]
+            inline_stats = inline.statistics()
+        with CompilationService() as pooled:
+            records = [
+                pooled.compile_record(s, modular=True, jobs=2) for s in (first, second)
+            ]
+            stats = pooled.statistics()
+        assert records == expected
+        for name in ("unit_hits", "unit_misses", "unit_cache_entries", "links"):
+            assert stats[name] == inline_stats[name], name
+        assert stats["unit_hits"] == 2  # the shared units shipped with the second
+        assert stats["links"] == stats["process_records"] == 2
 
 
 class TestProcessWorkerStore:
-    """Process-pool workers consult the parent's disk store before compiling."""
+    """Process batches consult the store in the parent before compiling."""
 
-    def test_workers_read_the_store_before_compiling(self, tmp_path):
+    def test_process_batches_read_the_store_before_compiling(self, tmp_path):
         from repro.service import CompileStore, key_from_record
 
         with CompilationService() as donor:
             record = donor.compile_record(COUNTER_SOURCE)
         store = CompileStore(tmp_path / "store")
-        # A sentinel key survives only if the worker served the record
+        # A sentinel key survives only if the batch served the record
         # from disk instead of compiling it fresh.
         store.put(key_from_record(record), {**record, "warm_marker": "from-disk"})
 
@@ -412,7 +462,7 @@ class TestProcessWorkerStore:
         assert records[0]["warm_marker"] == "from-disk"  # store hit, no compile
         assert "warm_marker" not in records[1]  # honest cold compile
 
-    def test_workers_write_back_to_the_store(self, tmp_path):
+    def test_process_batches_write_back_to_the_store(self, tmp_path):
         from repro.service import CompileStore
 
         store = CompileStore(tmp_path / "store")
@@ -420,19 +470,19 @@ class TestProcessWorkerStore:
             service.compile_batch_records([COUNTER_SOURCE, WATCHDOG_SOURCE], jobs=2)
         assert len(store) == 2  # both compiles spilled for the next batch
 
-    def test_store_accepts_a_path_and_single_submits_use_it(self, tmp_path):
+    def test_store_accepts_a_path_and_batches_use_it(self, tmp_path):
         from repro.service import CompileStore, key_from_record
 
         with CompilationService() as donor:
             record = donor.compile_record(COUNTER_SOURCE)
         CompileStore(tmp_path).put(key_from_record(record), {**record, "warm_marker": 1})
         with CompilationService(store=str(tmp_path)) as service:
-            warmed = service.compile_record_in_process(COUNTER_SOURCE)
+            [warmed] = service.compile_batch_records([COUNTER_SOURCE], jobs=2)
         assert warmed["warm_marker"] == 1
 
-    def test_thread_batches_ignore_the_store(self, tmp_path):
+    def test_in_process_compiles_ignore_the_store(self, tmp_path):
         """The in-process path keeps its live-result cache semantics; only
-        record-producing process workers layer the disk store."""
+        record-producing process batches layer the disk store."""
         from repro.service import CompileStore, key_from_record
 
         with CompilationService() as donor:

@@ -895,7 +895,7 @@ def run_batch(argv: List[str]) -> int:
     with service:  # shuts the worker-process pool down on exit
         for round_index in range(arguments.repeat):
             started = time.perf_counter()
-            hits_before = service.statistics()["cache_hits"]
+            before = service.statistics()
             try:
                 if arguments.jobs > 1:
                     results = service.compile_batch_records(
@@ -915,14 +915,17 @@ def run_batch(argv: List[str]) -> int:
                 # be misleading here.
                 summary = f"{arguments.jobs} process worker(s)"
             else:
-                hits = service.statistics()["cache_hits"] - hits_before
-                summary = f"{hits} cache hit(s)"
+                after = service.statistics()
+                delta = {
+                    key: after[key] - before[key]
+                    for key in ("cache_hits", "unit_hits", "unit_misses", "links")
+                }
+                summary = f"{delta['cache_hits']} cache hit(s)"
                 if arguments.modular:
-                    stats = service.statistics()
                     summary += (
-                        f", {stats['unit_hits']} unit hit(s), "
-                        f"{stats['unit_misses']} unit compile(s), "
-                        f"{stats['links']} link(s)"
+                        f", {delta['unit_hits']} unit hit(s), "
+                        f"{delta['unit_misses']} unit compile(s), "
+                        f"{delta['links']} link(s)"
                     )
             print(
                 f"round {round_index + 1}: compiled {len(results)} program(s) "

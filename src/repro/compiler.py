@@ -72,7 +72,6 @@ __all__ = [
     "analyze_source",
     "compile_unit_record",
     "link_units",
-    "linked_result_from_record",
     "compile_modular_source",
 ]
 
@@ -431,8 +430,11 @@ class LinkedCompilationResult:
     ``executable``/``executable_flat``, the source/tree/statistics
     accessors), but built purely from cached unit records -- no BDD
     operations happen at link time.  The clock hierarchy and dependency
-    graph of the whole program are never materialized; their statistics
-    and rendered texts are composed from the per-unit artifacts.
+    graph of the whole program are never materialized; every artifact,
+    statistic and rendered text is composed from ``unit_records``.  For a
+    program of several units those bytes differ from a monolithic
+    compile's (the two are trace-equivalent), so the service caches the two
+    kinds of result under different keys.
     """
 
     program: KernelProgram
@@ -443,11 +445,6 @@ class LinkedCompilationResult:
     process: Optional[Process] = None
     executable: Optional[CompiledProcess] = None
     executable_flat: Optional[CompiledProcess] = None
-    #: the whole-program record this result was rehydrated from, if any;
-    #: record-backed results serve artifacts from the record (the unit
-    #: records are deliberately not loaded) and can only render the style
-    #: the record was built for
-    record: Optional[dict] = None
     _linked_irs: Dict[GenerationStyle, StepIR] = field(
         default_factory=dict, repr=False, compare=False
     )
@@ -486,28 +483,9 @@ class LinkedCompilationResult:
             for unit, record in zip(self.units, self.unit_records)
         ]
 
-    def _require_unit_records(self) -> None:
-        if self.record is not None and not self.unit_records:
-            raise ValueError(
-                "linked result was rehydrated from a store record rendered "
-                f"for style {self.record['style']!r}; other "
-                "artifacts require a re-link from unit records"
-            )
-
-    def _record_artifact(
-        self, key: str, style: Optional[GenerationStyle] = None
-    ) -> Optional[str]:
-        """The stored artifact of a record-backed result, or ``None``."""
-        if self.record is None:
-            return None
-        if style is not None and style.value != self.record["style"]:
-            return None
-        return self.record["artifacts"][key]
-
     def step_ir(self, style: GenerationStyle = GenerationStyle.HIERARCHICAL) -> StepIR:
         ir = self._linked_irs.get(style)
         if ir is None:
-            self._require_unit_records()
             ir = link_step_ir(
                 self.program.name,
                 style,
@@ -530,7 +508,6 @@ class LinkedCompilationResult:
         cached = self._linked_sources.get((backend, style.value))
         if cached is not None:
             return cached
-        self._require_unit_records()
         parts = self._parts(style)
         arguments = (self.program.name, style, parts, self.program.inputs, self.program.outputs)
         if backend == "python":
@@ -549,28 +526,16 @@ class LinkedCompilationResult:
         return source
 
     def python_source(self, style: GenerationStyle = GenerationStyle.HIERARCHICAL) -> str:
-        stored = self._record_artifact("python", style)
-        if stored is not None:
-            return stored
         return self._linked_source("python", style)
 
     def c_source(self, style: GenerationStyle = GenerationStyle.HIERARCHICAL) -> str:
-        stored = self._record_artifact("c", style)
-        if stored is not None:
-            return stored
         return self._linked_source("c", style)
 
     def c_shared_source(self, style: GenerationStyle = GenerationStyle.HIERARCHICAL) -> str:
-        stored = self._record_artifact("c_shared", style)
-        if stored is not None:
-            return stored
         return self._linked_source("c_shared", style)
 
     # -- composed artifacts ---------------------------------------------------
     def tree_text(self) -> str:
-        stored = self._record_artifact("tree")
-        if stored is not None:
-            return stored
         forests = []
         free_names = []
         for unit, record in zip(self.units, self.unit_records):
@@ -587,9 +552,6 @@ class LinkedCompilationResult:
 
     @property
     def clock_system(self) -> _LinkedClockSystemText:
-        stored = self._record_artifact("clocks")
-        if stored is not None:
-            return _LinkedClockSystemText(stored)
         sections = []
         for unit, record in zip(self.units, self.unit_records):
             sections.append(
@@ -598,8 +560,6 @@ class LinkedCompilationResult:
         return _LinkedClockSystemText("\n\n".join(sections))
 
     def statistics(self) -> Dict[str, int]:
-        if self.record is not None and not self.unit_records:
-            return dict(self.record["statistics"])
         stats: Dict[str, int] = {key: 0 for key in _ADDITIVE_STATS}
         forest_height = 0
         for record in self.unit_records:
@@ -733,36 +693,3 @@ def compile_modular_source(
         process=process,
     )
 
-
-def linked_result_from_record(
-    record: dict,
-    program: KernelProgram,
-    units: list,
-    process: Optional[Process] = None,
-) -> LinkedCompilationResult:
-    """Rehydrate a linked result from a persisted whole-program record.
-
-    The record is the ``kind: "program"`` record of the same store key,
-    written by a modular or a monolithic compile.  No unit records are
-    loaded: artifacts and statistics come straight from the record and the
-    executables are re-executed from their stored step sources, so a pruned
-    unit record never forces a recompile as long as the program record
-    survives.
-    """
-    from .service.store import executable_from_record, types_from_record
-
-    executable = executable_from_record(record, flat=False)
-    executable_flat = None
-    if record["build_flat"] and record.get("executable_flat") is not None:
-        executable_flat = executable_from_record(record, flat=True)
-    return LinkedCompilationResult(
-        program=program,
-        types=types_from_record(record),
-        units=list(units),
-        unit_records=[],
-        observable=record["observable"],
-        process=process,
-        executable=executable,
-        executable_flat=executable_flat,
-        record=record,
-    )

@@ -25,8 +25,9 @@ It does **not** normalize away process names, signal names, declared types,
 or equation order: those are part of the canonical form, so renamed or
 reordered programs compile separately even when semantically equivalent.
 The same fingerprint also keys the on-disk artifact store
-(:mod:`repro.service.store`) and the service's linked-result LRU: every
-layer of caching, modular or monolithic, shares one identity for "the same
+(:mod:`repro.service.store`) and the service's one result LRU, where
+monolithic and linked results of a program sit side by side under a
+``modular`` flag: every layer of caching shares one identity for "the same
 program".
 """
 

@@ -515,9 +515,9 @@ class CompileGateway(CompilationDaemon):
             "compiles": 0,
             "errors": 0,
         }
-        # Modular tiers live in the per-daemon *service* stats; summing
-        # them here answers "how hot are the unit and linked tiers" for
-        # the whole fleet the same way ``fleet`` does for record tiers.
+        # Modular counters live in the per-daemon *service* stats; summing
+        # them here answers "how hot are the unit tier and the link stage"
+        # for the whole fleet the same way ``fleet`` does for record tiers.
         modular_fleet = {
             "unit_hits": 0,
             "unit_misses": 0,
@@ -525,7 +525,6 @@ class CompileGateway(CompilationDaemon):
             "links": 0,
             "link_hits": 0,
             "link_misses": 0,
-            "link_store_hits": 0,
         }
         for state in states:
             entry = state.snapshot()

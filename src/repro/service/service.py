@@ -3,29 +3,30 @@
 A :class:`CompilationService` is the long-lived, repeated-traffic front end
 of the compiler:
 
-* it memoizes whole :class:`~repro.compiler.CompilationResult` objects in a
-  bounded LRU keyed by the **normalized kernel program fingerprint** (plus
-  the code-generation options), with a source-text fast path for exact
-  repeats -- kernel-equivalent sources (e.g. reformatted text) share one
-  entry;
-* every cache miss compiles on its own fresh :class:`~repro.bdd.BDDManager`,
-  exactly like :func:`~repro.compiler.compile_source`, so a result's BDDs,
-  statistics and generated code are a function of its program alone.  The
-  manager's computed caches are dropped before the result is cached; its
-  unique table lives exactly as long as the cached result, so BDD memory is
-  bounded by the LRU.  :meth:`CompilationService.compile_record`, the one
-  record entry point (the daemon's miss path), caches no whole program;
-* :meth:`CompilationService.compile_modular` compiles unit by unit against
-  a unit-record LRU and links; its composed results are cached under the
-  same key as :meth:`CompilationService.compile`'s, in a linked-result LRU
-  above the disk store's ``kind: "program"`` records;
+* it memoizes whole results in one bounded LRU keyed by the **normalized
+  kernel program fingerprint** (plus the code-generation options and the
+  ``modular`` flag), with a source-text fast path for exact repeats --
+  kernel-equivalent sources (e.g. reformatted text) share one entry;
+* :meth:`CompilationService.compile` and
+  :meth:`CompilationService.compile_modular` are one path through that LRU
+  and differ only in how a miss compiles.  A monolithic miss compiles on
+  its own fresh :class:`~repro.bdd.BDDManager`, exactly like
+  :func:`~repro.compiler.compile_source`, so a result's BDDs, statistics
+  and generated code are a function of its program alone; the manager's
+  computed caches are dropped before the result is cached, and its unique
+  table lives exactly as long as the cached result.  A modular miss
+  compiles unit by unit against a unit-record LRU (and the store's unit
+  records) and links.  These live-result paths never read or write a
+  whole-program store record;
+* :meth:`CompilationService.compile_record`, the one record entry point
+  (the daemon's miss path), caches no whole program;
 * :meth:`CompilationService.compile_batch` compiles many sources serially,
   and :meth:`CompilationService.compile_batch_records` fans them out to
   worker **processes** that return JSON artifact records and sidestep the
   GIL.
 
-Cache hits return a copy of the cached ``CompilationResult`` carrying fresh
-executable instances (rebuilt from the cached generated source), so a hit
+Cache hits return a copy of the cached result carrying fresh executable
+instances (rebuilt from the cached generated source), so a hit
 behaves exactly like a fresh compilation and callers' simulation states are
 fully isolated; the analysis artifacts (hierarchy, schedule, sources) are
 shared.
@@ -81,7 +82,6 @@ from ..compiler import (
     compile_process,
     compile_unit_record,
     link_units,
-    linked_result_from_record,
 )
 from ..lang.ast import Process
 from ..lang.kernel import KernelProgram, normalize
@@ -91,6 +91,9 @@ from .cache import LRUCache, source_digest
 from .store import CompileStore, record_from_result, store_key, unit_store_key
 
 __all__ = ["CompilationService"]
+
+#: what the result LRU holds: a monolithic or a linked compilation result
+_Result = Union[CompilationResult, LinkedCompilationResult]
 
 
 @contextlib.contextmanager
@@ -180,54 +183,37 @@ class CompilationService:
     Parameters
     ----------
     max_entries:
-        Capacity of the LRU compile cache (whole compilation results).
+        Capacity of the LRU compile cache (whole results, monolithic and
+        linked alike).
     store:
         Optionally, a disk :class:`~repro.service.store.CompileStore` (or
-        its directory path).  :meth:`compile_batch_records` with ``jobs > 1``
-        probes it for each program before compiling and spills what the
-        workers return, so cross-process batches warm-start from (and warm)
-        every daemon/node sharing the directory.  :meth:`compile_modular`
-        reads and writes its unit records and its whole-program records.
-        :meth:`compile` and :meth:`compile_record` never read a
-        whole-program record from it: the daemon layers the store above the
-        service.
-    max_unit_entries, max_linked_entries:
-        Capacities of the modular unit-record and linked-result LRUs.
+        its directory path).  Modular compiles read and write its unit
+        records.  :meth:`compile_batch_records` with ``jobs > 1`` also
+        probes it for each monolithic program before compiling and spills
+        every program record it renders, so cross-process batches
+        warm-start from (and warm) every daemon/node sharing the directory.
+        :meth:`compile`, :meth:`compile_modular` and :meth:`compile_record`
+        never read a whole-program record from it: the daemon layers the
+        store above the service.
     """
 
     def __init__(
         self,
         max_entries: int = 128,
         store: Optional[Union[CompileStore, str, os.PathLike]] = None,
-        max_unit_entries: Optional[int] = None,
-        max_linked_entries: Optional[int] = None,
     ):
         if store is not None and not isinstance(store, CompileStore):
             store = CompileStore(store)
         #: disk store under the unit records and process batches (may be None)
         self.store: Optional[CompileStore] = store
-        #: (kernel fingerprint, style, build_flat, observable) -> result
-        self._results: LRUCache[CompilationResult] = LRUCache(max_entries)
+        #: (kernel fingerprint, style, build_flat, observable, modular) -> result
+        self._results: LRUCache[_Result] = LRUCache(max_entries)
         # Per-unit artifact records (modular compilation), keyed by unit
         # fingerprint.  Units are small next to whole results, and one
-        # program holds several, so the default capacity is a multiple of
-        # the result cache's.
-        if max_unit_entries is None:
-            max_unit_entries = max(max_entries * 4, 16)
-        self._unit_records: LRUCache[Dict[str, object]] = LRUCache(max_unit_entries)
-        # Composed linked results (modular compilation), keyed by the store
-        # key of the whole program.  A hit skips unit resolution and the
-        # link stage entirely.  ``max_linked_entries=0`` disables the tier
-        # and compile_modular's whole-program store records with it (every
-        # modular request re-links from units, the baseline benchmarks
-        # compare against).
-        if max_linked_entries is None:
-            max_linked_entries = max_entries
-        self._linked_results: Optional[LRUCache[LinkedCompilationResult]] = (
-            LRUCache(max_linked_entries) if max_linked_entries > 0 else None
-        )
-        # Source-text digest -> kernel fingerprint (exact-repeat fast path of
-        # both the result and the linked-result LRU).
+        # program holds several, so the capacity is a multiple of the
+        # result cache's.
+        self._unit_records: LRUCache[Dict[str, object]] = LRUCache(max(max_entries * 4, 16))
+        # Source-text digest -> kernel fingerprint (exact-repeat fast path).
         self._source_fingerprints: LRUCache[str] = LRUCache(max(max_entries * 4, 16))
         self._lock = threading.Lock()
         self._process_pool: Optional[ProcessPoolExecutor] = None
@@ -243,7 +229,6 @@ class CompilationService:
         self._links = 0
         self._link_hits = 0
         self._link_misses = 0
-        self._link_store_hits = 0
 
     # -- cache plumbing -----------------------------------------------------
     @staticmethod
@@ -280,10 +265,19 @@ class CompilationService:
         build_flat: bool,
         observable: bool,
         program: Optional[KernelProgram] = None,
-    ) -> CompilationResult:
-        """The shared miss/hit pipeline behind every compile entry point."""
+        modular: bool = False,
+    ) -> _Result:
+        """The one live-result path: digest memo, result LRU, fresh-copy hit.
+
+        ``modular`` is part of the key -- a monolithic entry never answers a
+        modular request, nor the reverse -- and changes only how a miss
+        compiles: on a fresh manager, or unit by unit against the unit LRU
+        and the store's unit records, then linked.
+        """
         with self._lock:
             self._requests += 1
+            if modular:
+                self._modular_requests += 1
 
         digest = None
         counted_miss = False
@@ -291,7 +285,9 @@ class CompilationService:
             digest = source_digest(source)
             fingerprint = self._source_fingerprints.get(digest)
             if fingerprint is not None:
-                cached = self._results.get((fingerprint, style, build_flat, observable))
+                cached = self._results.get(
+                    (fingerprint, style, build_flat, observable, modular)
+                )
                 if cached is not None:
                     return self._fresh_hit(cached)
                 counted_miss = True
@@ -307,19 +303,29 @@ class CompilationService:
         if digest is not None:
             self._source_fingerprints.put(digest, fingerprint)
 
-        key = (fingerprint, style, build_flat, observable)
+        key = (fingerprint, style, build_flat, observable, modular)
         # The fast path above already charged this request with a miss; avoid
         # double counting while still honouring a concurrent caller that may
         # have filled the entry in the meantime.
         cached = self._results.peek(key) if counted_miss else self._results.get(key)
         if cached is not None:
             return self._fresh_hit(cached)
-        result = self._compile_program(process, program, style, build_flat, observable)
+        known = units = None
+        if modular:
+            with self._lock:
+                self._link_misses += 1
+            units = split_units(program)
+            known = self._known_units(units, self.store, compile_missing=True)
+        result, _ = _compile_result(
+            process, program, style, build_flat, observable, known, units
+        )
+        if modular:
+            with self._lock:
+                self._links += 1
         self._results.put(key, result)
         return result
 
-    @staticmethod
-    def _fresh_hit(result: CompilationResult) -> CompilationResult:
+    def _fresh_hit(self, result: _Result) -> _Result:
         """Restore fresh-compile semantics on a cache hit.
 
         The cached executables carry mutable delay-register state, so the
@@ -329,6 +335,9 @@ class CompilationService:
         can never perturb an earlier caller's in-progress run.  The analysis
         artifacts (hierarchy, schedule, IR, sources) are shared.
         """
+        if isinstance(result, LinkedCompilationResult):
+            with self._lock:
+                self._link_hits += 1
         executable = result.executable.fresh()
         executable_flat = (
             result.executable_flat.fresh() if result.executable_flat is not None else None
@@ -472,13 +481,6 @@ class CompilationService:
             self._unit_records.put(fingerprint, record)
             _spill(store, unit_store_key(fingerprint), record)
 
-    def _linked_fresh_hit(
-        self, cached: LinkedCompilationResult
-    ) -> LinkedCompilationResult:
-        with self._lock:
-            self._link_hits += 1
-        return self._fresh_hit(cached)
-
     def compile_modular(
         self,
         source: Optional[str] = None,
@@ -487,87 +489,28 @@ class CompilationService:
         build_flat: bool = False,
         observable: bool = True,
         program: Optional[KernelProgram] = None,
-        store: Optional[CompileStore] = None,
     ) -> LinkedCompilationResult:
         """Compile unit-by-unit against the unit cache, then link.
 
         The program is split into canonical units
         (:func:`repro.lang.units.split_units`); each unit's artifacts come
-        from the in-memory unit LRU, the disk store (``store=`` overrides
-        the service's own), or a genuine per-unit compile on a fresh
-        manager.  The link stage then composes them into a
-        :class:`~repro.compiler.LinkedCompilationResult` that is
+        from the in-memory unit LRU, the service's store, or a genuine
+        per-unit compile on a fresh manager.  The link stage then composes
+        them into a :class:`~repro.compiler.LinkedCompilationResult` that is
         trace-equivalent to the monolithic :meth:`compile` of the same
         source.
 
-        Composed results are cached under the whole program's store key
-        (kernel fingerprint plus options, the key :meth:`compile` uses), in
-        the **linked-result LRU** above the store's ``kind: "program"``
-        records.  A repeat is a ``link_hits`` hit that skips unit
-        resolution and the link stage and returns a copy with fresh
-        executables, exactly like :meth:`compile` hits.  A store hit
-        (``link_store_hits``) rehydrates from the program record without
-        loading unit records, so a pruned unit record never forces a
-        recompile while the program record survives.  That record is one
-        thing for both paths: one written by a monolithic compile of the
-        same key answers here too, with artifacts that are trace-equivalent
-        to, not byte-equal with, a fresh link.  Unit-granularity sharing is
-        untouched -- a *novel* composition of cached units still pays only
-        the link.
+        The composed result is cached in :meth:`compile`'s result LRU under
+        the same key plus ``modular=True``; a repeat is a ``link_hits`` hit
+        that skips unit resolution and the link stage and returns a copy
+        with fresh executables.  A *novel* composition of cached units
+        still pays only the link.
         """
         if source is None and process is None:
             raise ValueError("compile_modular needs source= or process=")
-        with self._lock:
-            self._requests += 1
-            self._modular_requests += 1
-        if store is None:
-            store = self.store
-
-        digest = None
-        if source is not None and self._linked_results is not None:
-            digest = source_digest(source)
-            fingerprint = self._source_fingerprints.get(digest)
-            if fingerprint is not None:
-                key = store_key(fingerprint, style, build_flat, observable)
-                cached = self._linked_results.get(key)
-                if cached is not None:
-                    return self._linked_fresh_hit(cached)
-
-        if process is None:
-            process = parse_process(source)
-        if program is None:
-            program = normalize(process)
-        units = split_units(program)
-        key = store_key(program.fingerprint(), style, build_flat, observable)
-        if digest is not None:
-            self._source_fingerprints.put(digest, key[0])
-        if self._linked_results is not None:
-            cached = self._linked_results.get(key)
-            if cached is not None:
-                return self._linked_fresh_hit(cached)
-            record = store.get(key) if store is not None else None
-            if record is not None:
-                with self._lock:
-                    self._link_store_hits += 1
-                linked = linked_result_from_record(record, program, units, process=process)
-                self._linked_results.put(key, linked)
-                return linked
-
-        with self._lock:
-            self._link_misses += 1
-        linked, _ = _compile_result(
-            process, program, style, build_flat, observable,
-            self._known_units(units, store, compile_missing=True), units,
+        return self._compile_cached(
+            source, process, style, build_flat, observable, program=program, modular=True
         )
-        with self._lock:
-            self._links += 1
-        if self._linked_results is not None:
-            self._linked_results.put(key, linked)
-            if store is not None:
-                _spill(store, key, record_from_result(
-                    linked, style, build_flat=build_flat, observable=observable
-                ))
-        return linked
 
     def compile_batch(
         self,
@@ -610,12 +553,15 @@ class CompilationService:
 
         With ``jobs > 1`` the batch runs on a persistent
         :class:`ProcessPoolExecutor` of ``jobs`` worker processes (see the
-        module docstring); the parent's result cache is neither consulted
-        nor populated.  With ``modular=True`` the *unit*, not the source, is
-        the fan-out grain: each distinct unit found in neither the unit LRU
-        nor the store becomes one pool task, and the parent composes every
-        program from the returned unit records.  Otherwise the batch is
-        :meth:`compile_batch` with every live result rendered into its
+        module docstring) and spills every program record it renders to the
+        store.  A monolithic batch probes the store for each program and
+        ships the rest to workers whole; the parent's result cache is
+        neither consulted nor populated.  With ``modular=True`` the *unit*,
+        not the source, is the fan-out grain: each distinct unit found in
+        neither the unit LRU nor the store becomes one pool task, and the
+        parent composes every program through :meth:`compile_modular`, so
+        the linked results land in the result cache.  Otherwise the batch
+        is :meth:`compile_batch` with every live result rendered into its
         record.  A failing source raises with ``batch_index`` either way.
         """
         source_list = list(sources)
@@ -649,7 +595,8 @@ class CompilationService:
         pool task, its returned record is kept (cached, counted, spilled)
         like an inline unit compile's, and the parent composes every program
         serially from warm units -- the compose step is BDD-free, so only
-        per-unit compilation crosses the process boundary.
+        per-unit compilation crosses the process boundary.  Each program
+        record is spilled to the store, as a monolithic process batch does.
         """
         store = self.store
         parsed = []
@@ -689,11 +636,12 @@ class CompilationService:
                     observable=observable,
                     program=program,
                 )
-            records.append(
-                record_from_result(
-                    linked, style, build_flat=build_flat, observable=observable
-                )
+            record = record_from_result(
+                linked, style, build_flat=build_flat, observable=observable
             )
+            key = store_key(program.fingerprint(), style, build_flat, observable)
+            _spill(store, key, record)
+            records.append(record)
         with self._lock:
             self._process_records += len(records)
         return records
@@ -802,11 +750,9 @@ class CompilationService:
 
     # -- maintenance and reporting ------------------------------------------
     def clear_cache(self) -> None:
-        """Drop every cached result, unit record and linked result."""
+        """Drop every cached result and unit record."""
         self._results.clear()
         self._unit_records.clear()
-        if self._linked_results is not None:
-            self._linked_results.clear()
         self._source_fingerprints.clear()
 
     @property
@@ -816,16 +762,17 @@ class CompilationService:
     def statistics(self) -> Dict[str, object]:
         """Counters for monitoring: cache behaviour and cached BDD memory.
 
-        Every result in the in-process result LRU holds the manager it
+        Every monolithic result in the result LRU holds the manager it
         compiled on, so ``scopes`` counts those managers and
         ``pooled_bdd_nodes`` sums their node tables: the BDD memory that
-        LRU keeps alive.  The daemon's record path (:meth:`compile_record`)
+        LRU keeps alive.  Linked results hold no manager.  The daemon's record path (:meth:`compile_record`)
         compiles on a fresh manager, renders the record and drops the
         result, so both are 0 under the daemon.
         """
         managers = {
             id(result.hierarchy.manager): result.hierarchy.manager
             for result in self._results.values()
+            if isinstance(result, CompilationResult)
         }
         with self._lock:
             requests = self._requests
@@ -838,7 +785,6 @@ class CompilationService:
             links = self._links
             link_hits = self._link_hits
             link_misses = self._link_misses
-            link_store_hits = self._link_store_hits
         stats = {
             "requests": requests,
             "cache_entries": len(self._results),
@@ -857,15 +803,6 @@ class CompilationService:
             "links": links,
             "link_hits": link_hits,
             "link_misses": link_misses,
-            "link_store_hits": link_store_hits,
-            "linked_cache_entries": (
-                len(self._linked_results) if self._linked_results is not None else 0
-            ),
-            "linked_cache_max_entries": (
-                self._linked_results.max_entries
-                if self._linked_results is not None
-                else 0
-            ),
         }
         stats.update(
             {f"cache_{name}": value for name, value in self._results.stats.as_dict().items()}

@@ -77,6 +77,32 @@ class TestBatch:
         assert "round 2: compiled 1 program(s)" in output
         assert "(1 cache hit(s))" in output
 
+    def test_batch_modular_repeat_reports_per_round_counts(self, tmp_path, capsys):
+        """Every counter in a round's summary is that round's own: a warm
+        modular round is all cache hits and compiles or links nothing."""
+        from repro.programs import FleetSpec, generate_fleet
+
+        spec = FleetSpec(
+            name="CLI", programs=4, library_size=5, units_per_program=3,
+            shared_units=2, seed=3,
+        )
+        paths = []
+        for index, source in enumerate(generate_fleet(spec)):
+            path = tmp_path / f"{'abcd'[index]}.sig"
+            path.write_text(source)
+            paths.append(str(path))
+        assert main(["batch", *paths, "--modular", "--repeat", "2"]) == 0
+        rounds = [
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("round ")
+        ]
+        assert rounds[0].endswith(" link(s))")
+        assert "(0 cache hit(s)," in rounds[0]
+        assert ", 4 link(s))" in rounds[0]
+        assert rounds[1].endswith(
+            "(4 cache hit(s), 0 unit hit(s), 0 unit compile(s), 0 link(s))"
+        )
+
     def test_batch_cache_stats_json(self, counter_file, alarm_file, capsys):
         assert main(["batch", counter_file, alarm_file, "--cache-stats"]) == 0
         output = capsys.readouterr().out

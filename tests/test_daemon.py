@@ -529,7 +529,6 @@ class TestRecordOnlyMisses:
 
         stats = daemon.statistics()["service"]
         assert stats["cache_entries"] == 0
-        assert stats["linked_cache_entries"] == 0
         assert stats["scopes"] == 0
         assert stats["pooled_bdd_nodes"] == 0
         gc.collect()

@@ -42,6 +42,7 @@ from repro.programs.suite import benchmark_names, benchmark_source, fleet_source
 from repro.runtime import ReactiveExecutor, random_input_schedule
 from repro.service import CompileStore
 from repro.service import service as service_module
+from repro.service.cache import LRUCache
 from repro.service.store import record_from_result, store_key
 
 LIBRARY = list(range(6))
@@ -146,7 +147,7 @@ def test_second_program_compiles_exactly_the_novel_units():
         assert after_second["unit_misses"] - after_first["unit_misses"] == novel
         assert after_second["unit_hits"] - after_first["unit_hits"] == shared
 
-        # A warm repeat is a linked-result hit: no unit resolution, no link.
+        # A warm repeat is a result-cache hit: no unit resolution, no link.
         service.compile_modular(second)
         warm = service.statistics()
         assert warm["unit_misses"] == after_second["unit_misses"]
@@ -191,15 +192,13 @@ _LINK_SOURCE = generate_fleet(_LINK_SPEC)[0]
 
 
 def test_link_determinism_cold_vs_warm(tmp_path):
-    """A record linked from freshly compiled units equals one rendered from
-    a result rehydrated out of the store in a brand-new service
-    (byte-for-byte).
+    """A record linked from freshly compiled units equals one linked from
+    the same units read back out of the store by a brand-new service
+    (byte-for-byte), and equals the record path's modular compile.
 
-    The cold ``compile_modular`` spills the three unit records and the
-    composed ``kind: "program"`` record under the whole program's store
-    key; the warm service short-circuits on that record alone -- it never
-    loads a unit record, which is what makes the whole-program record a
-    genuine level above the unit cache.
+    The cold ``compile_modular`` spills only the three unit records: live
+    results never write a whole-program record.  The warm service re-links
+    from those unit records without compiling any unit.
     """
     store = CompileStore(tmp_path)
     with CompilationService(store=store) as cold_service:
@@ -209,49 +208,21 @@ def test_link_determinism_cold_vs_warm(tmp_path):
         )
         assert cold_service.statistics()["unit_misses"] == 3
     key = store_key(kernel_of(_LINK_SOURCE).fingerprint(), STYLE, True)
-    assert store.get(key) == cold
-    assert len(store) == 3 + 1
+    assert store.get(key) is None
+    assert len(store) == 3
 
     with CompilationService(store=store) as warm_service:
-        rehydrated = warm_service.compile_modular(_LINK_SOURCE, build_flat=True)
-        assert rehydrated.record is not None and rehydrated.unit_records == []
-        warm = record_from_result(rehydrated, STYLE, build_flat=True)
+        warm = record_from_result(
+            warm_service.compile_modular(_LINK_SOURCE, build_flat=True),
+            STYLE, build_flat=True,
+        )
         stats = warm_service.statistics()
-        assert stats["link_store_hits"] == 1
-        assert stats["unit_store_hits"] == 0
+        assert stats["unit_store_hits"] == 3
         assert stats["unit_misses"] == 0
-        assert stats["links"] == 0
+        assert stats["links"] == 1
     assert cold == warm
     with CompilationService() as uncached:
         assert uncached.compile_record(_LINK_SOURCE, build_flat=True, modular=True) == cold
-
-
-def test_relink_from_units_when_linked_tier_disabled(tmp_path):
-    """``max_linked_entries=0`` restores the pre-linked-cache behaviour:
-    every modular request re-links from (store-warmed) unit records, and
-    the whole-program record the cold compile spilled is never read."""
-    store = CompileStore(tmp_path)
-    with CompilationService(store=store) as cold_service:
-        cold = record_from_result(
-            cold_service.compile_modular(_LINK_SOURCE, build_flat=True),
-            STYLE, build_flat=True,
-        )
-
-    with CompilationService(store=store, max_linked_entries=0) as relink_service:
-        relinked, relinked_again = (
-            record_from_result(
-                relink_service.compile_modular(_LINK_SOURCE, build_flat=True),
-                STYLE, build_flat=True,
-            )
-            for _ in range(2)
-        )
-        stats = relink_service.statistics()
-        assert stats["link_store_hits"] == 0
-        assert stats["link_hits"] == 0
-        assert stats["unit_store_hits"] == 3
-        assert stats["links"] == 2
-    assert relinked == cold
-    assert relinked_again == cold
 
 
 def test_link_cache_hits_return_isolated_executables():
@@ -426,6 +397,47 @@ def test_batch_fan_out_matches_serial_modular(monkeypatch):
     assert inline == []
 
 
+def test_process_modular_batch_spills_program_records(tmp_path):
+    """A ``jobs > 1`` modular batch leaves one program record per source in
+    the store, so a fresh daemon on that store answers every source from
+    it."""
+    from repro.service import CompilationDaemon
+
+    spec = FleetSpec(
+        name="SPILL", programs=3, library_size=5, units_per_program=3,
+        shared_units=2, seed=7,
+    )
+    sources = generate_fleet(spec)
+    store = CompileStore(tmp_path)
+    with CompilationService(store=store) as service:
+        records = service.compile_batch_records(sources, jobs=2, modular=True)
+    for source, record in zip(sources, records):
+        assert store.get(store_key(kernel_of(source).fingerprint(), STYLE)) == record
+    daemon = CompilationDaemon(store=store)
+    answers = [daemon.compile_record(source, modular=True) for source in sources]
+    assert [origin for _, origin in answers] == ["store"] * len(sources)
+    assert [record for record, _ in answers] == records
+
+
+def test_compile_and_compile_modular_keep_separate_entries():
+    """One LRU holds both kinds of result for a program, under keys that
+    differ only in ``modular``: neither ever answers the other."""
+    from repro.compiler import CompilationResult, LinkedCompilationResult
+
+    expected = compile_source(_LINK_SOURCE).python_source()
+    with CompilationService() as service:
+        for _ in range(2):
+            monolithic = service.compile(_LINK_SOURCE)
+            linked = service.compile_modular(_LINK_SOURCE)
+            assert isinstance(monolithic, CompilationResult)
+            assert monolithic.python_source() == expected
+            assert isinstance(linked, LinkedCompilationResult)
+        stats = service.statistics()
+    assert stats["cache_entries"] == 2
+    assert stats["scopes"] == 1
+    assert (stats["cache_hits"], stats["link_hits"], stats["links"]) == (2, 1, 1)
+
+
 def test_modular_record_is_whole_program_keyed():
     with CompilationService() as service:
         record = service.compile_record(_LINK_SOURCE, modular=True)
@@ -506,7 +518,8 @@ def test_unit_eviction_mid_link_still_links():
         shared_units=3, seed=5,
     )
     source = generate_fleet(spec)[0]
-    with CompilationService(max_unit_entries=2) as service:
+    with CompilationService() as service:
+        service._unit_records = LRUCache(2)
         linked = service.compile_modular(source)
         assert linked.statistics()["units"] == 3  # the link itself succeeded
         stats = service.statistics()

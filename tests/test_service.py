@@ -314,20 +314,20 @@ class TestBatchFailurePath:
         result = service.compile(COUNTER_SOURCE)
         assert run_trace(result) == run_trace(compile_source(COUNTER_SOURCE))
 
-    def test_worker_cancellation_releases_scopes(self):
+    def test_worker_cancellation_releases_scopes(self, monkeypatch):
         """A compile interrupted by a BaseException caches nothing."""
 
         class Cancelled(BaseException):
             pass
 
         service = CompilationService()
-        original = service._compile_program
+        original = CompilationService._compile_program
 
         def dying(*args, **kwargs):
             original(*args, **kwargs)
             raise Cancelled()
 
-        service._compile_program = dying
+        monkeypatch.setattr(CompilationService, "_compile_program", staticmethod(dying))
         with pytest.raises(Cancelled):
             service.compile(COUNTER_SOURCE)
         assert service.statistics()["scopes"] == 0

@@ -378,11 +378,11 @@ class TestMixedKindStore:
     """Program and unit records coexisting in one store directory."""
 
     def _spill_modular(self, tmp_path):
-        """One modular compile spilled to disk: unit records + the program record.
+        """One modular daemon compile spilled to disk: unit records + the
+        program record.
 
         Returns ``(store, source, program_key, unit_keys)``.
         """
-        from repro import CompilationService
         from repro.programs import FleetSpec, generate_fleet
 
         spec = FleetSpec(
@@ -391,8 +391,7 @@ class TestMixedKindStore:
         )
         source = generate_fleet(spec)[0]
         store = CompileStore(tmp_path)
-        with CompilationService(store=store) as service:
-            service.compile_modular(source)
+        CompilationDaemon(store=store).compile_record(source, modular=True)
         units = split_units(normalize(parse_process(source)))
         unit_keys = [unit_store_key(unit.fingerprint()) for unit in units]
         return store, source, store_key(fingerprint_of(source), STYLE), unit_keys
@@ -434,8 +433,6 @@ class TestMixedKindStore:
         unit records still spare every unit compile."""
         import os
 
-        from repro import CompilationService
-
         store, source, program_key, unit_keys = self._spill_modular(tmp_path)
         os.utime(store._entry_path(program_key), (1000, 1000))  # the oldest
         total = sum(
@@ -447,20 +444,18 @@ class TestMixedKindStore:
         assert report["removed"] == 1
         assert store.get(program_key) is None
 
-        with CompilationService(store=store) as service:
-            service.compile_modular(source)
-            stats = service.statistics()
-        assert stats["link_store_hits"] == 0
+        daemon = CompilationDaemon(store=store)
+        _, origin = daemon.compile_record(source, modular=True)
+        stats = daemon.statistics()["service"]
+        assert origin == "compiled"
         assert stats["unit_store_hits"] == len(unit_keys)
         assert stats["unit_misses"] == 0  # re-linked, never re-compiled
         assert stats["links"] == 1
 
     def test_pruned_unit_record_is_covered_by_the_program_record(self, tmp_path):
         """The converse: with the program record alive, pruned unit records
-        cost nothing -- rehydration never loads them."""
+        cost nothing -- a store hit never loads them."""
         import os
-
-        from repro import CompilationService
 
         store, source, program_key, unit_keys = self._spill_modular(tmp_path)
         for key in unit_keys:
@@ -470,10 +465,10 @@ class TestMixedKindStore:
         assert report["removed"] == len(unit_keys)
         assert store.get(program_key) is not None
 
-        with CompilationService(store=store) as service:
-            service.compile_modular(source)
-            stats = service.statistics()
-        assert stats["link_store_hits"] == 1
+        daemon = CompilationDaemon(store=store)
+        _, origin = daemon.compile_record(source, modular=True)
+        stats = daemon.statistics()["service"]
+        assert origin == "store"
         assert stats["unit_store_hits"] == 0
         assert stats["unit_misses"] == 0
         assert stats["links"] == 0
@@ -508,11 +503,11 @@ class TestMixedKindStore:
 
         with CompilationService(store=store) as service:
             service.compile_modular(COUNTER_SOURCE)
-            assert service.statistics()["link_store_hits"] == 0
             assert service.statistics()["links"] == 1
         daemon = CompilationDaemon(store=store)
         _, origin = daemon.compile_record(COUNTER_SOURCE, modular=True)
-        assert origin == "store"  # the program record compile_modular spilled
+        assert origin == "compiled"  # from the unit record compile_modular spilled
+        assert daemon.statistics()["service"]["unit_store_hits"] == 1
         for request in (
             {"op": "store-get", "kind": "linked", "fingerprint": link_fingerprint},
             {"op": "store-put", "record": leftover},

@@ -29,7 +29,7 @@ interpreter and the Python backend.  ``xor`` coerces both operands through
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, List, Optional, Set, Tuple, Union
+from typing import Iterable, List, Set, Tuple, Union
 
 from ..errors import CodeGenerationError
 from ..lang.types import SignalType
@@ -61,13 +61,6 @@ from .ir import (
 __all__ = [
     "generate_c_source",
     "generate_c_shared_source",
-    "render_c_module",
-    "render_c_shared_module",
-    "emit_statement_lines",
-    "emit_shared_statement_lines",
-    "scan_statement_arithmetic",
-    "scan_statement_io",
-    "nonfinite_initial",
 ]
 
 
@@ -241,70 +234,17 @@ def _scan_statements(
             _scan_statements(statement.body, helpers, literals)
 
 
-def _needed_helpers(ir: StepIR) -> Set[str]:
-    """Names of the arithmetic helpers the IR's expressions reference."""
+def _arithmetic(ir: StepIR) -> Tuple[Set[str], bool]:
+    """The arithmetic helpers the IR's expressions reference, and whether
+    the translation unit needs ``<math.h>`` (``fmod`` or a non-finite
+    ``INFINITY``/``NAN`` literal, register initials included)."""
     helpers: Set[str] = set()
-    literals: List[object] = []
-    _scan_statements(ir.statements, helpers, literals)
-    return helpers
-
-
-def scan_statement_arithmetic(statements: Iterable[Stmt]) -> Tuple[Set[str], bool]:
-    """``(helper names, any non-finite float literal)`` for a statement list.
-
-    The per-unit emit cache stores this summary so the linker can decide,
-    without re-walking any IR, which arithmetic helpers the merged
-    translation unit needs and whether ``<math.h>`` must be included for
-    ``INFINITY``/``NAN`` literals (register initials are checked separately
-    from the register metadata).
-    """
-    helpers: Set[str] = set()
-    literals: List[object] = []
-    _scan_statements(statements, helpers, literals)
-    nonfinite = any(
-        isinstance(value, float) and not math.isfinite(value) for value in literals
-    )
-    return helpers, nonfinite
-
-
-def nonfinite_initial(value: object) -> bool:
-    """Whether a register initial needs the ``<math.h>`` non-finite macros."""
-    return isinstance(value, float) and not math.isfinite(value)
-
-
-def scan_statement_io(statements: Iterable[Stmt]) -> Tuple[List[str], List[str], bool]:
-    """``(sorted reads, sorted writes, uses_clock_input)`` of a statement list."""
-    reads: Set[str] = set()
-    writes: Set[str] = set()
-    uses_clock_input = False
-
-    def visit(statement: Stmt) -> None:
-        nonlocal uses_clock_input
-        if isinstance(statement, SetFlagRoot):
-            uses_clock_input = True
-        elif isinstance(statement, ReadInput):
-            reads.add(statement.signal)
-        elif isinstance(statement, EmitOutput):
-            writes.add(statement.signal)
-        elif isinstance(statement, Guard):
-            for inner in statement.body:
-                visit(inner)
-
-    for statement in statements:
-        visit(statement)
-    return sorted(reads), sorted(writes), uses_clock_input
-
-
-def _needs_math_header(ir: StepIR, helpers: Set[str]) -> bool:
-    """Whether the translation unit references anything from ``<math.h>``."""
-    if "repro_floor_fmod" in helpers:
-        return True
-    scan_helpers: Set[str] = set()
     literals: List[object] = [register.initial for register in ir.registers]
-    _scan_statements(ir.statements, scan_helpers, literals)
-    return any(
+    _scan_statements(ir.statements, helpers, literals)
+    needs_math = "repro_floor_fmod" in helpers or any(
         isinstance(value, float) and not math.isfinite(value) for value in literals
     )
+    return helpers, needs_math
 
 
 def _helper_lines(helpers: Set[str]) -> List[str]:
@@ -320,17 +260,9 @@ def _helper_lines(helpers: Set[str]) -> List[str]:
 # ---------------------------------------------------------------------------
 
 
-def _emit(
-    statement: Stmt,
-    lines: List[str],
-    indent: int,
-    root_line: Optional[Callable[[SetFlagRoot, str], str]] = None,
-) -> None:
+def _emit(statement: Stmt, lines: List[str], indent: int) -> None:
     pad = "    " * indent
     if isinstance(statement, SetFlagRoot):
-        if root_line is not None:
-            lines.append(root_line(statement, pad))
-            return
         lines.append(f"{pad}h{statement.class_id} = read_clock_input(\"{statement.input_key}\");")
     elif isinstance(statement, SetFlagPartition):
         test = statement.condition if statement.polarity else f"!{statement.condition}"
@@ -353,125 +285,94 @@ def _emit(
     elif isinstance(statement, Guard):
         lines.append(f"{pad}if (h{statement.class_id}) {{")
         for inner in statement.body:
-            _emit(inner, lines, indent + 1, root_line)
+            _emit(inner, lines, indent + 1)
         lines.append(f"{pad}}}")
     else:  # pragma: no cover - exhaustive over statement kinds
         raise CodeGenerationError(f"unsupported statement {statement!r}")
 
 
-def emit_statement_lines(
-    statements: Iterable[Stmt],
-    indent: int = 1,
-    root_line: Optional[Callable[[SetFlagRoot, str], str]] = None,
-) -> List[str]:
-    """The classic emitter's statement body as a list of source lines.
-
-    ``root_line`` substitutes for ``SetFlagRoot`` emission (link-time
-    placeholders in the per-unit cache, see the python backend).
-    """
-    lines: List[str] = []
-    for statement in statements:
-        _emit(statement, lines, indent, root_line)
-    return lines
-
-
-def io_prototypes(
-    reads: List[str], writes: List[str], uses_clock_input: bool, types
-) -> List[str]:
+def _io_prototypes(ir: StepIR) -> List[str]:
     """Extern prototypes for the environment hooks the step function calls.
 
     With these declarations the generated file compiles cleanly as a
     translation unit (``cc -c``); the environment supplies the definitions
     at link time, exactly like the original compiler's runtime library.
     """
+    reads: Set[str] = set()
+    writes: Set[str] = set()
+    uses_clock_input = False
+
+    def visit(statement: Stmt) -> None:
+        nonlocal uses_clock_input
+        if isinstance(statement, SetFlagRoot):
+            uses_clock_input = True
+        elif isinstance(statement, ReadInput):
+            reads.add(statement.signal)
+        elif isinstance(statement, EmitOutput):
+            writes.add(statement.signal)
+        elif isinstance(statement, Guard):
+            for inner in statement.body:
+                visit(inner)
+
+    for statement in ir.statements:
+        visit(statement)
     prototypes: List[str] = []
     if uses_clock_input:
         prototypes.append("extern int read_clock_input(const char *name);")
     for signal in sorted(reads):
-        c_type = _C_TYPES[types[signal]]
+        c_type = _C_TYPES[ir.types[signal]]
         prototypes.append(f"extern {c_type} read_input_{signal}(void);")
     for signal in sorted(writes):
-        c_type = _C_TYPES[types[signal]]
+        c_type = _C_TYPES[ir.types[signal]]
         prototypes.append(f"extern void write_output_{signal}({c_type} value);")
     return prototypes
 
 
-def _io_prototypes(ir: StepIR) -> List[str]:
-    reads, writes, uses_clock_input = scan_statement_io(ir.statements)
-    return io_prototypes(reads, writes, uses_clock_input, ir.types)
+def _flag_ids(ir: StepIR) -> List[int]:
+    return sorted(c.id for c in ir.schedule.hierarchy.classes if not c.is_null)
 
 
-def render_c_module(
-    name: str,
-    style_value: str,
-    needs_math: bool,
-    prototypes: List[str],
-    helpers: Set[str],
-    register_lines: List[str],
-    flag_ids: List[int],
-    signal_declarations: List[str],
-    body_lines: List[str],
-) -> str:
-    """Frame a statement body as the full classic C translation unit.
-
-    Shared by :func:`generate_c_source` and the linker's incremental path
-    (concatenated per-unit bodies) so both produce byte-identical output.
-    ``signal_declarations`` may arrive in any order; the frame sorts them,
-    exactly like whole-IR emission always has.
-    """
+def generate_c_source(ir: StepIR) -> str:
+    """Render the step IR as a self-contained C-like translation unit."""
+    name = ir.name
+    helpers, needs_math = _arithmetic(ir)
     lines: List[str] = []
     lines.append(f"/* Generated by the SIGNAL reproduction compiler -- process {name} */")
-    lines.append(f"/* style: {style_value} */")
+    lines.append(f"/* style: {ir.style.value} */")
     lines.append("#include <stdbool.h>")
     if needs_math:
         lines.append("#include <math.h>")
     lines.append("")
+    prototypes = _io_prototypes(ir)
     if prototypes:
         lines.extend(prototypes)
         lines.append("")
     lines.extend(_helper_lines(helpers))
 
-    lines.extend(register_lines)
-    if register_lines:
+    for register in ir.registers:
+        lines.append(
+            f"static {_C_TYPES[register.type]} {register.register} = "
+            f"{_c_literal(register.initial)};"
+        )
+    if ir.registers:
         lines.append("")
 
     lines.append(f"void {name}_step(void)")
     lines.append("{")
-    for class_id in flag_ids:
+    for class_id in _flag_ids(ir):
         lines.append(f"    bool h{class_id} = false;")
-    lines.extend(sorted(signal_declarations))
+    lines.extend(
+        sorted(
+            f"    {_C_TYPES[ir.types[signal]]} {signal};"
+            for signal in ir.schedule.signal_class
+        )
+    )
     lines.append("")
-    lines.extend(body_lines)
+    for statement in ir.statements:
+        _emit(statement, lines, 1)
     lines.append("}")
     lines.append("")
     return "\n".join(lines)
-
-
-def generate_c_source(ir: StepIR) -> str:
-    """Render the step IR as a self-contained C-like translation unit."""
-    helpers = _needed_helpers(ir)
-    register_lines = [
-        f"static {_C_TYPES[register.type]} {register.register} = "
-        f"{_c_literal(register.initial)};"
-        for register in ir.registers
-    ]
-    hierarchy = ir.schedule.hierarchy
-    flag_ids = sorted(c.id for c in hierarchy.classes if not c.is_null)
-    signal_declarations = [
-        f"    {_C_TYPES[ir.types[signal]]} {signal};"
-        for signal in ir.schedule.signal_class
-    ]
-    return render_c_module(
-        ir.name,
-        ir.style.value,
-        _needs_math_header(ir, helpers),
-        _io_prototypes(ir),
-        helpers,
-        register_lines,
-        flag_ids,
-        signal_declarations,
-        emit_statement_lines(ir.statements, indent=1),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -500,17 +401,10 @@ def generate_c_source(ir: StepIR) -> str:
 
 
 def _emit_shared(
-    statement: Stmt,
-    lines: List[str],
-    indent: int,
-    root_index: dict,
-    root_line: Optional[Callable[[SetFlagRoot, str], str]] = None,
+    statement: Stmt, lines: List[str], indent: int, root_index: dict
 ) -> None:
     pad = "    " * indent
     if isinstance(statement, SetFlagRoot):
-        if root_line is not None:
-            lines.append(root_line(statement, pad))
-            return
         position = root_index[statement.class_id]
         lines.append(
             f"{pad}h{statement.class_id} = "
@@ -540,53 +434,27 @@ def _emit_shared(
     elif isinstance(statement, Guard):
         lines.append(f"{pad}if (h{statement.class_id}) {{")
         for inner in statement.body:
-            _emit_shared(inner, lines, indent + 1, root_index, root_line)
+            _emit_shared(inner, lines, indent + 1, root_index)
         lines.append(f"{pad}}}")
     else:  # pragma: no cover - exhaustive over statement kinds
         raise CodeGenerationError(f"unsupported statement {statement!r}")
 
 
-def emit_shared_statement_lines(
-    statements: Iterable[Stmt],
-    root_index: dict,
-    indent: int = 2,
-    root_line: Optional[Callable[[SetFlagRoot, str], str]] = None,
-) -> List[str]:
-    """The columnar emitter's statement body as a list of source lines.
+def generate_c_shared_source(ir: StepIR) -> str:
+    """Render the step IR as a reentrant, columnar shared-library source.
 
-    With ``root_line`` set, ``root_index`` is never consulted (root
-    positions are only known at link time) -- pass ``{}``.
+    See the ABI comment above; :class:`repro.runtime.mass.SharedCProgram`
+    compiles the result with ``cc -shared`` and drives it through ctypes.
     """
-    lines: List[str] = []
-    for statement in statements:
-        _emit_shared(statement, lines, indent, root_index, root_line)
-    return lines
-
-
-def render_c_shared_module(
-    name: str,
-    style_value: str,
-    needs_math: bool,
-    helpers: Set[str],
-    register_members: List[Tuple[str, str, str]],
-    input_params: List[Tuple[str, str]],
-    output_params: List[Tuple[str, str]],
-    has_root_flags: bool,
-    flag_ids: List[int],
-    signal_declarations: List[str],
-    body_lines: List[str],
-) -> str:
-    """Frame a statement body as the full reentrant columnar source.
-
-    Shared by :func:`generate_c_shared_source` and the linker's incremental
-    path.  ``register_members`` is ``(c_type, register_name,
-    initial_literal_text)`` in IR order; ``input_params``/``output_params``
-    are ``(c_type, signal)`` in interface order; ``signal_declarations``
-    may arrive unsorted (the frame sorts, as whole-IR emission always has).
-    """
+    name = ir.name
+    helpers, needs_math = _arithmetic(ir)
+    register_members = [
+        (_C_TYPES[register.type], register.register, _c_literal(register.initial))
+        for register in ir.registers
+    ]
     lines: List[str] = []
     lines.append(f"/* Generated by the SIGNAL reproduction compiler -- process {name} */")
-    lines.append(f"/* style: {style_value}; reentrant columnar step (mass simulation) */")
+    lines.append(f"/* style: {ir.style.value}; reentrant columnar step (mass simulation) */")
     if needs_math:
         lines.append("#include <math.h>")
     lines.append("")
@@ -628,10 +496,10 @@ def render_c_shared_module(
     # value/presence columns -- all orders from the IR metadata.
     parameters = [f"{name}_state *repro_states", "long repro_n"]
     parameters.append("const unsigned char *repro_roots")
-    for c_type, signal in input_params:
-        parameters.append(f"const {c_type} *in_{signal}")
-    for c_type, signal in output_params:
-        parameters.append(f"{c_type} *out_{signal}")
+    for signal in ir.inputs:
+        parameters.append(f"const {_C_TYPES[ir.types[signal]]} *in_{signal}")
+    for signal in ir.outputs:
+        parameters.append(f"{_C_TYPES[ir.types[signal]]} *out_{signal}")
         parameters.append(f"unsigned char *out_{signal}_present")
 
     lines.append(f"void {name}_step_many(")
@@ -640,55 +508,29 @@ def render_c_shared_module(
         lines.append(f"    {parameter}{comma}")
     lines.append("{")
     lines.append("    long repro_i;")
-    if not has_root_flags:
+    if not ir.root_flags:
         lines.append("    (void) repro_roots;")
     lines.append("    for (repro_i = 0; repro_i < repro_n; ++repro_i) {")
     lines.append(f"        {name}_state *repro_self = &repro_states[repro_i];")
     if not register_members:
         lines.append("        (void) repro_self;")
 
-    for class_id in flag_ids:
+    for class_id in _flag_ids(ir):
         lines.append(f"        int h{class_id} = 0;")
-    lines.extend(sorted(signal_declarations))
-    for _c_type, signal in output_params:
+    lines.extend(
+        sorted(
+            f"        {_C_TYPES[ir.types[signal]]} {signal};"
+            for signal in ir.schedule.signal_class
+        )
+    )
+    for signal in ir.outputs:
         lines.append(f"        out_{signal}_present[repro_i] = 0;")
     lines.append("")
 
-    lines.extend(body_lines)
+    root_index = {class_id: position for position, (class_id, _, _) in enumerate(ir.root_flags)}
+    for statement in ir.statements:
+        _emit_shared(statement, lines, 2, root_index)
     lines.append("    }")
     lines.append("}")
     lines.append("")
     return "\n".join(lines)
-
-
-def generate_c_shared_source(ir: StepIR) -> str:
-    """Render the step IR as a reentrant, columnar shared-library source.
-
-    See the ABI comment above; :class:`repro.runtime.mass.SharedCProgram`
-    compiles the result with ``cc -shared`` and drives it through ctypes.
-    """
-    helpers = _needed_helpers(ir)
-    register_members = [
-        (_C_TYPES[register.type], register.register, _c_literal(register.initial))
-        for register in ir.registers
-    ]
-    hierarchy = ir.schedule.hierarchy
-    flag_ids = sorted(c.id for c in hierarchy.classes if not c.is_null)
-    signal_declarations = [
-        f"        {_C_TYPES[ir.types[signal]]} {signal};"
-        for signal in ir.schedule.signal_class
-    ]
-    root_index = {class_id: position for position, (class_id, _, _) in enumerate(ir.root_flags)}
-    return render_c_shared_module(
-        ir.name,
-        ir.style.value,
-        _needs_math_header(ir, helpers),
-        helpers,
-        register_members,
-        [(_C_TYPES[ir.types[signal]], signal) for signal in ir.inputs],
-        [(_C_TYPES[ir.types[signal]], signal) for signal in ir.outputs],
-        bool(ir.root_flags),
-        flag_ids,
-        signal_declarations,
-        emit_shared_statement_lines(ir.statements, root_index, indent=2),
-    )

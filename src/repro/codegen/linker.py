@@ -6,7 +6,7 @@ payload (part of the unit artifact record, see
 :func:`repro.compiler.compile_unit_record`).  This module provides
 
 * a lossless JSON encoding of :class:`~repro.codegen.ir.StepIR` statement
-  lists and registers (``ir_to_payload`` / the ``materialize_*`` readers),
+  lists and registers (``ir_to_payload`` / the ``_Materializer`` reader),
 * the **link-time materialization** of a cached unit payload into the
   enclosing program: canonical signal names are renamed back to the
   program's actual names, clock-class ids are shifted by a per-unit offset
@@ -20,17 +20,18 @@ payload (part of the unit artifact record, see
   exactly what the backends read (non-null class ids and the signal ->
   class map); all three backends (python, c, c_shared) then emit from the
   linked IR unchanged.
+
+Linking composes IR, never text: the linked IR is the only source of a
+linked program's generated code, exactly as a monolithic compile's step IR
+is of its own.  Unit records written by older code may still carry a map
+of pre-rendered statement bodies under an ``emit`` key; nothing reads it.
 """
 
 from __future__ import annotations
 
-import re
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..lang.types import SignalType
-from ..lang.units import rename_text
-from . import c_backend as _c_backend
-from . import python_backend as _python_backend
 from .ir import (
     Binary,
     ClockChoice,
@@ -61,11 +62,6 @@ from .ir import (
 __all__ = [
     "ir_to_payload",
     "link_step_ir",
-    "link_interface",
-    "link_python_source",
-    "link_c_source",
-    "link_c_shared_source",
-    "root_placeholder_line",
     "presence_key_for_atoms",
     "rename_atoms",
     "LinkedClockClass",
@@ -428,315 +424,4 @@ def link_step_ir(
         root_flags=root_flags,
         schedule=schedule,  # type: ignore[arg-type]
         types=types,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Incremental source linking (per-unit emission)
-# ---------------------------------------------------------------------------
-#
-# Unit records carry, next to the serialized IR, the *generated statement
-# bodies* of every backend (see ``compile_unit_record``): the expensive
-# statement-by-statement emission runs once per unit and is cached.  At link
-# time the cached text is adapted with three passes -- offset the ``h<id>``
-# clock-flag tokens into the unit's id range, rename canonical signals to
-# the program's actual names, and replace the ``@@ROOT <id>@@`` placeholders
-# (root presence keys, defaults and columnar positions only exist for the
-# linked program) by calling the real backend emitters on freshly built
-# ``SetFlagRoot`` statements -- then the concatenated bodies are framed by
-# the same ``render_*_module`` functions whole-IR emission uses.  Byte
-# identity with re-emitting the fully linked IR is asserted by the
-# differential fuzzer's modular legs.
-
-#: placeholder a unit's cached body carries for each ``SetFlagRoot``; the
-#: id is the unit-local class id (offset applied at link time)
-def root_placeholder_line(statement, pad: str) -> str:
-    return f"{pad}@@ROOT {statement.class_id}@@"
-
-
-_FLAG_TOKEN = re.compile(r"(?<![A-Za-z0-9_])h(\d+)(?![A-Za-z0-9_])")
-_ROOT_PLACEHOLDER_LINE = re.compile(r"^([ ]*)@@ROOT (\d+)@@$")
-
-
-def _materialized_body(
-    lines: Sequence[str],
-    rename: Dict[str, str],
-    offset: int,
-    emit_root: Callable[[int, int, List[str]], None],
-) -> List[str]:
-    """Adapt one unit's cached statement body into the linked program.
-
-    ``emit_root(unit_local_class_id, indent, out)`` appends the final root
-    line(s).  The flag-token offset runs *before* the rename (canonical
-    text only contains ``h<digits>`` as flag references; after renaming, an
-    actual signal name could coincidentally look like one), and the
-    placeholder pass runs last (root presence keys embed actual names that
-    must not be renamed again).
-    """
-    if not lines:
-        return []
-    text = "\n".join(lines)
-    if offset:
-        text = _FLAG_TOKEN.sub(lambda match: f"h{int(match.group(1)) + offset}", text)
-    text = rename_text(text, rename)
-    out: List[str] = []
-    for line in text.split("\n"):
-        match = _ROOT_PLACEHOLDER_LINE.match(line)
-        if match is None:
-            out.append(line)
-        else:
-            emit_root(int(match.group(2)), len(match.group(1)) // 4, out)
-    return out
-
-
-def _layout(parts: Sequence[dict]) -> Iterator[Tuple[dict, Dict[str, str], int, Dict[int, Tuple[str, bool]]]]:
-    """Yield ``(part, rename, offset, root_info)`` exactly as linking does.
-
-    Mirrors the id-offset and presence-key recomputation of
-    :func:`link_step_ir` so the incremental source paths and the IR path
-    agree on every link-time value.
-    """
-    total_free = sum(len(part["free_classes"]) for part in parts)
-    root_default = total_free == 1
-    offset = 0
-    for part in parts:
-        rename = part["rename"]
-        root_info: Dict[int, Tuple[str, bool]] = {}
-        for free in part["free_classes"]:
-            atoms = rename_atoms(free["atoms"], rename)
-            key = presence_key_for_atoms(atoms, free["id"] + offset)
-            root_info[free["id"]] = (key, root_default)
-        yield part, rename, offset, root_info
-        offset += part["max_class_id"] + 1
-
-
-def _emit_cache(part: dict, backend: str) -> Optional[Sequence[str]]:
-    emit = part.get("emit")
-    if not isinstance(emit, dict) or backend not in emit:
-        return None
-    return emit[backend]
-
-
-def link_interface(
-    parts: Sequence[dict],
-    input_order: Sequence[str],
-    output_order: Sequence[str],
-) -> dict:
-    """The linked program's interface without materializing any statement.
-
-    Returns ``{"inputs", "outputs", "root_flags"}`` with exactly the values
-    the fully linked :class:`StepIR` would carry; the incremental
-    executable path builds its :class:`CompiledProcess` metadata from this.
-    """
-    inputs_seen: set = set()
-    outputs_seen: set = set()
-    root_flags: List[Tuple[int, str, bool]] = []
-    for part, rename, offset, root_info in _layout(parts):
-        payload = part["ir"]
-        for cid, _key, _default in payload["root_flags"]:
-            key, default = root_info[cid]
-            root_flags.append((cid + offset, key, default))
-        inputs_seen.update(rename.get(s, s) for s in payload["inputs"])
-        outputs_seen.update(rename.get(s, s) for s in payload["outputs"])
-    return {
-        "inputs": [s for s in input_order if s in inputs_seen],
-        "outputs": [s for s in output_order if s in outputs_seen],
-        "root_flags": root_flags,
-    }
-
-
-def link_python_source(
-    name: str,
-    style: GenerationStyle,
-    parts: Sequence[dict],
-    input_order: Sequence[str],
-    output_order: Sequence[str],
-    observable: bool = True,
-) -> Optional[str]:
-    """Compose cached per-unit python bodies into the full generated module.
-
-    Returns ``None`` when any unit record predates per-unit emission (the
-    caller falls back to emitting from the linked IR) or when a
-    non-observable module is requested (the cache stores the observable
-    variant; the observe hooks change the body).
-    """
-    if not observable:
-        return None
-    bodies = [_emit_cache(part, "python") for part in parts]
-    if any(body is None for body in bodies):
-        return None
-    register_inits: List[Tuple[str, str]] = []
-    initialized_flags: List[int] = []
-    lines: List[str] = []
-    for (part, rename, offset, root_info), body in zip(_layout(parts), bodies):
-        payload = part["ir"]
-        for register, _target, _source, initial, _type in payload["registers"]:
-            register_inits.append(
-                (_rename_register(register, rename), _python_backend._literal(initial))
-            )
-        initialized_flags.extend(cid + offset for cid in payload["initialized_flags"])
-
-        def emit_root(cid: int, indent: int, out: List[str], _offset=offset, _info=root_info) -> None:
-            key, default = _info[cid]
-            statement = SetFlagRoot(cid + _offset, key, default)
-            out.extend(
-                _python_backend.emit_statement_lines([statement], indent=indent)
-            )
-
-        lines.extend(_materialized_body(body, rename, offset, emit_root))
-    return _python_backend.render_python_module(
-        name, style.value, register_inits, initialized_flags, lines, observable=True
-    )
-
-
-def _linked_c_frame_data(parts: Sequence[dict]) -> Optional[dict]:
-    """Frame metadata shared by both C emitters, from the emit caches.
-
-    ``None`` when any part lacks an emit cache.  Registers, flag ids and
-    signal declarations follow the same part-order traversal as
-    :func:`link_step_ir`, so the frames match whole-IR emission exactly
-    (per-part sorted class ids under monotonically increasing offsets
-    concatenate into a globally sorted list).
-    """
-    helpers: set = set()
-    nonfinite = False
-    reads: set = set()
-    writes: set = set()
-    uses_clock_input = False
-    types: Dict[str, SignalType] = {}
-    registers: List[Tuple[str, str, str]] = []  # (c_type, name, literal)
-    flag_ids: List[int] = []
-    signal_names: List[str] = []
-    for part, rename, offset, _root_info in _layout(parts):
-        emit = part.get("emit")
-        if not isinstance(emit, dict):
-            return None
-        helpers.update(emit.get("helpers", ()))
-        nonfinite = nonfinite or emit.get("nonfinite", False)
-        reads.update(rename.get(s, s) for s in emit.get("reads", ()))
-        writes.update(rename.get(s, s) for s in emit.get("writes", ()))
-        uses_clock_input = uses_clock_input or emit.get("uses_clock_input", False)
-        types.update(part["types"])
-        payload = part["ir"]
-        for register, _target, _source, initial, type_value in payload["registers"]:
-            nonfinite = nonfinite or _c_backend.nonfinite_initial(initial)
-            registers.append(
-                (
-                    _c_backend._C_TYPES[SignalType(type_value)],
-                    _rename_register(register, rename),
-                    _c_backend._c_literal(initial),
-                )
-            )
-        flag_ids.extend(cid + offset for cid in part["class_ids"])
-        signal_names.extend(
-            rename.get(canonical, canonical) for canonical in part["signal_class"]
-        )
-    needs_math = "repro_floor_fmod" in helpers or nonfinite
-    return {
-        "helpers": helpers,
-        "needs_math": needs_math,
-        "reads": sorted(reads),
-        "writes": sorted(writes),
-        "uses_clock_input": uses_clock_input,
-        "types": types,
-        "registers": registers,
-        "flag_ids": flag_ids,
-        "signal_names": signal_names,
-    }
-
-
-def link_c_source(
-    name: str,
-    style: GenerationStyle,
-    parts: Sequence[dict],
-    input_order: Sequence[str],
-    output_order: Sequence[str],
-) -> Optional[str]:
-    """Compose cached per-unit classic-C bodies into the translation unit."""
-    bodies = [_emit_cache(part, "c") for part in parts]
-    if any(body is None for body in bodies):
-        return None
-    frame = _linked_c_frame_data(parts)
-    if frame is None:
-        return None
-    lines: List[str] = []
-    for (part, rename, offset, root_info), body in zip(_layout(parts), bodies):
-        def emit_root(cid: int, indent: int, out: List[str], _offset=offset, _info=root_info) -> None:
-            key, default = _info[cid]
-            statement = SetFlagRoot(cid + _offset, key, default)
-            out.extend(_c_backend.emit_statement_lines([statement], indent=indent))
-
-        lines.extend(_materialized_body(body, rename, offset, emit_root))
-    prototypes = _c_backend.io_prototypes(
-        frame["reads"], frame["writes"], frame["uses_clock_input"], frame["types"]
-    )
-    register_lines = [
-        f"static {c_type} {register} = {literal};"
-        for c_type, register, literal in frame["registers"]
-    ]
-    signal_declarations = [
-        f"    {_c_backend._C_TYPES[frame['types'][signal]]} {signal};"
-        for signal in frame["signal_names"]
-    ]
-    return _c_backend.render_c_module(
-        name,
-        style.value,
-        frame["needs_math"],
-        prototypes,
-        frame["helpers"],
-        register_lines,
-        frame["flag_ids"],
-        signal_declarations,
-        lines,
-    )
-
-
-def link_c_shared_source(
-    name: str,
-    style: GenerationStyle,
-    parts: Sequence[dict],
-    input_order: Sequence[str],
-    output_order: Sequence[str],
-) -> Optional[str]:
-    """Compose cached per-unit columnar-C bodies into the shared source."""
-    bodies = [_emit_cache(part, "c_shared") for part in parts]
-    if any(body is None for body in bodies):
-        return None
-    frame = _linked_c_frame_data(parts)
-    if frame is None:
-        return None
-    interface = link_interface(parts, input_order, output_order)
-    root_index = {
-        class_id: position
-        for position, (class_id, _key, _default) in enumerate(interface["root_flags"])
-    }
-    lines: List[str] = []
-    for (part, rename, offset, root_info), body in zip(_layout(parts), bodies):
-        def emit_root(cid: int, indent: int, out: List[str], _offset=offset, _info=root_info) -> None:
-            key, default = _info[cid]
-            statement = SetFlagRoot(cid + _offset, key, default)
-            out.extend(
-                _c_backend.emit_shared_statement_lines(
-                    [statement], root_index, indent=indent
-                )
-            )
-
-        lines.extend(_materialized_body(body, rename, offset, emit_root))
-    types = frame["types"]
-    signal_declarations = [
-        f"        {_c_backend._C_TYPES[types[signal]]} {signal};"
-        for signal in frame["signal_names"]
-    ]
-    return _c_backend.render_c_shared_module(
-        name,
-        style.value,
-        frame["needs_math"],
-        frame["helpers"],
-        frame["registers"],
-        [(_c_backend._C_TYPES[types[signal]], signal) for signal in interface["inputs"]],
-        [(_c_backend._C_TYPES[types[signal]], signal) for signal in interface["outputs"]],
-        bool(interface["root_flags"]),
-        frame["flag_ids"],
-        signal_declarations,
-        lines,
     )

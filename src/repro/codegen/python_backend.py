@@ -53,8 +53,6 @@ from .ir import (
 
 __all__ = [
     "generate_python_source",
-    "render_python_module",
-    "emit_statement_lines",
     "compile_step",
     "CompiledProcess",
 ]
@@ -129,20 +127,10 @@ def _flag_expr(expression: FlagExpr) -> str:
 
 
 def _emit_statement(
-    statement: Stmt,
-    lines: List[str],
-    indent: int,
-    observable: bool,
-    root_line: Optional[Callable[[SetFlagRoot, str], str]] = None,
+    statement: Stmt, lines: List[str], indent: int, observable: bool
 ) -> None:
     pad = "    " * indent
     if isinstance(statement, SetFlagRoot):
-        if root_line is not None:
-            # Per-unit emission caches statement bodies *before* linking,
-            # when the root presence keys/defaults of the enclosing program
-            # are unknown; the hook emits a placeholder the linker fills.
-            lines.append(root_line(statement, pad))
-            return
         lines.append(
             f"{pad}{_flag(statement.class_id)} = bool(inputs.get({statement.input_key!r}, "
             f"{statement.default!r}))"
@@ -198,94 +186,48 @@ def _emit_statement(
         lines.append(f"{pad}if {_flag(statement.class_id)}:")
         if statement.body:
             for inner in statement.body:
-                _emit_statement(inner, lines, indent + 1, observable, root_line)
+                _emit_statement(inner, lines, indent + 1, observable)
         else:
             lines.append(f"{pad}    pass")
     else:  # pragma: no cover - exhaustive over statement kinds
         raise CodeGenerationError(f"unsupported statement {statement!r}")
 
 
-def emit_statement_lines(
-    statements: List[Stmt],
-    indent: int = 2,
-    observable: bool = True,
-    root_line: Optional[Callable[[SetFlagRoot, str], str]] = None,
-) -> List[str]:
-    """The statement body of the generated step, as a list of source lines.
-
-    ``root_line``, when given, is called for every ``SetFlagRoot`` instead
-    of the normal emission -- per-unit caching uses it to leave link-time
-    placeholders (root keys and defaults depend on the enclosing program).
-    """
-    lines: List[str] = []
-    for statement in statements:
-        _emit_statement(statement, lines, indent, observable, root_line)
-    return lines
-
-
-def render_python_module(
-    name: str,
-    style_value: str,
-    register_inits: List[Tuple[str, str]],
-    initialized_flags: List[int],
-    body_lines: List[str],
-    observable: bool = True,
-) -> str:
-    """Frame a statement body as the full generated step module.
-
-    Shared by :func:`generate_python_source` (whole-IR emission) and the
-    linker's incremental path (concatenated per-unit bodies): both render
-    through this one function, which is what guarantees the two paths
-    produce byte-identical modules.  ``register_inits`` is a list of
-    ``(register_name, initial_literal_text)`` pairs in IR order.
-    """
-    class_name = f"{name}_step".replace("-", "_")
+def generate_python_source(ir: StepIR, observable: bool = True) -> str:
+    """Render the step IR as Python source defining a ``Step`` class."""
+    name = ir.name
+    register_inits = [
+        f"        self.{register.register} = {_literal(register.initial)}"
+        for register in ir.registers
+    ] or ["        pass"]
     lines: List[str] = []
     lines.append('"""Generated by the SIGNAL reproduction compiler -- do not edit."""')
     lines.append("")
     lines.append("from repro.errors import SimulationError")
     lines.append("")
     lines.append("")
+    class_name = f"{name}_step".replace("-", "_")
     lines.append(f"class {class_name}:")
-    lines.append(f'    """Reaction function of process {name} ({style_value} style)."""')
+    lines.append(f'    """Reaction function of process {name} ({ir.style.value} style)."""')
     lines.append("")
     lines.append("    def __init__(self):")
-    if register_inits:
-        for register, literal in register_inits:
-            lines.append(f"        self.{register} = {literal}")
-    else:
-        lines.append("        pass")
+    lines.extend(register_inits)
     lines.append("")
     lines.append("    def reset(self):")
-    if register_inits:
-        for register, literal in register_inits:
-            lines.append(f"        self.{register} = {literal}")
-    else:
-        lines.append("        pass")
+    lines.extend(register_inits)
     lines.append("")
     if observable:
         lines.append("    def step(self, inputs, oracle=None, observe=None):")
     else:
         lines.append("    def step(self, inputs, oracle=None):")
     lines.append("        outputs = {}")
-    for class_id in initialized_flags:
+    for class_id in ir.initialized_flags:
         lines.append(f"        {_flag(class_id)} = False")
-    lines.extend(body_lines)
+    for statement in ir.statements:
+        _emit_statement(statement, lines, 2, observable)
     lines.append("        return outputs")
     lines.append("")
     return "\n".join(lines)
-
-
-def generate_python_source(ir: StepIR, observable: bool = True) -> str:
-    """Render the step IR as Python source defining a ``Step`` class."""
-    return render_python_module(
-        ir.name,
-        ir.style.value,
-        [(register.register, _literal(register.initial)) for register in ir.registers],
-        list(ir.initialized_flags),
-        emit_statement_lines(ir.statements, indent=2, observable=observable),
-        observable=observable,
-    )
 
 
 @dataclass

@@ -30,29 +30,13 @@ from .bdd import BDDManager
 from .clocks.algebra import CondFalse, CondTrue, SignalClock
 from .clocks.equations import ClockSystem, extract_clock_system
 from .clocks.resolution import ClockHierarchy, resolve
-from .codegen.c_backend import (
-    emit_shared_statement_lines,
-    emit_statement_lines as emit_c_statement_lines,
-    generate_c_shared_source,
-    generate_c_source,
-    scan_statement_arithmetic,
-    scan_statement_io,
-)
+from .codegen.c_backend import generate_c_shared_source, generate_c_source
 from .codegen.ir import GenerationStyle, StepIR, build_step_ir
-from .codegen.linker import (
-    ir_to_payload,
-    link_c_shared_source,
-    link_c_source,
-    link_interface,
-    link_python_source,
-    link_step_ir,
-    root_placeholder_line,
-)
+from .codegen.linker import ir_to_payload, link_step_ir
 from .codegen.python_backend import (
     CompiledProcess,
     _instantiate_step,
     compile_step,
-    emit_statement_lines as emit_python_statement_lines,
     generate_python_source,
 )
 from .graph.dependency import ConditionalDependencyGraph, build_dependency_graph
@@ -307,9 +291,13 @@ def compile_unit_record(unit: ProgramUnit, manager: Optional[BDDManager] = None)
     captures everything the link stage needs: the step IR of both
     generation styles, the signal -> clock-class map, the free classes with
     their structural atoms (presence keys are recomputed per program at
-    link time), the inferred types and the rendered per-unit artifacts.
-    The record is JSON-safe and is what the in-memory unit LRU and the
-    on-disk :class:`~repro.service.store.CompileStore` cache.
+    link time), the inferred types and the rendered tree, clock-system and
+    kernel texts.  It holds no generated code: every backend emits from the
+    linked step IR.  Records written by older code also carry pre-rendered
+    statement bodies under an ``emit`` key, which nothing reads, so they
+    still link to the same bytes.  The record is JSON-safe and is what the
+    in-memory unit LRU and the on-disk
+    :class:`~repro.service.store.CompileStore` cache.
     """
     from .service.store import STORE_FORMAT, UNIT_STYLE  # deferred: service imports us
 
@@ -322,38 +310,10 @@ def compile_unit_record(unit: ProgramUnit, manager: Optional[BDDManager] = None)
     graph.check_causality(hierarchy)
     schedule = build_schedule(canonical, hierarchy, graph)
 
-    irs = {
-        style: build_step_ir(schedule, types, style)
+    ir_by_style = {
+        style.value: ir_to_payload(build_step_ir(schedule, types, style))
         for style in (GenerationStyle.HIERARCHICAL, GenerationStyle.FLAT)
     }
-    ir_by_style = {style.value: ir_to_payload(ir) for style, ir in irs.items()}
-    # Per-unit generated statement bodies, emitted once here and reused by
-    # every link of this unit: the linker only offsets flag ids, renames
-    # canonical signals and fills the @@ROOT@@ placeholders (presence keys,
-    # defaults and columnar root positions exist only for the linked
-    # program), then frames the concatenated bodies -- whole-program code
-    # is never re-emitted statement by statement on the modular path.
-    emit_by_style = {}
-    for style, ir in irs.items():
-        helpers, nonfinite = scan_statement_arithmetic(ir.statements)
-        reads, writes, uses_clock_input = scan_statement_io(ir.statements)
-        emit_by_style[style.value] = {
-            "python": emit_python_statement_lines(
-                ir.statements, indent=2, observable=True,
-                root_line=root_placeholder_line,
-            ),
-            "c": emit_c_statement_lines(
-                ir.statements, indent=1, root_line=root_placeholder_line
-            ),
-            "c_shared": emit_shared_statement_lines(
-                ir.statements, {}, indent=2, root_line=root_placeholder_line
-            ),
-            "helpers": sorted(helpers),
-            "nonfinite": nonfinite,
-            "reads": reads,
-            "writes": writes,
-            "uses_clock_input": uses_clock_input,
-        }
     class_ids = sorted(c.id for c in hierarchy.classes if not c.is_null)
     all_ids = [c.id for c in hierarchy.classes]
     for payload in ir_by_style.values():
@@ -384,7 +344,6 @@ def compile_unit_record(unit: ProgramUnit, manager: Optional[BDDManager] = None)
             {"id": c.id, "atoms": _serialize_atoms(c.atoms)} for c in free
         ],
         "ir": ir_by_style,
-        "emit": emit_by_style,
         "artifacts": {
             "forest": hierarchy.render_forest(),
             "free": [c.display_name() for c in free],
@@ -470,18 +429,11 @@ class LinkedCompilationResult:
             "max_class_id": record["max_class_id"],
             "signal_class": record["signal_class"],
             "free_classes": record["free_classes"],
-            "emit": (record.get("emit") or {}).get(style.value),
             "types": {
                 rename.get(name, name): SignalType(value)
                 for name, value in record["types"].items()
             },
         }
-
-    def _parts(self, style: GenerationStyle) -> list:
-        return [
-            self._part(unit, record, style)
-            for unit, record in zip(self.units, self.unit_records)
-        ]
 
     def step_ir(self, style: GenerationStyle = GenerationStyle.HIERARCHICAL) -> StepIR:
         ir = self._linked_irs.get(style)
@@ -489,7 +441,10 @@ class LinkedCompilationResult:
             ir = link_step_ir(
                 self.program.name,
                 style,
-                self._parts(style),
+                [
+                    self._part(unit, record, style)
+                    for unit, record in zip(self.units, self.unit_records)
+                ],
                 self.program.inputs,
                 self.program.outputs,
             )
@@ -497,32 +452,19 @@ class LinkedCompilationResult:
         return ir
 
     def _linked_source(self, backend: str, style: GenerationStyle) -> str:
-        """Generated source via the incremental path, with full-IR fallback.
-
-        Composes the cached per-unit bodies when every unit record carries
-        an emit cache; unit records written before per-unit emission fall
-        back to emitting from the fully linked IR.  Both paths produce
-        byte-identical text (the fuzz suite asserts it), so the composed
-        source is memoized under the same key either way.
-        """
-        cached = self._linked_sources.get((backend, style.value))
-        if cached is not None:
-            return cached
-        parts = self._parts(style)
-        arguments = (self.program.name, style, parts, self.program.inputs, self.program.outputs)
-        if backend == "python":
-            source = link_python_source(*arguments)
-            if source is None:
-                source = generate_python_source(self.step_ir(style))
-        elif backend == "c":
-            source = link_c_source(*arguments)
-            if source is None:
-                source = generate_c_source(self.step_ir(style))
-        else:
-            source = link_c_shared_source(*arguments)
-            if source is None:
-                source = generate_c_shared_source(self.step_ir(style))
-        self._linked_sources[(backend, style.value)] = source
+        """One backend's text for ``style``, emitted from the linked IR once
+        per result and memoized (the observable executable reuses it)."""
+        key = (backend, style)
+        source = self._linked_sources.get(key)
+        if source is None:
+            ir = self.step_ir(style)
+            if backend == "python":
+                source = generate_python_source(ir)
+            elif backend == "c":
+                source = generate_c_source(ir)
+            else:
+                source = generate_c_shared_source(ir)
+            self._linked_sources[key] = source
         return source
 
     def python_source(self, style: GenerationStyle = GenerationStyle.HIERARCHICAL) -> str:
@@ -577,35 +519,11 @@ class LinkedCompilationResult:
 def _linked_executable(
     result: LinkedCompilationResult, style: GenerationStyle, observable: bool
 ) -> CompiledProcess:
-    name = result.program.name
-    if observable:
-        # Incremental path: concatenate the cached per-unit python bodies
-        # instead of linking a full StepIR first.  The interface (inputs,
-        # outputs, root flags) is recomputed from the unit payloads alone.
-        parts = result._parts(style)
-        source = link_python_source(
-            name, style, parts, result.program.inputs, result.program.outputs
-        )
-        if source is not None:
-            result._linked_sources.setdefault(("python", style.value), source)
-            interface = link_interface(
-                parts, result.program.inputs, result.program.outputs
-            )
-            instance = _instantiate_step(source, name, observable)
-            return CompiledProcess(
-                name=name,
-                style=style,
-                source=source,
-                ir=None,
-                step_instance=instance,
-                inputs=list(interface["inputs"]),
-                outputs=list(interface["outputs"]),
-                root_flags=list(interface["root_flags"]),
-                types=dict(result.types),
-                observable=observable,
-            )
     ir = result.step_ir(style)
-    source = generate_python_source(ir, observable=observable)
+    if observable:
+        source = result.python_source(style)
+    else:
+        source = generate_python_source(ir, observable=False)
     instance = _instantiate_step(source, ir.name, observable)
     return CompiledProcess(
         name=ir.name,

@@ -518,13 +518,13 @@ class CompileGateway(CompilationDaemon):
         # Modular counters live in the per-daemon *service* stats; summing
         # them here answers "how hot are the unit tier and the link stage"
         # for the whole fleet the same way ``fleet`` does for record tiers.
+        # A daemon answers repeats from its record tiers (counted in
+        # ``fleet``), so every link a service counts is a miss's link.
         modular_fleet = {
             "unit_hits": 0,
             "unit_misses": 0,
             "unit_store_hits": 0,
             "links": 0,
-            "link_hits": 0,
-            "link_misses": 0,
         }
         for state in states:
             entry = state.snapshot()

@@ -70,6 +70,9 @@ __all__ = [
 #: A whole program has one record kind, ``"program"``, whether a monolithic
 #: or a modular compile wrote it.  ``"linked"`` files left by older format-3
 #: code are never addressed again and age out through :meth:`CompileStore.prune`.
+#: Unit records hold no generated code; format-3 unit records written by
+#: older code also carry pre-rendered statement bodies under an ``emit``
+#: key, which nothing reads, so they still load and link unchanged.
 STORE_FORMAT = 3
 
 #: the pseudo-style under which per-unit artifact records are keyed; unit

@@ -378,34 +378,14 @@ FLEET_SPEC = FleetSpec(
 )
 
 
-def assert_linked_sources_byte_identical(linked, seed, label):
-    """The incremental link path (concatenated per-unit emit caches) must
-    produce byte-for-byte the text that re-emitting the linked IR does --
-    and the cached executable must have been built from exactly that text."""
-    from repro.codegen.c_backend import generate_c_shared_source, generate_c_source
-    from repro.codegen.python_backend import generate_python_source
-
-    for style in GenerationStyle:
-        ir = linked.step_ir(style)
-        assert linked.python_source(style) == generate_python_source(ir), (
-            f"seed {seed} [{label}]: incremental python link drifts ({style.value})"
-        )
-        assert linked.c_source(style) == generate_c_source(ir), (
-            f"seed {seed} [{label}]: incremental C link drifts ({style.value})"
-        )
-        assert linked.c_shared_source(style) == generate_c_shared_source(ir), (
-            f"seed {seed} [{label}]: incremental shared-C link drifts ({style.value})"
-        )
-    assert linked.executable.source == linked.python_source(
-        GenerationStyle.HIERARCHICAL
-    )
-
-
 def assert_modular_matches_monolithic(source, seed, label, service):
     """Modular == monolithic == interpreter for one source, both styles."""
     monolithic = compile_source(source, build_flat=True)
     linked = service.compile_modular(source, build_flat=True)
-    assert_linked_sources_byte_identical(linked, seed, label)
+    # The executable runs exactly the Python text the result reports.
+    assert linked.executable.source == linked.python_source(
+        GenerationStyle.HIERARCHICAL
+    ), f"seed {seed} [{label}]: linked executable drifts from its python source"
 
     mono_step = monolithic.executable.fresh()
     linked_step = linked.executable.fresh()

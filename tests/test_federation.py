@@ -17,6 +17,7 @@ import pytest
 from repro.lang.kernel import normalize
 from repro.lang.parser import parse_process
 from repro.programs import COUNTER_SOURCE, WATCHDOG_SOURCE, benchmark_source
+from repro.programs.suite import fleet_sources
 from repro.service import (
     CompileGateway,
     CompileStore,
@@ -423,6 +424,23 @@ class TestGatewayServer:
         assert len(forwarding_threads) == 1
         assert forwarding_threads[0] is not loop_thread
         assert forwarding_threads[0].name.startswith("repro-daemon_")
+
+    def test_modular_fleet_counts_one_link_per_program(self):
+        """Repeats are answered from the daemons' record tiers, so the fleet
+        aggregate counts each program's link once and reports no link-hit
+        counters that would read 0 on working code."""
+        with ThreadedDaemon() as one, ThreadedDaemon() as two:
+            gateway = gateway_over(one, two)
+            for _ in range(3):
+                for source in fleet_sources()[:3]:
+                    response = gateway.handle_request(
+                        {"op": "compile", "source": source, "modular": True}
+                    )
+                    assert response["ok"], response
+            modular_fleet = gateway.statistics()["gateway"]["modular_fleet"]
+        assert "link_hits" not in modular_fleet
+        assert "link_misses" not in modular_fleet
+        assert modular_fleet["links"] == 3
 
     def test_clear_cache_broadcasts_to_backends(self):
         with ThreadedDaemon() as one, ThreadedDaemon() as two:

@@ -20,7 +20,7 @@ from .ir import (
     StepIR,
     build_step_ir,
 )
-from .python_backend import CompiledProcess, compile_step, generate_python_source
+from .python_backend import CompiledProcess, generate_python_source
 from .c_backend import generate_c_shared_source, generate_c_source
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "StepIR",
     "build_step_ir",
     "CompiledProcess",
-    "compile_step",
     "generate_python_source",
     "generate_c_source",
     "generate_c_shared_source",

@@ -12,8 +12,9 @@ The generated code is a plain Python class with
   reaction (used by the test harness to compare against the reference
   interpreter).
 
-``compile_step`` executes the generated source and returns a
-:class:`CompiledProcess` handle.
+A :class:`CompiledProcess` wraps an instance of the executed class; the
+compilation results of :mod:`repro.compiler` build one from their memoized
+source on first access.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from ..errors import CodeGenerationError, SimulationError
-from ..graph.scheduling import Schedule
 from ..lang.types import SignalType
 from .ir import (
     Binary,
@@ -48,12 +48,11 @@ from .ir import (
     Unary,
     UpdateRegister,
     ValueExpr,
-    build_step_ir,
+    build_step_ir,  # noqa: F401 - perfbench's tracer wraps it by this name
 )
 
 __all__ = [
     "generate_python_source",
-    "compile_step",
     "CompiledProcess",
 ]
 
@@ -126,9 +125,33 @@ def _flag_expr(expression: FlagExpr) -> str:
     raise CodeGenerationError(f"unsupported flag expression {expression!r}")
 
 
+#: the deepest indentation level CPython's tokenizer accepts (its MAXINDENT
+#: is 100); generated code nested deeper would not load
+_MAX_INDENT = 99
+
+
 def _emit_statement(
-    statement: Stmt, lines: List[str], indent: int, observable: bool
+    statement: Stmt,
+    lines: List[str],
+    indent: int,
+    observable: bool,
+    name: str,
+    clock: Optional[int] = None,
 ) -> None:
+    """Append the lines of ``statement`` at ``indent``; ``clock`` is the
+    class id of the innermost guard around it (None at the top level)."""
+    if isinstance(statement, Guard):
+        clock = statement.class_id
+    deepest = indent + (
+        isinstance(statement, (Guard, ReadInput))
+        or (observable and isinstance(statement, (ReadRegister, ComputeValue)))
+    )
+    if deepest > _MAX_INDENT:
+        raise CodeGenerationError(
+            f"process {name}: the Python step nests {deepest} levels deep under "
+            f"clock {_flag(clock)}, past CPython's limit of {_MAX_INDENT} "
+            f"(the flat style does not nest)"
+        )
     pad = "    " * indent
     if isinstance(statement, SetFlagRoot):
         lines.append(
@@ -186,7 +209,7 @@ def _emit_statement(
         lines.append(f"{pad}if {_flag(statement.class_id)}:")
         if statement.body:
             for inner in statement.body:
-                _emit_statement(inner, lines, indent + 1, observable)
+                _emit_statement(inner, lines, indent + 1, observable, name, clock)
         else:
             lines.append(f"{pad}    pass")
     else:  # pragma: no cover - exhaustive over statement kinds
@@ -224,7 +247,7 @@ def generate_python_source(ir: StepIR, observable: bool = True) -> str:
     for class_id in ir.initialized_flags:
         lines.append(f"        {_flag(class_id)} = False")
     for statement in ir.statements:
-        _emit_statement(statement, lines, 2, observable)
+        _emit_statement(statement, lines, 2, observable, name)
     lines.append("        return outputs")
     lines.append("")
     return "\n".join(lines)
@@ -337,28 +360,3 @@ def _instantiate_step(source: str, name: str, observable: bool) -> object:
     class_name = f"{name}_step".replace("-", "_")
     step_class = namespace[class_name]
     return _prepare_step_instance(step_class(), observable)  # type: ignore[operator]
-
-
-def compile_step(
-    schedule: Schedule,
-    types: Dict[str, SignalType],
-    style: GenerationStyle = GenerationStyle.HIERARCHICAL,
-    observable: bool = True,
-    name: Optional[str] = None,
-) -> CompiledProcess:
-    """Generate, execute and wrap the Python step for a scheduled program."""
-    ir = build_step_ir(schedule, types, style, name)
-    source = generate_python_source(ir, observable=observable)
-    instance = _instantiate_step(source, ir.name, observable)
-    return CompiledProcess(
-        name=ir.name,
-        style=style,
-        source=source,
-        ir=ir,
-        step_instance=instance,
-        inputs=list(ir.inputs),
-        outputs=list(ir.outputs),
-        root_flags=list(ir.root_flags),
-        types=dict(types),
-        observable=observable,
-    )

@@ -20,7 +20,7 @@ inspect every stage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Dict, Optional
 
 if TYPE_CHECKING:  # imported lazily to avoid a circular module import
@@ -36,7 +36,6 @@ from .codegen.linker import ir_to_payload, link_step_ir
 from .codegen.python_backend import (
     CompiledProcess,
     _instantiate_step,
-    compile_step,
     generate_python_source,
 )
 from .graph.dependency import ConditionalDependencyGraph, build_dependency_graph
@@ -60,8 +59,133 @@ __all__ = [
 ]
 
 
+@dataclass(kw_only=True)
+class _Rendered:
+    """The generated code of one result, rendered from its step IR.
+
+    Each style's :class:`StepIR` and each (backend, style) text is built at
+    most once and memoized; emitters never mutate an IR, so every artifact
+    renders from the same one.  The runnable steps, ``executable`` (of
+    ``style``) and ``executable_flat`` (with ``build_flat``), are
+    byte-compiled from the memoized Python text on first access only, so a
+    caller that serializes the artifacts (the artifact store's records) never
+    pays for ``compile()``.  The public compile entry points call
+    :meth:`materialize` before they return.
+    """
+
+    style: GenerationStyle = GenerationStyle.HIERARCHICAL
+    build_flat: bool = False
+    observable: bool = True
+    _irs: Dict[GenerationStyle, StepIR] = field(
+        default_factory=dict, repr=False, compare=False
+    )
+    _texts: Dict[tuple, str] = field(default_factory=dict, repr=False, compare=False)
+    #: the byte-compiled steps, keyed ``flat``: False for ``executable``
+    _executables: Dict[bool, CompiledProcess] = field(
+        default_factory=dict, repr=False, compare=False
+    )
+
+    def _build_step_ir(self, style: GenerationStyle) -> StepIR:
+        raise NotImplementedError
+
+    def step_ir(self, style: GenerationStyle = GenerationStyle.HIERARCHICAL) -> StepIR:
+        """The step IR of ``style``, built once per result."""
+        ir = self._irs.get(style)
+        if ir is None:
+            ir = self._irs[style] = self._build_step_ir(style)
+        return ir
+
+    def _text(self, backend: str, style: GenerationStyle, observable: bool = True) -> str:
+        key = (backend, style, observable)
+        text = self._texts.get(key)
+        if text is None:
+            ir = self.step_ir(style)
+            if backend == "python":
+                text = generate_python_source(ir, observable=observable)
+            elif backend == "c":
+                text = generate_c_source(ir)
+            else:
+                text = generate_c_shared_source(ir)
+            self._texts[key] = text
+        return text
+
+    def python_source(self, style: GenerationStyle = GenerationStyle.HIERARCHICAL) -> str:
+        return self._text("python", style)
+
+    def executable_source(self, style: GenerationStyle = GenerationStyle.HIERARCHICAL) -> str:
+        """The Python text an executable of ``style`` runs: :meth:`python_source`,
+        without the ``observe=`` hook when the result is not observable."""
+        return self._text("python", style, self.observable)
+
+    def c_source(self, style: GenerationStyle = GenerationStyle.HIERARCHICAL) -> str:
+        return self._text("c", style)
+
+    def c_shared_source(self, style: GenerationStyle = GenerationStyle.HIERARCHICAL) -> str:
+        """The reentrant columnar C variant (mass-simulation ABI).
+
+        Unlike :meth:`c_source` (static state, environment hooks), this
+        variant keeps all state in an explicit struct and exposes a
+        ``step_many`` entry point, so it can be built with ``cc -shared``
+        and driven for whole populations by :mod:`repro.runtime.mass`.
+        """
+        return self._text("c_shared", style)
+
+    def _executable(self, flat: bool) -> CompiledProcess:
+        executable = self._executables.get(flat)
+        if executable is None:
+            style = GenerationStyle.FLAT if flat else self.style
+            ir = self.step_ir(style)
+            source = self.executable_source(style)
+            executable = CompiledProcess(
+                name=ir.name,
+                style=style,
+                source=source,
+                ir=ir,
+                step_instance=_instantiate_step(source, ir.name, self.observable),
+                inputs=list(ir.inputs),
+                outputs=list(ir.outputs),
+                root_flags=list(ir.root_flags),
+                types=dict(self.types),
+                observable=self.observable,
+            )
+            self._executables[flat] = executable
+        return executable
+
+    @property
+    def executable(self) -> CompiledProcess:
+        """The compiled executable step of ``style``."""
+        return self._executable(False)
+
+    @property
+    def executable_flat(self) -> Optional[CompiledProcess]:
+        """The compiled executable step of the flat style (``build_flat`` only)."""
+        return self._executable(True) if self.build_flat else None
+
+    def materialize(self):
+        """Byte-compile every executable this result hands out; returns self."""
+        self._executable(False)
+        if self.build_flat:
+            self._executable(True)
+        return self
+
+    def fresh(self):
+        """A copy with fresh executable instances and the same shared artifacts.
+
+        The executables carry mutable delay-register state; the copy's are
+        re-instantiated from the already-built step classes (no re-exec),
+        so its simulation state is isolated from this result's.
+        """
+        self.materialize()
+        return replace(
+            self,
+            _executables={
+                flat: executable.fresh() for flat, executable in self._executables.items()
+            },
+        )
+
+
 @dataclass
-class CompilationResult:
+class CompilationResult(_Rendered):
     """All artifacts produced by compiling one SIGNAL process."""
 
     process: Process
@@ -71,10 +195,6 @@ class CompilationResult:
     hierarchy: ClockHierarchy
     graph: ConditionalDependencyGraph
     schedule: Schedule
-    #: compiled executable step, hierarchical (nested) style
-    executable: CompiledProcess
-    #: compiled executable step, flat (single-loop) style
-    executable_flat: Optional[CompiledProcess] = None
 
     # -- convenience accessors -----------------------------------------------
     @property
@@ -85,40 +205,8 @@ class CompilationResult:
         """A fresh reference interpreter for the same program."""
         return KernelInterpreter(self.program, self.types)
 
-    def _executable_of(self, style: GenerationStyle) -> Optional[CompiledProcess]:
-        """The executable of ``style`` this result holds, if any."""
-        if self.executable.style is style:
-            return self.executable
-        return self.executable_flat if style is GenerationStyle.FLAT else None
-
-    def python_source(self, style: GenerationStyle = GenerationStyle.HIERARCHICAL) -> str:
-        executable = self._executable_of(style)
-        if executable is not None and executable.observable:
-            return executable.source
-        return generate_python_source(self.step_ir(style))
-
-    def c_source(self, style: GenerationStyle = GenerationStyle.HIERARCHICAL) -> str:
-        return generate_c_source(self.step_ir(style))
-
-    def c_shared_source(
-        self, style: GenerationStyle = GenerationStyle.HIERARCHICAL
-    ) -> str:
-        """The reentrant columnar C variant (mass-simulation ABI).
-
-        Unlike :meth:`c_source` (static state, environment hooks), this
-        variant keeps all state in an explicit struct and exposes a
-        ``step_many`` entry point, so it can be built with ``cc -shared``
-        and driven for whole populations by :mod:`repro.runtime.mass`.
-        """
-        return generate_c_shared_source(self.step_ir(style))
-
-    def step_ir(self, style: GenerationStyle = GenerationStyle.HIERARCHICAL) -> StepIR:
-        """The IR of this result's executable of ``style`` (emitters never
-        mutate an IR, so every artifact renders from it), else a fresh one."""
-        executable = self._executable_of(style)
-        if executable is None:
-            return build_step_ir(self.schedule, self.types, style)
-        return executable.ir
+    def _build_step_ir(self, style: GenerationStyle) -> StepIR:
+        return build_step_ir(self.schedule, self.types, style)
 
     def tree_text(self) -> str:
         """The forest of clock trees plus the free clocks, as printed text.
@@ -199,21 +287,27 @@ def compile_process(
         return service.compile_process(
             process, style=style, build_flat=build_flat, observable=observable
         )
+    return _schedule_process(
+        process, style, build_flat, observable, manager, program
+    ).materialize()
+
+
+def _schedule_process(
+    process: Process,
+    style: GenerationStyle,
+    build_flat: bool,
+    observable: bool,
+    manager: Optional[BDDManager] = None,
+    program: Optional[KernelProgram] = None,
+) -> CompilationResult:
+    """:func:`compile_process` up to the schedule: the result renders its
+    code from the step IR and byte-compiles no executable until one is read."""
     program, types, clock_system, hierarchy = analyze_process(
         process, manager=manager, program=program
     )
-
     graph = build_dependency_graph(program)
     graph.check_causality(hierarchy)
     schedule = build_schedule(program, hierarchy, graph)
-
-    executable = compile_step(schedule, types, style=style, observable=observable)
-    executable_flat = None
-    if build_flat:
-        executable_flat = compile_step(
-            schedule, types, style=GenerationStyle.FLAT, observable=observable
-        )
-
     return CompilationResult(
         process=process,
         program=program,
@@ -222,8 +316,9 @@ def compile_process(
         hierarchy=hierarchy,
         graph=graph,
         schedule=schedule,
-        executable=executable,
-        executable_flat=executable_flat,
+        style=style,
+        build_flat=build_flat,
+        observable=observable,
     )
 
 
@@ -381,7 +476,7 @@ _ADDITIVE_STATS = (
 
 
 @dataclass
-class LinkedCompilationResult:
+class LinkedCompilationResult(_Rendered):
     """The artifacts of a modular (unit-wise) compilation, after linking.
 
     Surface-compatible with :class:`CompilationResult` everywhere the
@@ -400,16 +495,7 @@ class LinkedCompilationResult:
     types: Dict[str, SignalType]
     units: list
     unit_records: list
-    observable: bool = True
     process: Optional[Process] = None
-    executable: Optional[CompiledProcess] = None
-    executable_flat: Optional[CompiledProcess] = None
-    _linked_irs: Dict[GenerationStyle, StepIR] = field(
-        default_factory=dict, repr=False, compare=False
-    )
-    _linked_sources: Dict[tuple, str] = field(
-        default_factory=dict, repr=False, compare=False
-    )
 
     @property
     def name(self) -> str:
@@ -435,46 +521,17 @@ class LinkedCompilationResult:
             },
         }
 
-    def step_ir(self, style: GenerationStyle = GenerationStyle.HIERARCHICAL) -> StepIR:
-        ir = self._linked_irs.get(style)
-        if ir is None:
-            ir = link_step_ir(
-                self.program.name,
-                style,
-                [
-                    self._part(unit, record, style)
-                    for unit, record in zip(self.units, self.unit_records)
-                ],
-                self.program.inputs,
-                self.program.outputs,
-            )
-            self._linked_irs[style] = ir
-        return ir
-
-    def _linked_source(self, backend: str, style: GenerationStyle) -> str:
-        """One backend's text for ``style``, emitted from the linked IR once
-        per result and memoized (the observable executable reuses it)."""
-        key = (backend, style)
-        source = self._linked_sources.get(key)
-        if source is None:
-            ir = self.step_ir(style)
-            if backend == "python":
-                source = generate_python_source(ir)
-            elif backend == "c":
-                source = generate_c_source(ir)
-            else:
-                source = generate_c_shared_source(ir)
-            self._linked_sources[key] = source
-        return source
-
-    def python_source(self, style: GenerationStyle = GenerationStyle.HIERARCHICAL) -> str:
-        return self._linked_source("python", style)
-
-    def c_source(self, style: GenerationStyle = GenerationStyle.HIERARCHICAL) -> str:
-        return self._linked_source("c", style)
-
-    def c_shared_source(self, style: GenerationStyle = GenerationStyle.HIERARCHICAL) -> str:
-        return self._linked_source("c_shared", style)
+    def _build_step_ir(self, style: GenerationStyle) -> StepIR:
+        return link_step_ir(
+            self.program.name,
+            style,
+            [
+                self._part(unit, record, style)
+                for unit, record in zip(self.units, self.unit_records)
+            ],
+            self.program.inputs,
+            self.program.outputs,
+        )
 
     # -- composed artifacts ---------------------------------------------------
     def tree_text(self) -> str:
@@ -516,29 +573,6 @@ class LinkedCompilationResult:
         return stats
 
 
-def _linked_executable(
-    result: LinkedCompilationResult, style: GenerationStyle, observable: bool
-) -> CompiledProcess:
-    ir = result.step_ir(style)
-    if observable:
-        source = result.python_source(style)
-    else:
-        source = generate_python_source(ir, observable=False)
-    instance = _instantiate_step(source, ir.name, observable)
-    return CompiledProcess(
-        name=ir.name,
-        style=style,
-        source=source,
-        ir=ir,
-        step_instance=instance,
-        inputs=list(ir.inputs),
-        outputs=list(ir.outputs),
-        root_flags=list(ir.root_flags),
-        types=dict(result.types),
-        observable=observable,
-    )
-
-
 def link_units(
     program: KernelProgram,
     units: list,
@@ -558,6 +592,22 @@ def link_units(
     trace-equivalence of the two paths is what the differential fuzz suite
     proves.
     """
+    return _link(
+        program, units, records, style, build_flat, observable, process
+    ).materialize()
+
+
+def _link(
+    program: KernelProgram,
+    units: list,
+    records: list,
+    style: GenerationStyle,
+    build_flat: bool,
+    observable: bool,
+    process: Optional[Process] = None,
+) -> LinkedCompilationResult:
+    """:func:`link_units` without byte-compiling: the linked step IR and
+    every text are built from the records when first read."""
     if len(units) != len(records):
         raise ValueError(
             f"link stage got {len(units)} units but {len(records)} records"
@@ -568,20 +618,16 @@ def link_units(
         for name, value in record["types"].items():
             types[rename.get(name, name)] = SignalType(value)
 
-    result = LinkedCompilationResult(
+    return LinkedCompilationResult(
         program=program,
         types=types,
         units=list(units),
         unit_records=list(records),
-        observable=observable,
         process=process,
+        style=style,
+        build_flat=build_flat,
+        observable=observable,
     )
-    result.executable = _linked_executable(result, style, observable)
-    if build_flat:
-        result.executable_flat = _linked_executable(
-            result, GenerationStyle.FLAT, observable
-        )
-    return result
 
 
 def compile_modular_source(

@@ -329,7 +329,11 @@ class CompilationDaemon:
         gains per-unit records any fleet member can ``store-get``).  The
         record tiers stay keyed by the whole-program fingerprint -- a
         monolithic record answers a modular request for the same program
-        and vice versa, because both paths render equivalent artifacts.
+        and vice versa.  The two records are trace-equivalent, not
+        byte-identical (a linked program numbers its clock flags per
+        unit), so which bytes a program is served depends on which kind
+        of request missed first.  A miss renders its record from the step
+        IR; nothing here byte-compiles the Python it serves.
 
         Thread-safe without a global compile lock: the record/digest LRUs
         and the store synchronize themselves, so ``jobs`` worker threads

@@ -71,7 +71,6 @@ import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import replace
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from ..bdd import BDDManager
@@ -79,9 +78,10 @@ from ..codegen.ir import GenerationStyle
 from ..compiler import (
     CompilationResult,
     LinkedCompilationResult,
-    compile_process,
+    _link,
+    _schedule_process,
     compile_unit_record,
-    link_units,
+    link_units,  # noqa: F401 - perfbench's tracer wraps it by this name
 )
 from ..lang.ast import Process
 from ..lang.kernel import KernelProgram, normalize
@@ -127,7 +127,9 @@ def _compile_result(
     compiled on the way.  ``known=None`` compiles the whole program on a
     fresh manager.  Otherwise ``known`` maps unit fingerprints to the records
     the caller holds, the other units (of ``units``, split here when None)
-    are compiled, and everything is linked."""
+    are compiled, and everything is linked.  No executable is byte-compiled:
+    a record renders from the step IR, and a live-result caller calls
+    ``materialize()``."""
     compiled: Dict[str, Dict[str, object]] = {}
     if known is None:
         result = CompilationService._compile_program(
@@ -139,14 +141,14 @@ def _compile_result(
     for unit in units:
         if unit.fingerprint() not in known and unit.fingerprint() not in compiled:
             compiled[unit.fingerprint()] = compile_unit_record(unit)
-    linked = link_units(
+    linked = _link(
         program,
         units,
         [known.get(unit.fingerprint()) or compiled[unit.fingerprint()] for unit in units],
-        style=style,
-        build_flat=build_flat,
-        observable=observable,
-        process=process,
+        style,
+        build_flat,
+        observable,
+        process,
     )
     return linked, compiled
 
@@ -239,20 +241,16 @@ class CompilationService:
         build_flat: bool,
         observable: bool,
     ) -> CompilationResult:
-        """Run one cache miss through the pipeline on a fresh manager.
+        """Run one cache miss through the pipeline on a fresh manager, up to
+        the schedule (no executable is byte-compiled).
 
         The computed caches are dropped before the result is cached or
         rendered: nothing reuses them, a record's statistics are taken
         after the drop, and the result keeps only its unique table.
         """
         manager = BDDManager()
-        result = compile_process(
-            process,
-            style=style,
-            build_flat=build_flat,
-            observable=observable,
-            manager=manager,
-            program=program,
+        result = _schedule_process(
+            process, style, build_flat, observable, manager=manager, program=program
         )
         manager.clear_caches()
         return result
@@ -319,6 +317,7 @@ class CompilationService:
         result, _ = _compile_result(
             process, program, style, build_flat, observable, known, units
         )
+        result.materialize()
         if modular:
             with self._lock:
                 self._links += 1
@@ -330,19 +329,15 @@ class CompilationService:
 
         The cached executables carry mutable delay-register state, so the
         hit returns a copy of the result with brand-new step instances
-        (rebuilt from the cached generated source -- a tiny cost next to the
-        pipeline): every caller gets isolated simulation state, and a hit
+        (re-instantiated from the cached step classes -- a tiny cost next to
+        the pipeline): every caller gets isolated simulation state, and a hit
         can never perturb an earlier caller's in-progress run.  The analysis
         artifacts (hierarchy, schedule, IR, sources) are shared.
         """
         if isinstance(result, LinkedCompilationResult):
             with self._lock:
                 self._link_hits += 1
-        executable = result.executable.fresh()
-        executable_flat = (
-            result.executable_flat.fresh() if result.executable_flat is not None else None
-        )
-        return replace(result, executable=executable, executable_flat=executable_flat)
+        return result.fresh()
 
     # -- public API ---------------------------------------------------------
     def compile(
@@ -395,7 +390,9 @@ class CompilationService:
         The service's only record entry point.  It caches no whole program
         (its caller, the daemon, owns that key): compile on a fresh manager,
         from ``process``/``program`` when already parsed, render, drop the
-        result.  ``modular`` compiles unit by unit against the unit LRU and
+        result.  The record renders from the step IR; no executable is
+        built, so the Python it carries is never byte-compiled here.
+        ``modular`` compiles unit by unit against the unit LRU and
         ``store``'s unit records (None: the service's own), then links.
         ``jobs > 1`` runs the compile on the worker-process pool and needs
         ``source``: a modular compile ships the unit records this process

@@ -112,15 +112,18 @@ def unit_store_key(fingerprint: str) -> StoreKey:
     return (fingerprint, UNIT_STYLE, False, True)
 
 
-def _executable_record(executable: CompiledProcess) -> Dict[str, object]:
+def _executable_record(result: "CompilationResult", style: GenerationStyle) -> Dict[str, object]:
+    """What :func:`executable_from_record` needs to rebuild the step of
+    ``style``: its Python text plus the interface of its step IR."""
+    ir = result.step_ir(style)
     return {
-        "source": executable.source,
-        "name": executable.name,
-        "style": executable.style.value,
-        "inputs": list(executable.inputs),
-        "outputs": list(executable.outputs),
-        "root_flags": [list(flag) for flag in executable.root_flags],
-        "observable": executable.observable,
+        "source": result.executable_source(style),
+        "name": ir.name,
+        "style": style.value,
+        "inputs": list(ir.inputs),
+        "outputs": list(ir.outputs),
+        "root_flags": [list(flag) for flag in ir.root_flags],
+        "observable": result.observable,
     }
 
 
@@ -130,7 +133,13 @@ def record_from_result(
     build_flat: bool = False,
     observable: bool = True,
 ) -> Dict[str, object]:
-    """Serialize a compilation result into a JSON-safe artifact record."""
+    """Serialize a compilation result into a JSON-safe artifact record.
+
+    Every artifact is rendered from the result's memoized step IR and
+    texts; no executable is built or read, so rendering a record never
+    byte-compiles the Python it carries (its clients do, through
+    :func:`executable_from_record`).
+    """
     record: Dict[str, object] = {
         "format": STORE_FORMAT,
         "kind": "program",
@@ -149,10 +158,10 @@ def record_from_result(
             "c": result.c_source(style),
             "c_shared": result.c_shared_source(style),
         },
-        "executable": _executable_record(result.executable),
+        "executable": _executable_record(result, result.style),
         "executable_flat": (
-            _executable_record(result.executable_flat)
-            if result.executable_flat is not None
+            _executable_record(result, GenerationStyle.FLAT)
+            if result.build_flat
             else None
         ),
     }

@@ -1,13 +1,20 @@
 """Edge cases and error paths across the pipeline."""
 
+import json
+import random
+
 import pytest
 
 from repro import GenerationStyle, compile_source
+from repro.compiler import compile_modular_source
 from repro.errors import CodeGenerationError, SignalError, SourceLocation
 from repro.lang.kernel import normalize
 from repro.lang.parser import parse_process
 from repro.lang.types import infer_types
+from repro.runtime import ReactiveExecutor
 from repro.runtime.interpreter import KernelInterpreter
+from repro.service import CompilationDaemon, CompilationService
+from repro.service.store import CompileStore
 
 
 class TestErrors:
@@ -142,3 +149,71 @@ class TestCodegenLimits:
         )
         assert result.executable.style is GenerationStyle.FLAT
         assert result.executable.step({"A": 1}) == {"B": 2}
+
+
+def _when_chain(depth):
+    """``X1 := X0 when C1 | ... | Y := X<depth> + 1``: the hierarchical step
+    nests one guard per sampling, ``depth`` + 2 levels in all."""
+    equations = [f"X{i} := X{i - 1} when C{i}" for i in range(1, depth + 1)]
+    equations.append(f"Y := X{depth} + 1")
+    conditions = ", ".join(f"C{i}" for i in range(1, depth + 1))
+    locals_ = ", ".join(f"X{i}" for i in range(1, depth + 1))
+    return (
+        f"process CHAIN = ( ? integer X0; boolean {conditions}; ! integer Y; )\n"
+        "  (| " + "\n   | ".join(equations) + "\n   |)\n"
+        f"  where integer {locals_};\nend;"
+    )
+
+
+class TestNestingLimit:
+    """CPython rejects code indented past 99 levels; the Python emitter must
+    refuse such a step with a diagnostic instead of handing out (or storing)
+    text no client can load.  (Each chain costs seconds of clock resolution,
+    so the tests share compiles where they can.)"""
+
+    TOO_DEEP = _when_chain(95)
+
+    def test_deepest_loadable_chain_compiles_and_matches_the_interpreter(self):
+        result = compile_source(_when_chain(94))
+        generator = random.Random(7)
+
+        def oracle(signal):  # samplings mostly true, so deep signals occur
+            if signal.startswith("C"):
+                return generator.random() < 0.98
+            return generator.randint(-9, 9)
+
+        present = [{key: True for _, key, _ in result.executable.root_flags}] * 25
+        trace = ReactiveExecutor(result.executable).run(25, oracle, present)
+        assert any(step.outputs for step in trace)
+        interpreter = result.interpreter()
+        for step in trace:
+            expected = interpreter.step(step.inputs, present=step.observations.keys())
+            assert expected == step.observations
+
+    def test_too_deep_chain_is_a_codegen_error_on_every_path(self, tmp_path):
+        for compile_ in (compile_source, compile_modular_source):
+            with pytest.raises(CodeGenerationError, match=r"CHAIN.*clock h\d+"):
+                compile_(self.TOO_DEEP)
+
+        store = CompileStore(tmp_path)
+        daemon = CompilationDaemon(store=store)
+        for modular in (False, True):
+            response = daemon.handle_request(
+                {"op": "compile", "source": self.TOO_DEEP, "modular": modular}
+            )
+            assert response["error"]["code"] == "codegen-error"
+        # The modular miss kept the unit it compiled (its IR is sound); no
+        # whole-program record was written.
+        stored = [json.loads(path.read_text())["kind"] for path in tmp_path.glob("*.json")]
+        assert stored == ["unit"]
+        with pytest.raises(CodeGenerationError):
+            daemon.service.compile_record(self.TOO_DEEP, modular=True)
+
+        flat = GenerationStyle.FLAT
+        for result in (
+            compile_source(self.TOO_DEEP, style=flat),
+            daemon.service.compile_modular(self.TOO_DEEP, style=flat),
+        ):
+            roots = {key: True for _, key, _ in result.executable.root_flags}
+            inputs = {"X0": 4, **roots, **{f"C{i}": True for i in range(1, 96)}}
+            assert result.executable.step(inputs) == {"Y": 5}

@@ -1,5 +1,6 @@
 """The on-disk compile store: round-trips, corruption tolerance, rehydration."""
 
+import itertools
 import json
 
 import pytest
@@ -12,11 +13,18 @@ from repro.codegen.ir import build_step_ir
 from repro.codegen.python_backend import generate_python_source
 from repro.lang.parser import parse_process
 from repro.lang.kernel import normalize
-from repro.programs import ALARM_SOURCE, COUNTER_SOURCE
+from repro.programs import (
+    ALARM_SOURCE,
+    COUNTER_SOURCE,
+    benchmark_names,
+    benchmark_source,
+    fleet_sources,
+)
 from repro.runtime import ReactiveExecutor, random_oracle
-from repro.compiler import compile_unit_record
+from repro.compiler import compile_modular_source, compile_unit_record
 from repro.lang.units import split_units
-from repro.service import CompilationDaemon
+from repro.service import CompilationDaemon, CompilationService
+from repro.service.service import _process_worker_record
 from repro.service.store import (
     STORE_FORMAT,
     UNIT_STYLE,
@@ -593,3 +601,94 @@ class TestStepIRSharing:
         assert result.python_source(flat) == generate_python_source(ir)
         assert result.c_source(flat) == generate_c_source(ir)
         assert result.python_source(flat) != result.python_source()
+
+
+class TestRecordsRenderWithoutByteCompiling:
+    """A record carries Python text that only its clients ``exec``: no record
+    path byte-compiles it, while every API that hands out runnable code still
+    does, once per executable, before it returns."""
+
+    MEMBER = fleet_sources()[0]  # several units, so a modular compile links
+
+    @pytest.fixture
+    def instantiations(self, monkeypatch):
+        calls = []
+        original = python_backend._instantiate_step
+
+        def counting(source, name, observable):
+            calls.append(name)
+            return original(source, name, observable)
+
+        monkeypatch.setattr(compiler, "_instantiate_step", counting)
+        monkeypatch.setattr(python_backend, "_instantiate_step", counting)
+        return calls
+
+    @pytest.mark.parametrize("modular", [False, True])
+    @pytest.mark.parametrize("build_flat", [False, True])
+    @pytest.mark.parametrize("observable", [True, False])
+    def test_record_paths_byte_compile_nothing(
+        self, instantiations, modular, build_flat, observable
+    ):
+        record = CompilationService().compile_record(
+            self.MEMBER, build_flat=build_flat, observable=observable, modular=modular
+        )
+        worker_record, _ = _process_worker_record(
+            self.MEMBER, STYLE, build_flat, observable, {} if modular else None
+        )
+        assert instantiations == []
+        assert worker_record == record
+        executable_from_record(record).step({})  # the text still loads and runs
+        assert len(instantiations) == 1
+
+    @pytest.mark.parametrize("build_flat", [False, True])
+    def test_runnable_results_byte_compile_each_executable_once(
+        self, instantiations, build_flat
+    ):
+        service = CompilationService()
+        for compile_ in (
+            compile_source, compile_modular_source, service.compile, service.compile_modular
+        ):
+            del instantiations[:]
+            result = compile_(self.MEMBER, build_flat=build_flat)
+            assert len(instantiations) == 1 + build_flat, compile_
+            assert (result.executable_flat is not None) == build_flat
+            assert result.executable is result.executable
+            assert len(instantiations) == 1 + build_flat, compile_
+        del instantiations[:]
+        hit = service.compile(self.MEMBER, build_flat=build_flat)
+        assert (hit.executable_flat is not None) == build_flat
+        assert instantiations == []  # a hit re-instantiates the built classes
+
+
+#: (style, build_flat, observable): every combination of the record options
+_RECORD_OPTIONS = list(
+    itertools.product(GenerationStyle, (False, True), (True, False))
+)
+_FIG13_AND_FLEET = [benchmark_source(name) for name in benchmark_names()] + fleet_sources()
+
+
+@pytest.fixture(scope="module")
+def pooled_service():
+    service = CompilationService()
+    yield service
+    service.close()
+
+
+@pytest.mark.parametrize("modular", [False, True])
+def test_served_records_equal_records_of_runnable_results(pooled_service, modular):
+    """``compile_record`` inline and on worker processes serves exactly the
+    bytes of a fully compiled result's record.  The option combinations
+    rotate over the programs, so each mode meets all eight across Figure 13
+    and the reference fleet without paying for the full product."""
+    compile_ = compile_modular_source if modular else compile_source
+    inline = CompilationService()
+    for index, source in enumerate(_FIG13_AND_FLEET):
+        style, build_flat, observable = _RECORD_OPTIONS[(index + 4 * modular) % 8]
+        options = dict(style=style, build_flat=build_flat, observable=observable)
+        expected = record_from_result(
+            compile_(source, **options), style, build_flat=build_flat, observable=observable
+        )
+        assert inline.compile_record(source, modular=modular, **options) == expected
+        assert pooled_service.compile_record(
+            source, modular=modular, jobs=2, **options
+        ) == expected

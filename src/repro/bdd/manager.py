@@ -159,7 +159,7 @@ class BDDManager:
     FALSE = 0
     TRUE = 1
 
-    def __init__(self, max_nodes: Optional[int] = None, use_computed_cache: bool = True):
+    def __init__(self, max_nodes: Optional[int] = None):
         # Node storage: index -> (level, low, high).  Indices 0 and 1 are the
         # terminal nodes and use a sentinel level larger than any variable.
         self._nodes: List[Tuple[int, int, int]] = [
@@ -172,9 +172,6 @@ class BDDManager:
         self._var_names: List[str] = []
         self._name_to_level: Dict[str, int] = {}
         self.max_nodes = max_nodes
-        #: memoize ``ite`` calls; disabling this is only useful for the
-        #: cache-effect ablation benchmark
-        self.use_computed_cache = use_computed_cache
 
     _TERMINAL_LEVEL = 1 << 30
 
@@ -274,10 +271,9 @@ class BDDManager:
         if g == self.TRUE and h == self.FALSE:
             return f
         key = (f, g, h)
-        if self.use_computed_cache:
-            cached = self._ite_cache.get(key)
-            if cached is not None:
-                return cached
+        cached = self._ite_cache.get(key)
+        if cached is not None:
+            return cached
         # Cofactors with respect to the top variable: an operand that does
         # not test it is its own cofactor on both sides.
         nodes = self._nodes
@@ -294,8 +290,7 @@ class BDDManager:
         high = self._ite(f_high, g_high, h_high)
         low = self._ite(f_low, g_low, h_low)
         result = self._mk(level, low, high)
-        if self.use_computed_cache:
-            self._ite_cache[key] = result
+        self._ite_cache[key] = result
         return result
 
     def ite(self, f: BDD, g: BDD, h: BDD) -> BDD:
@@ -322,9 +317,10 @@ class BDDManager:
         A memoized Shannon walk over pairs of cofactors that stops at the
         first pair where ``f`` can hold and ``g`` cannot; it creates no node.
         """
-        return self._implies(f.ref, g.ref)
+        return self.implies_ref(f.ref, g.ref)
 
-    def _implies(self, f: int, g: int) -> bool:
+    def implies_ref(self, f: int, g: int) -> bool:
+        """:meth:`implies` on node references."""
         if f == g or f == self.FALSE or g == self.TRUE:
             return True
         if f == self.TRUE or g == self.FALSE:
@@ -339,7 +335,7 @@ class BDDManager:
             g_low = g_high = g
         elif g_level < f_level:
             f_low = f_high = f
-        result = self._implies(f_low, g_low) and self._implies(f_high, g_high)
+        result = self.implies_ref(f_low, g_low) and self.implies_ref(f_high, g_high)
         self._implies_cache[key] = result
         return result
 

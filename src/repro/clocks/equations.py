@@ -54,8 +54,10 @@ __all__ = ["ClockEquation", "ClockSystem", "extract_clock_system"]
 class ClockEquation:
     """An (unoriented) equation ``left = right`` between clock formulas.
 
-    ``origin`` records the kernel process (or the string ``"partition"``)
-    the equation was extracted from; it is used for diagnostics only.
+    ``origin`` is the text of the kernel process the equation was extracted
+    from, or ``"partition"`` for the ``[C] ∨ [¬C] = ĉ`` and ``[C] ∧ [¬C] = Ô``
+    constraints; only ``"partition"`` is ever read (the resolver skips those
+    equations, which the BDD encoding represents structurally).
     """
 
     left: ClockExpr

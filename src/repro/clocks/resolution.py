@@ -142,12 +142,11 @@ class ClockClass:
         """A short, stable, human-readable name for the class."""
         if self.is_null:
             return "O"
-        signal_atoms = sorted(str(a) for a in self.atoms if isinstance(a, SignalClock))
+        signal_atoms = [str(a) for a in self.atoms if isinstance(a, SignalClock)]
         if signal_atoms:
-            return signal_atoms[0]
-        sampled = sorted(str(a) for a in self.atoms)
-        if sampled:
-            return sampled[0]
+            return min(signal_atoms)
+        if self.atoms:
+            return min(str(a) for a in self.atoms)
         return f"k{self.id}"
 
     def presence_name(self) -> str:
@@ -190,7 +189,7 @@ class ClockHierarchy:
         system: ClockSystem,
         manager: BDDManager,
         classes: List[ClockClass],
-        atom_to_class: Dict[ClockAtom, ClockClass],
+        class_of: Dict[Tuple[type, str], ClockClass],
         forest: ClockForest,
         value_encoder: ValueEncoder,
         placement_order: List[ClockClass],
@@ -203,17 +202,21 @@ class ClockHierarchy:
         self.value_encoder = value_encoder
         self.placement_order = placement_order
         self.unresolved = unresolved
-        self._atom_to_class = atom_to_class
+        #: the class of every clock variable, keyed by (atom type, signal)
+        self._class_of = class_of
 
     # -- lookups ------------------------------------------------------------
     def class_of_atom(self, atom: ClockAtom) -> ClockClass:
         try:
-            return self._atom_to_class[atom]
-        except KeyError:
+            return self._class_of[(atom.__class__, atom.signal)]  # type: ignore[union-attr]
+        except (KeyError, AttributeError):
             raise ClockCalculusError(f"unknown clock {atom}") from None
 
     def class_of_signal(self, name: str) -> ClockClass:
-        return self.class_of_atom(SignalClock(name))
+        try:
+            return self._class_of[(SignalClock, name)]
+        except KeyError:
+            raise ClockCalculusError(f"unknown clock {SignalClock(name)}") from None
 
     @property
     def null_class(self) -> Optional[ClockClass]:
@@ -310,58 +313,30 @@ class ClockHierarchy:
 # ---------------------------------------------------------------------------
 
 
-class _UnionFind:
-    """Union-find over hashable keys with deterministic representative choice."""
-
-    def __init__(self) -> None:
-        self._parent: Dict[object, object] = {}
-
-    def add(self, key: object) -> None:
-        self._parent.setdefault(key, key)
-
-    def find(self, key: object) -> object:
-        self.add(key)
-        root = key
-        while self._parent[root] != root:
-            root = self._parent[root]
-        # Path compression.
-        while self._parent[key] != root:
-            self._parent[key], key = root, self._parent[key]
-        return root
-
-    def union(self, first: object, second: object) -> None:
-        root_first = self.find(first)
-        root_second = self.find(second)
-        if root_first != root_second:
-            self._parent[root_second] = root_first
-
-    def keys(self) -> List[object]:
-        return list(self._parent.keys())
+#: the clock variables of an equation
+_ATOMS = (SignalClock, CondTrue, CondFalse, NullClock)
 
 
 class ArborescentResolver:
     """Performs the arborescent resolution of a clock system.
 
-    ``deepest_insertion`` selects the canonical factorization of Figure 12
-    (formulas inserted under their *deepest* admissible parent, with fusion
-    of trees).  Setting it to ``False`` falls back to a naive insertion
-    directly under a root; this is only meant for the insertion-depth
-    ablation benchmark.
+    Formulas are inserted under their *deepest* admissible parent, with
+    fusion of trees: the canonical factorization of Figure 12.
     """
 
-    def __init__(
-        self,
-        system: ClockSystem,
-        manager: Optional[BDDManager] = None,
-        deepest_insertion: bool = True,
-    ):
+    def __init__(self, system: ClockSystem, manager: Optional[BDDManager] = None):
         self.system = system
-        self.deepest_insertion = deepest_insertion
         self.manager = manager if manager is not None else BDDManager()
         self.value_encoder = ValueEncoder(self.manager, system.program, system.types)
-        self._union = _UnionFind()
         self._classes: List[ClockClass] = []
-        self._atom_to_class: Dict[ClockAtom, ClockClass] = {}
+        #: the class of every clock variable, keyed by (atom type, signal):
+        #: the key hashes and compares in C, where an atom's methods are Python
+        self._class_of: Dict[Tuple[type, str], ClockClass] = {}
+        #: per class id, the class of each partition candidate's condition
+        #: signal (None when it has none) and the operand classes of each
+        #: formula candidate, as the classes stand before any merge
+        self._partition_parents: List[List[Optional[ClockClass]]] = []
+        self._formula_operands: List[List[List[ClockClass]]] = []
         self._placement_order: List[ClockClass] = []
         self._unresolved: List[UnresolvedConstraint] = []
 
@@ -378,7 +353,7 @@ class ArborescentResolver:
             system=self.system,
             manager=self.manager,
             classes=canonical_classes,
-            atom_to_class=self._atom_to_class,
+            class_of=self._class_of,
             forest=forest,
             value_encoder=self.value_encoder,
             placement_order=canonical_order,
@@ -386,19 +361,39 @@ class ArborescentResolver:
         )
 
     # -- step 1: equivalence classes ----------------------------------------------
-    def _is_atom(self, expression: ClockExpr) -> bool:
-        return isinstance(expression, (SignalClock, CondTrue, CondFalse, NullClock))
-
     def _build_classes(self) -> None:
         program = self.system.program
 
-        # Seed the union-find with every clock variable of the system.
-        self._union.add(NullClock())
+        # A union-find over the indices of the clock variables, seeded with
+        # every clock variable of the system.  Indices are looked up by
+        # (type, signal), which hashes and compares in C.
+        atoms: List[ClockExpr] = []
+        index: Dict[Tuple[type, str], int] = {}
+        parent: List[int] = []
+
+        def index_of(atom: ClockExpr) -> int:
+            key = (atom.__class__, "" if isinstance(atom, NullClock) else atom.signal)
+            position = index.get(key)
+            if position is None:
+                position = index[key] = len(atoms)
+                atoms.append(atom)
+                parent.append(position)
+            return position
+
+        def find(position: int) -> int:
+            root = position
+            while parent[root] != root:
+                root = parent[root]
+            while parent[position] != root:  # path compression
+                parent[position], position = root, parent[position]
+            return root
+
+        index_of(NullClock())
         for name in program.signals:
-            self._union.add(SignalClock(name))
+            index_of(SignalClock(name))
         for name in self.system.boolean_signals:
-            self._union.add(CondTrue(name))
-            self._union.add(CondFalse(name))
+            index_of(CondTrue(name))
+            index_of(CondFalse(name))
 
         definitional: List[Tuple[ClockAtom, ClockExpr]] = []
 
@@ -408,53 +403,61 @@ class ArborescentResolver:
                 # encoding ([C] = ĉ ∧ value, [¬C] = ĉ ∧ ¬value).
                 continue
             left, right = equation.left, equation.right
-            if self._is_atom(left) and self._is_atom(right):
-                self._union.union(left, right)
-            elif self._is_atom(left):
+            if isinstance(left, _ATOMS) and isinstance(right, _ATOMS):
+                root_left = find(index_of(left))
+                root_right = find(index_of(right))
+                if root_left != root_right:
+                    parent[root_right] = root_left
+            elif isinstance(left, _ATOMS):
                 definitional.append((left, right))
-            elif self._is_atom(right):
+            elif isinstance(right, _ATOMS):
                 definitional.append((right, left))
             else:  # pragma: no cover - Table 1 never produces this shape
                 raise ClockCalculusError(
                     f"unsupported clock equation shape: {equation}"
                 )
 
-        # Group atoms into classes.
-        representative_to_class: Dict[object, ClockClass] = {}
-        for key in self._union.keys():
-            representative = self._union.find(key)
-            clock_class = representative_to_class.get(representative)
+        # Group atoms into classes, numbered in order of their first atom.
+        class_of_root: Dict[int, ClockClass] = {}
+        for key, position in index.items():
+            atom = atoms[position]
+            root = find(position)
+            clock_class = class_of_root.get(root)
             if clock_class is None:
-                clock_class = ClockClass(id=len(self._classes))
-                representative_to_class[representative] = clock_class
+                clock_class = class_of_root[root] = ClockClass(id=len(self._classes))
                 self._classes.append(clock_class)
-            if isinstance(key, NullClock):
+            if isinstance(atom, NullClock):
                 clock_class.is_null = True
             else:
-                clock_class.atoms.append(key)  # type: ignore[arg-type]
-                self._atom_to_class[key] = clock_class  # type: ignore[index]
-
-        # Attach candidate definitions to classes.
-        for clock_class in self._classes:
-            for atom in clock_class.atoms:
-                if isinstance(atom, CondTrue):
-                    clock_class.partition_candidates.append((atom.signal, True))
-                elif isinstance(atom, CondFalse):
-                    clock_class.partition_candidates.append((atom.signal, False))
+                clock_class.atoms.append(atom)  # type: ignore[arg-type]
+                self._class_of[key] = clock_class
 
         for atom, formula in definitional:
-            clock_class = self._atom_to_class[atom]
-            clock_class.formula_candidates.append(formula)
+            self._class_of[(atom.__class__, atom.signal)].formula_candidates.append(formula)
+
+        # Attach candidate definitions to classes, with the classes they read.
+        for clock_class in self._classes:
+            parents: List[Optional[ClockClass]] = []
+            for atom in clock_class.atoms:
+                if isinstance(atom, (CondTrue, CondFalse)):
+                    clock_class.partition_candidates.append(
+                        (atom.signal, isinstance(atom, CondTrue))
+                    )
+                    parents.append(self._class_of.get((SignalClock, atom.signal)))
+            self._partition_parents.append(parents)
+            self._formula_operands.append(
+                [self._class_of_expr_atoms(f) for f in clock_class.formula_candidates]
+            )
 
     # -- step 2: placement (orientation of the equations) -----------------------------
     def _class_of_expr_atoms(self, formula: ClockExpr) -> List[ClockClass]:
-        return [self._atom_to_class[a] for a in clock_atoms(formula)]
+        return [self._class_of[(a.__class__, a.signal)] for a in clock_atoms(formula)]
 
     def _encode_formula(self, formula: ClockExpr) -> BDD:
         if isinstance(formula, NullClock):
             return self.manager.false
         if isinstance(formula, (SignalClock, CondTrue, CondFalse)):
-            clock_class = self._atom_to_class[formula]
+            clock_class = self._class_of[(formula.__class__, formula.signal)]
             assert clock_class.bdd is not None
             return clock_class.bdd
         if isinstance(formula, Meet):
@@ -473,8 +476,9 @@ class ArborescentResolver:
             return True
 
         # Prefer a partition definition: it yields the natural tree structure.
+        parents = self._partition_parents[clock_class.id]
         for index, (condition, polarity) in enumerate(clock_class.partition_candidates):
-            parent_class = self._atom_to_class.get(SignalClock(condition))
+            parent_class = parents[index]
             if parent_class is None or parent_class is clock_class:
                 continue
             if parent_class.bdd is None:
@@ -487,8 +491,9 @@ class ArborescentResolver:
             clock_class.used_candidate = ("p", index)
             return True
 
+        operands = self._formula_operands[clock_class.id]
         for index, formula in enumerate(clock_class.formula_candidates):
-            operand_classes = self._class_of_expr_atoms(formula)
+            operand_classes = operands[index]
             if any(c is clock_class for c in operand_classes):
                 continue  # self-referential: cannot be oriented directly
             if any(c.bdd is None for c in operand_classes):
@@ -511,6 +516,7 @@ class ArborescentResolver:
     def _choose_victim(self, unplaced: List[ClockClass]) -> ClockClass:
         """Pick the class to assume free when orientation is stuck on a cycle.
 
+        ``unplaced`` is in the sorted processing order of the placement.
         The preferred victim is a class that can *never* be oriented: all of
         its candidate definitions refer back to the class itself (the
         ``ĉ = [D] ∨ [C1] ∨ ĉ`` situation of Section 3.3 -- typically the
@@ -521,52 +527,35 @@ class ArborescentResolver:
         exists (a genuine mutual cycle between distinct clocks).
         """
 
-        def formula_is_self_referential(clock_class: ClockClass, formula) -> bool:
-            return any(c is clock_class for c in self._class_of_expr_atoms(formula))
-
-        def partition_is_self_referential(clock_class: ClockClass, condition: str) -> bool:
-            parent = self._atom_to_class.get(SignalClock(condition))
-            return parent is None or parent is clock_class
+        def self_referential_formulas(clock_class: ClockClass) -> List[bool]:
+            return [
+                any(c is clock_class for c in operand_classes)
+                for operand_classes in self._formula_operands[clock_class.id]
+            ]
 
         def only_self_referential(clock_class: ClockClass) -> bool:
-            has_candidate = False
-            for condition, _polarity in clock_class.partition_candidates:
-                has_candidate = True
-                if not partition_is_self_referential(clock_class, condition):
-                    return False
-            for formula in clock_class.formula_candidates:
-                has_candidate = True
-                if not formula_is_self_referential(clock_class, formula):
-                    return False
-            return has_candidate
+            parents = self._partition_parents[clock_class.id]
+            if any(p is not None and p is not clock_class for p in parents):
+                return False
+            formulas = self_referential_formulas(clock_class)
+            return all(formulas) and bool(parents or formulas)
 
-        def has_self_referential_formula(clock_class: ClockClass) -> bool:
-            return any(
-                formula_is_self_referential(clock_class, formula)
-                for formula in clock_class.formula_candidates
-            )
-
-        ordered = sorted(unplaced, key=lambda c: (c.display_name(), c.id))
-        for clock_class in ordered:
+        for clock_class in unplaced:
             if only_self_referential(clock_class):
                 return clock_class
-        for clock_class in ordered:
-            if has_self_referential_formula(clock_class):
+        for clock_class in unplaced:
+            if any(self_referential_formulas(clock_class)):
                 return clock_class
-        for clock_class in ordered:
+        for clock_class in unplaced:
             if clock_class.formula_candidates:
                 return clock_class
-        return ordered[0]
+        return unplaced[0]
 
     def _read_classes(self, clock_class: ClockClass) -> List[ClockClass]:
         """The classes whose placement can let :meth:`_try_place` succeed."""
-        read: List[ClockClass] = []
-        for condition, _polarity in clock_class.partition_candidates:
-            parent_class = self._atom_to_class.get(SignalClock(condition))
-            if parent_class is not None:
-                read.append(parent_class)
-        for formula in clock_class.formula_candidates:
-            read.extend(self._class_of_expr_atoms(formula))
+        read = [p for p in self._partition_parents[clock_class.id] if p is not None]
+        for operand_classes in self._formula_operands[clock_class.id]:
+            read.extend(operand_classes)
         return read
 
     def _place_classes(self) -> None:
@@ -652,7 +641,7 @@ class ArborescentResolver:
             if clock_class.is_null:
                 canonical.is_null = True
             for atom in clock_class.atoms:
-                self._atom_to_class[atom] = canonical
+                self._class_of[(atom.__class__, atom.signal)] = canonical
 
     # -- step 3: verification of the deferred equations ---------------------------------
     def _verify_obligations(self) -> None:
@@ -661,7 +650,7 @@ class ArborescentResolver:
             for index, (condition, polarity) in enumerate(clock_class.partition_candidates):
                 if clock_class.used_candidate == ("p", index):
                     continue
-                parent_class = self._atom_to_class.get(SignalClock(condition))
+                parent_class = self._class_of.get((SignalClock, condition))
                 if parent_class is None or parent_class.bdd is None:
                     continue
                 value = self.value_encoder.value_of(condition)
@@ -728,49 +717,14 @@ class ArborescentResolver:
                 continue
             node = ClockNode(clock_class)
             clock_class.node = node
-            if self.deepest_insertion:
-                parent = self._deepest_admissible_parent(forest, clock_class, exclude=node)
-            else:
-                parent = self._shallowest_admissible_parent(forest, clock_class)
+            parent = self._deepest_admissible_parent(forest, clock_class, exclude=node)
             if parent is None:
                 forest.add_root(node)
             else:
                 parent.add_child(node)
 
-        if self.deepest_insertion:
-            self._fusion_pass(forest)
-        else:
-            self._naive_attach_pass(forest)
+        self._fusion_pass(forest)
         return forest
-
-    def _shallowest_admissible_parent(
-        self, forest: ClockForest, clock_class: ClockClass
-    ) -> Optional[ClockNode]:
-        """Naive insertion: attach the formula under an including free root."""
-        assert clock_class.bdd is not None
-        for root in forest.roots:
-            if not isinstance(root.clock_class.definition, FreeDefinition):
-                continue
-            other = root.clock_class.bdd
-            if other is not None and clock_class.bdd.implies(other):
-                return root
-        return None
-
-    def _naive_attach_pass(self, forest: ClockForest) -> None:
-        """Hook formula-defined provisional roots directly under a free root.
-
-        This is the non-canonical counterpart of the fusion pass, used only
-        by the insertion-depth ablation: subtrees are attached as shallow as
-        possible (directly under an including free root) instead of under
-        their deepest admissible parent.
-        """
-        for node in list(forest.roots):
-            if not isinstance(node.clock_class.definition, FormulaDefinition):
-                continue
-            parent = self._shallowest_admissible_parent(forest, node.clock_class)
-            if parent is not None and parent is not node:
-                forest.roots.remove(node)
-                parent.add_child(node)
 
     def _deepest_admissible_parent(
         self,
@@ -786,8 +740,9 @@ class ArborescentResolver:
         such subtrees.  The subtree of ``exclude`` is skipped; among the
         deepest candidates the first one visited wins.
         """
-        bdd = clock_class.bdd
-        assert bdd is not None
+        assert clock_class.bdd is not None
+        ref = clock_class.bdd.ref
+        implies = self.manager.implies_ref
         best: Optional[ClockNode] = None
         best_depth = -1
         stack = [(root, 0) for root in reversed(forest.roots)]
@@ -797,7 +752,7 @@ class ArborescentResolver:
                 continue
             other = node.clock_class.bdd
             if node.clock_class is not clock_class and other is not None:
-                if not bdd.implies(other):
+                if not implies(ref, other.ref):
                     continue
                 if depth > best_depth:
                     best = node
@@ -840,12 +795,6 @@ class ArborescentResolver:
                     moved = True
 
 
-def resolve(
-    system: ClockSystem,
-    manager: Optional[BDDManager] = None,
-    deepest_insertion: bool = True,
-) -> ClockHierarchy:
+def resolve(system: ClockSystem, manager: Optional[BDDManager] = None) -> ClockHierarchy:
     """Triangularize ``system`` and build its clock hierarchy."""
-    return ArborescentResolver(
-        system, manager, deepest_insertion=deepest_insertion
-    ).resolve()
+    return ArborescentResolver(system, manager).resolve()

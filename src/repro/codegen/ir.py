@@ -15,6 +15,7 @@ following the clock tree so that absent subtrees are skipped entirely
 from __future__ import annotations
 
 import enum
+import heapq
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
@@ -466,64 +467,94 @@ class _HierarchicalBuilder:
         self.schedule = builder.schedule
         self.hierarchy = builder.hierarchy
         self.forest = self.hierarchy.forest
-        self._rank = {action: index for index, action in enumerate(self.schedule.actions)}
+        # Schedule positions; an action the schedule lacks ranks last.
+        self._unranked = len(self.schedule.actions)
+        self._signal_rank: Dict[str, int] = {}
+        self._clock_rank: Dict[int, int] = {}
+        for index, action in enumerate(self.schedule.actions):
+            if isinstance(action, ComputeSignal):
+                self._signal_rank[action.signal] = index
+            else:
+                self._clock_rank[action.class_id] = index
         # Signals grouped by the tree node of their clock class.
         self.node_signals: Dict[int, List[str]] = {}
         for signal, clock_class in self.schedule.signal_class.items():
             self.node_signals.setdefault(clock_class.id, []).append(signal)
+        signal_rank = self._signal_rank.get
         for signals in self.node_signals.values():
-            signals.sort(key=self._signal_rank)
-        self._index_subtrees()
+            signals.sort(key=lambda signal: signal_rank(signal, self._unranked))
+        self._index_forest()
 
-    def _signal_rank(self, signal: str) -> int:
-        return self._action_rank(ComputeSignal(signal))
+    def _index_forest(self) -> None:
+        """Find every node's local ordering constraints in one pass.
 
-    def _action_rank(self, action: Action) -> int:
-        return self._rank.get(action, len(self._rank))
-
-    def _index_subtrees(self) -> None:
-        """Index every subtree's actions and least clock rank in one pass.
-
-        The forest's actions are laid out in pre-order, each node's clock
-        followed by the signals computed at it, so a subtree's actions are
-        one slice of that list.  Reverse pre-order reaches every node after
-        its descendants, which sizes the slices and takes the least clock
-        rank bottom-up.  Both are keyed by clock class id.
+        A node's items are its signals, then its children; the forest is a
+        virtual node whose items are the roots.  A scheduling constraint
+        ``before -> after`` orders two items of exactly one node, the lowest
+        common ancestor of the nodes computing its two actions: above it
+        both fall in one child, below it they do not meet.  So each
+        constraint climbs from its two nodes to that ancestor, tracking the
+        item each side arrives through, and is kept there unless one side is
+        the ancestor's own clock (not an item).  Nodes are numbered in
+        pre-order, the virtual node last; the least clock rank of every
+        subtree, an item's rank, is taken bottom-up.
         """
         nodes = list(self.forest.iter_nodes())
-        actions: List[Action] = []
-        starts: List[int] = []
-        for node in nodes:
+        virtual = len(nodes)
+        position = {node.clock_class.id: index for index, node in enumerate(nodes)}
+        parent = [virtual] * (virtual + 1)
+        depth = [0] * virtual + [-1]
+        #: the item index of each node among its parent's items
+        item_in_parent = [0] * virtual
+        #: (node, item index there; -1 for the node's clock) of every action
+        where: Dict[Action, Tuple[int, int]] = {}
+        for index, child in enumerate(self.forest.roots):
+            item_in_parent[position[child.clock_class.id]] = index
+        for index, node in enumerate(nodes):
             class_id = node.clock_class.id
-            starts.append(len(actions))
-            actions.append(ComputeClock(class_id))
-            actions.extend(
-                ComputeSignal(signal) for signal in self.node_signals.get(class_id, ())
-            )
-        starts.append(len(actions))
-        size: Dict[int, int] = {}
-        self._actions = actions
-        self._span: Dict[int, Tuple[int, int]] = {}
-        self._least_clock_rank: Dict[int, int] = {}
-        for position in range(len(nodes) - 1, -1, -1):
-            node = nodes[position]
-            class_id = node.clock_class.id
-            least = self._action_rank(actions[starts[position]])
-            count = 1
+            signals = self.node_signals.get(class_id, ())
+            where[ComputeClock(class_id)] = (index, -1)
+            for item, signal in enumerate(signals):
+                where[ComputeSignal(signal)] = (index, item)
+            for item, child in enumerate(node.children, start=len(signals)):
+                child_index = position[child.clock_class.id]
+                parent[child_index] = index
+                depth[child_index] = depth[index] + 1
+                item_in_parent[child_index] = item
+
+        self._position = position
+        self._edges: List[Set[Tuple[int, int]]] = [set() for _ in range(virtual + 1)]
+        for action, prerequisites in self.schedule.prerequisites.items():
+            target = where.get(action)
+            if target is None:
+                continue
+            for prerequisite in prerequisites:
+                source = where.get(prerequisite)
+                if source is None:
+                    continue
+                (before, before_item), (after, after_item) = source, target
+                while depth[before] > depth[after]:
+                    before_item, before = item_in_parent[before], parent[before]
+                while depth[after] > depth[before]:
+                    after_item, after = item_in_parent[after], parent[after]
+                while before != after:
+                    before_item, before = item_in_parent[before], parent[before]
+                    after_item, after = item_in_parent[after], parent[after]
+                if before_item >= 0 and after_item >= 0 and before_item != after_item:
+                    self._edges[before].add((before_item, after_item))
+
+        self._least_clock_rank = [0] * virtual
+        for index in range(virtual - 1, -1, -1):
+            node = nodes[index]
+            least = self._clock_rank.get(node.clock_class.id, self._unranked)
             for child in node.children:
-                child_id = child.clock_class.id
-                count += size[child_id]
-                least = min(least, self._least_clock_rank[child_id])
-            size[class_id] = count
-            self._least_clock_rank[class_id] = least
-            self._span[class_id] = (starts[position], starts[position + count])
+                least = min(least, self._least_clock_rank[position[child.clock_class.id]])
+            self._least_clock_rank[index] = least
 
     # -- emission --------------------------------------------------------------------------
     def build(self) -> List[Stmt]:
-        # Treat the forest as a single virtual node whose children are the roots.
-        local_edges, items = self._local_items(self.forest.roots, [])
         statements: List[Stmt] = []
-        for kind, payload in self._order_items(items, local_edges, node_label="<forest>"):
+        for kind, payload in self._local_order(None):
             assert kind == "child"
             root_node = payload
             clock_class = root_node.clock_class
@@ -536,12 +567,8 @@ class _HierarchicalBuilder:
         return statements
 
     def _emit_node(self, node: ClockNode) -> List[Stmt]:
-        signals = self.node_signals.get(node.clock_class.id, [])
-        local_edges, items = self._local_items(node.children, signals)
         body: List[Stmt] = []
-        for kind, payload in self._order_items(
-            items, local_edges, node_label=node.clock_class.display_name()
-        ):
+        for kind, payload in self._local_order(node):
             if kind == "signal":
                 body.extend(self.builder.signal_statements(payload))
             else:
@@ -573,62 +600,53 @@ class _HierarchicalBuilder:
         return recorded.id == parent_class.id
 
     # -- local ordering ------------------------------------------------------------------------
-    def _local_items(self, children: Sequence[ClockNode], signals: Sequence[str]):
+    def _local_order(self, node: Optional[ClockNode]) -> List[Tuple[str, object]]:
+        """The items of ``node`` (None: the forest) in emission order.
+
+        Kahn's algorithm over the node's constraints, taking among the ready
+        items the one of least rank (then least index) first.
+        """
+        if node is None:
+            signals: Sequence[str] = ()
+            children = self.forest.roots
+            edges = self._edges[-1]
+        else:
+            signals = self.node_signals.get(node.clock_class.id, ())
+            children = node.children
+            edges = self._edges[self._position[node.clock_class.id]]
         items: List[Tuple[str, object]] = [("signal", s) for s in signals]
         items += [("child", c) for c in children]
+        if len(items) < 2:
+            return items
+        rank = [self._signal_rank.get(s, self._unranked) for s in signals]
+        rank += [self._least_clock_rank[self._position[c.clock_class.id]] for c in children]
 
-        # Map every action under this node to the index of its item.
-        action_item: Dict[Action, int] = {}
-        for index, signal in enumerate(signals):
-            action_item[ComputeSignal(signal)] = index
-        for index, child in enumerate(children, start=len(signals)):
-            start, end = self._span[child.clock_class.id]
-            action_item.update(dict.fromkeys(self._actions[start:end], index))
-
-        # Only the prerequisites of actions under this node can give an edge.
-        edges: Set[Tuple[int, int]] = set()
-        for action, target in action_item.items():
-            for prerequisite in self.schedule.prerequisites.get(action, ()):
-                source = action_item.get(prerequisite)
-                if source is not None and source != target:
-                    edges.add((source, target))
-        return edges, items
-
-    def _order_items(
-        self,
-        items: List[Tuple[str, object]],
-        edges: Set[Tuple[int, int]],
-        node_label: str,
-    ) -> List[Tuple[str, object]]:
-        count = len(items)
-        prerequisites: Dict[int, Set[int]] = {i: set() for i in range(count)}
+        dependents: List[List[int]] = [[] for _ in items]
+        waiting = [0] * len(items)
         for source, target in edges:
-            prerequisites[target].add(source)
-
-        def item_rank(index: int) -> int:
-            kind, payload = items[index]
-            if kind == "signal":
-                return self._action_rank(ComputeSignal(payload))
-            return self._least_clock_rank[payload.clock_class.id]
-
-        rank = [item_rank(index) for index in range(count)]
-        remaining = set(range(count))
-        ordered: List[int] = []
-        while remaining:
-            ready = [i for i in remaining if not (prerequisites[i] & remaining)]
-            if not ready:
-                names = ", ".join(
-                    items[i][1] if items[i][0] == "signal" else items[i][1].clock_class.display_name()
-                    for i in sorted(remaining)
-                )
-                raise CodeGenerationError(
-                    "cannot nest code for clock "
-                    f"{node_label}: interleaved dependencies between {names}"
-                )
-            chosen = min(ready, key=rank.__getitem__)
-            remaining.remove(chosen)
-            ordered.append(chosen)
-        return [items[i] for i in ordered]
+            dependents[source].append(target)
+            waiting[target] += 1
+        ready = [(rank[index], index) for index in range(len(items)) if not waiting[index]]
+        heapq.heapify(ready)
+        ordered: List[Tuple[str, object]] = []
+        while ready:
+            _, chosen = heapq.heappop(ready)
+            ordered.append(items[chosen])
+            for dependent in dependents[chosen]:
+                waiting[dependent] -= 1
+                if not waiting[dependent]:
+                    heapq.heappush(ready, (rank[dependent], dependent))
+        if len(ordered) < len(items):
+            names = ", ".join(
+                payload if kind == "signal" else payload.clock_class.display_name()
+                for (kind, payload), left in zip(items, waiting)
+                if left
+            )
+            label = "<forest>" if node is None else node.clock_class.display_name()
+            raise CodeGenerationError(
+                f"cannot nest code for clock {label}: interleaved dependencies between {names}"
+            )
+        return ordered
 
 
 # ---------------------------------------------------------------------------

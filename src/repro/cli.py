@@ -71,7 +71,7 @@ import json
 import random
 import sys
 import time
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from .codegen.ir import GenerationStyle
 from .compiler import compile_source
@@ -604,61 +604,13 @@ def run_simulate(argv: List[str]) -> int:
             file=sys.stderr,
         )
 
-    schedules = [
-        random_input_schedule(
-            types,
-            inputs,
-            root_flags,
-            steps=arguments.ticks,
-            seed=random.Random(f"{arguments.seed}:{index}"),
-        )
-        for index in range(arguments.instances)
-    ]
-    presence = {}
-    started = time.perf_counter()
-    for tick in range(arguments.ticks):
-        record_tick = simulation.step(
-            [schedules[index][tick] for index in range(arguments.instances)]
-        )
-        for outputs in record_tick:
-            for signal in outputs:
-                presence[signal] = presence.get(signal, 0) + 1
-    elapsed = time.perf_counter() - started
+    def run(schedules):
+        for tick in range(arguments.ticks):
+            yield from simulation.step([schedule[tick] for schedule in schedules])
 
-    instance_steps = arguments.instances * arguments.ticks
-    if arguments.json:
-        print(
-            json.dumps(
-                {
-                    "name": name,
-                    "backend": simulation.backend,
-                    "instances": arguments.instances,
-                    "ticks": arguments.ticks,
-                    "instance_steps": instance_steps,
-                    "seed": arguments.seed,
-                    "outputs": {
-                        signal: presence.get(signal, 0) for signal in sorted(presence)
-                    },
-                },
-                indent=2,
-                sort_keys=True,
-            )
-        )
-    else:
-        rate = instance_steps / elapsed if elapsed > 0 else float("inf")
-        print(
-            f"process {name}: {arguments.instances} instance(s) x "
-            f"{arguments.ticks} tick(s), backend {simulation.backend}"
-        )
-        print(
-            f"  {instance_steps} instance-steps in {elapsed * 1000.0:.1f} ms "
-            f"({rate:,.0f}/s)"
-        )
-        for signal in sorted(presence):
-            print(f"  {signal}: present {presence[signal]}/{instance_steps}")
-        if not presence:
-            print("  (no output was ever present)")
-    return 0
+    return _simulate_population(
+        arguments, name, simulation.backend, types, inputs, root_flags, run
+    )
 
 
 def _run_simulate_distributed(arguments) -> int:
@@ -677,51 +629,78 @@ def _run_simulate_distributed(arguments) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 1
 
-    reference = distributed.reference
-    executable = reference.executable_flat if arguments.flat else reference.executable
-    presence = {}
-    started = time.perf_counter()
-    for index in range(arguments.instances):
-        schedule = random_input_schedule(
-            reference.types,
-            list(executable.inputs),
-            list(executable.root_flags),
+    reference = distributed.reference  # compiled in the requested style
+
+    def run(schedules):
+        for schedule in schedules:
+            yield from distributed.run(schedule)
+
+    locations = distributed.locations
+    return _simulate_population(
+        arguments,
+        reference.name,
+        "distributed",
+        reference.types,
+        list(reference.executable.inputs),
+        list(reference.executable.root_flags),
+        run,
+        details={
+            "locations": locations,
+            "channels": len(distributed.partitioned.channels),
+        },
+        backend_note=f" ({len(locations)} location(s): {', '.join(locations)})",
+    )
+
+
+def _simulate_population(
+    arguments,
+    name: str,
+    backend: str,
+    types,
+    inputs: List[str],
+    root_flags: list,
+    run,
+    details: Optional[dict] = None,
+    backend_note: str = "",
+) -> int:
+    """Step one random input schedule per instance and print how often each
+    output was present, as text or (``--json``) as a summary merged with
+    ``details``.  ``run(schedules)`` yields the outputs of every step."""
+    schedules = [
+        random_input_schedule(
+            types,
+            inputs,
+            root_flags,
             steps=arguments.ticks,
             seed=random.Random(f"{arguments.seed}:{index}"),
         )
-        for outputs in distributed.run(schedule):
-            for signal in outputs:
-                presence[signal] = presence.get(signal, 0) + 1
+        for index in range(arguments.instances)
+    ]
+    presence: Dict[str, int] = {}
+    started = time.perf_counter()
+    for outputs in run(schedules):
+        for signal in outputs:
+            presence[signal] = presence.get(signal, 0) + 1
     elapsed = time.perf_counter() - started
 
     instance_steps = arguments.instances * arguments.ticks
     if arguments.json:
-        print(
-            json.dumps(
-                {
-                    "name": reference.name,
-                    "backend": "distributed",
-                    "locations": distributed.locations,
-                    "channels": len(distributed.partitioned.channels),
-                    "instances": arguments.instances,
-                    "ticks": arguments.ticks,
-                    "instance_steps": instance_steps,
-                    "seed": arguments.seed,
-                    "outputs": {
-                        signal: presence.get(signal, 0) for signal in sorted(presence)
-                    },
-                },
-                indent=2,
-                sort_keys=True,
-            )
-        )
+        summary = {
+            "name": name,
+            "backend": backend,
+            "instances": arguments.instances,
+            "ticks": arguments.ticks,
+            "instance_steps": instance_steps,
+            "seed": arguments.seed,
+            "outputs": {signal: presence[signal] for signal in sorted(presence)},
+            **(details or {}),
+        }
+        print(json.dumps(summary, indent=2, sort_keys=True))
     else:
         rate = instance_steps / elapsed if elapsed > 0 else float("inf")
         print(
-            f"process {reference.name}: {arguments.instances} instance(s) x "
-            f"{arguments.ticks} tick(s), backend distributed "
-            f"({len(distributed.locations)} location(s): "
-            f"{', '.join(distributed.locations)})"
+            f"process {name}: {arguments.instances} instance(s) x "
+            f"{arguments.ticks} tick(s), backend {backend}{backend_note}"
         )
         print(
             f"  {instance_steps} instance-steps in {elapsed * 1000.0:.1f} ms "
@@ -767,14 +746,6 @@ def build_partition_argument_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=0, help="seed for the --run random inputs"
     )
     parser.add_argument(
-        "--monolithic",
-        action="store_true",
-        help=(
-            "compile fragments through the monolithic service path instead "
-            "of the modular (unit-cached) one"
-        ),
-    )
-    parser.add_argument(
         "--json",
         action="store_true",
         help="print a machine-readable JSON summary instead of text",
@@ -794,9 +765,7 @@ def run_partition(argv: List[str]) -> int:
         print(f"error: cannot read {arguments.source}: {error}", file=sys.stderr)
         return 2
     try:
-        distributed = build_distributed(
-            source=source, modular=not arguments.monolithic
-        )
+        distributed = build_distributed(source=source)
     except SignalError as error:
         print(f"error: {error}", file=sys.stderr)
         return 1

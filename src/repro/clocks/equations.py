@@ -54,15 +54,14 @@ __all__ = ["ClockEquation", "ClockSystem", "extract_clock_system"]
 class ClockEquation:
     """An (unoriented) equation ``left = right`` between clock formulas.
 
-    ``origin`` is the text of the kernel process the equation was extracted
-    from, or ``"partition"`` for the ``[C] ∨ [¬C] = ĉ`` and ``[C] ∧ [¬C] = Ô``
-    constraints; only ``"partition"`` is ever read (the resolver skips those
-    equations, which the BDD encoding represents structurally).
+    ``partition`` marks the ``[C] ∨ [¬C] = ĉ`` and ``[C] ∧ [¬C] = Ô``
+    constraints; the resolver skips those equations, which the BDD encoding
+    represents structurally.
     """
 
     left: ClockExpr
     right: ClockExpr
-    origin: str = ""
+    partition: bool = False
 
     def __str__(self) -> str:
         return f"{self.left} = {self.right}"
@@ -86,11 +85,11 @@ class ClockSystem:
 
     def partition_constraints(self) -> List[ClockEquation]:
         """The ``[C] ∨ [¬C] = ĉ`` and ``[C] ∧ [¬C] = Ô`` constraints."""
-        return [e for e in self.equations if e.origin == "partition"]
+        return [e for e in self.equations if e.partition]
 
     def operator_equations(self) -> List[ClockEquation]:
         """The equations contributed by the kernel processes themselves."""
-        return [e for e in self.equations if e.origin != "partition"]
+        return [e for e in self.equations if not e.partition]
 
     def variable_count(self) -> int:
         """Number of boolean variables in the system.
@@ -125,28 +124,27 @@ def extract_clock_system(
         if types[name].is_boolean_like and name not in system.boolean_signals:
             system.boolean_signals.append(name)
 
-    def add(left: ClockExpr, right: ClockExpr, origin: str) -> None:
-        system.equations.append(ClockEquation(left, right, origin))
+    def add(left: ClockExpr, right: ClockExpr, partition: bool = False) -> None:
+        system.equations.append(ClockEquation(left, right, partition))
 
     for process in program.processes:
-        origin = str(process)
         if isinstance(process, KernelFunction):
             target_clock = SignalClock(process.target)
             for operand in process.operands:
                 operand_clock = _operand_clock(operand)
                 if operand_clock is not None:
-                    add(target_clock, operand_clock, origin)
+                    add(target_clock, operand_clock)
         elif isinstance(process, KernelDelay):
-            add(SignalClock(process.target), SignalClock(process.source), origin)
+            add(SignalClock(process.target), SignalClock(process.source))
         elif isinstance(process, KernelWhen):
             if process.condition not in system.condition_signals:
                 system.condition_signals.append(process.condition)
             source_clock = _operand_clock(process.source)
             sampling = CondTrue(process.condition)
             if source_clock is None:
-                add(SignalClock(process.target), sampling, origin)
+                add(SignalClock(process.target), sampling)
             else:
-                add(SignalClock(process.target), Meet(source_clock, sampling), origin)
+                add(SignalClock(process.target), Meet(source_clock, sampling))
         elif isinstance(process, KernelDefault):
             left_clock = _operand_clock(process.left)
             right_clock = _operand_clock(process.right)
@@ -156,14 +154,14 @@ def extract_clock_system(
                 # two-constant case).
                 only = left_clock if left_clock is not None else right_clock
                 assert only is not None
-                add(SignalClock(process.target), only, origin)
+                add(SignalClock(process.target), only)
             else:
-                add(SignalClock(process.target), Join(left_clock, right_clock), origin)
+                add(SignalClock(process.target), Join(left_clock, right_clock))
         elif isinstance(process, KernelSynchro):
             if len(process.signals) >= 2:
                 first = SignalClock(process.signals[0])
                 for other in process.signals[1:]:
-                    add(first, SignalClock(other), origin)
+                    add(first, SignalClock(other))
         else:  # pragma: no cover - exhaustive over kernel constructors
             raise TypeError(f"unknown kernel process {process!r}")
 
@@ -173,12 +171,12 @@ def extract_clock_system(
         add(
             Join(CondTrue(name), CondFalse(name)),
             SignalClock(name),
-            "partition",
+            partition=True,
         )
         add(
             Meet(CondTrue(name), CondFalse(name)),
             NULL_CLOCK,
-            "partition",
+            partition=True,
         )
 
     return system

@@ -60,6 +60,7 @@ __all__ = [
     "ClockClass",
     "ClockHierarchy",
     "ArborescentResolver",
+    "presence_name",
     "resolve",
 ]
 
@@ -140,29 +141,42 @@ class ClockClass:
 
     def display_name(self) -> str:
         """A short, stable, human-readable name for the class."""
-        if self.is_null:
-            return "O"
-        signal_atoms = [str(a) for a in self.atoms if isinstance(a, SignalClock)]
-        if signal_atoms:
-            return min(signal_atoms)
-        if self.atoms:
-            return min(str(a) for a in self.atoms)
-        return f"k{self.id}"
+        return "O" if self.is_null else _atoms_name(self.atoms, self.id)
 
     def presence_name(self) -> str:
         """The name of the boolean presence flag used by generated code."""
-        base = self.display_name()
-        cleaned = (
-            base.replace("^", "C_")
-            .replace("[~", "NOT_")
-            .replace("[", "AT_")
-            .replace("]", "")
-        )
-        return f"h_{cleaned}"
+        return presence_name(self.atoms, self.id)
 
     def __str__(self) -> str:
         members = ", ".join(sorted(str(a) for a in self.atoms))
         return f"{{{members}}}"
+
+
+def _atoms_name(atoms: Sequence[ClockAtom], class_id: int) -> str:
+    """The least signal clock of ``atoms``, else their least atom, else ``k<id>``."""
+    signal_atoms = [str(a) for a in atoms if isinstance(a, SignalClock)]
+    if signal_atoms:
+        return min(signal_atoms)
+    if atoms:
+        return min(str(a) for a in atoms)
+    return f"k{class_id}"
+
+
+def presence_name(atoms: Sequence[ClockAtom], class_id: int) -> str:
+    """The presence-flag name of the non-null class ``class_id`` holding ``atoms``.
+
+    The one naming rule of a free clock's input key: the linker names the
+    free clocks of a linked program from their unit records with it, so a
+    linked executable reads the same keys as the monolithic compile.
+    """
+    cleaned = (
+        _atoms_name(atoms, class_id)
+        .replace("^", "C_")
+        .replace("[~", "NOT_")
+        .replace("[", "AT_")
+        .replace("]", "")
+    )
+    return f"h_{cleaned}"
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +412,7 @@ class ArborescentResolver:
         definitional: List[Tuple[ClockAtom, ClockExpr]] = []
 
         for equation in self.system.equations:
-            if equation.origin == "partition":
+            if equation.partition:
                 # Partition constraints are represented structurally by the
                 # encoding ([C] = ĉ ∧ value, [¬C] = ĉ ∧ ¬value).
                 continue

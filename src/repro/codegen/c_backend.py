@@ -328,10 +328,6 @@ def _io_prototypes(ir: StepIR) -> List[str]:
     return prototypes
 
 
-def _flag_ids(ir: StepIR) -> List[int]:
-    return sorted(c.id for c in ir.schedule.hierarchy.classes if not c.is_null)
-
-
 def generate_c_source(ir: StepIR) -> str:
     """Render the step IR as a self-contained C-like translation unit."""
     name = ir.name
@@ -359,12 +355,12 @@ def generate_c_source(ir: StepIR) -> str:
 
     lines.append(f"void {name}_step(void)")
     lines.append("{")
-    for class_id in _flag_ids(ir):
+    for class_id in ir.flag_ids:
         lines.append(f"    bool h{class_id} = false;")
     lines.extend(
         sorted(
             f"    {_C_TYPES[ir.types[signal]]} {signal};"
-            for signal in ir.schedule.signal_class
+            for signal in ir.signals
         )
     )
     lines.append("")
@@ -515,12 +511,12 @@ def generate_c_shared_source(ir: StepIR) -> str:
     if not register_members:
         lines.append("        (void) repro_self;")
 
-    for class_id in _flag_ids(ir):
+    for class_id in ir.flag_ids:
         lines.append(f"        int h{class_id} = 0;")
     lines.extend(
         sorted(
             f"        {_C_TYPES[ir.types[signal]]} {signal};"
-            for signal in ir.schedule.signal_class
+            for signal in ir.signals
         )
     )
     for signal in ir.outputs:

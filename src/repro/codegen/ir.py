@@ -250,11 +250,11 @@ class StepIR:
     initialized_flags: List[int]
     #: (class_id, input key, default) for every free clock
     root_flags: List[Tuple[int, str, bool]]
-    schedule: Schedule
+    #: the id of every non-null clock class, ascending: one presence flag each
+    flag_ids: List[int]
+    #: every signal whose clock is not null: one value variable each
+    signals: List[str]
     types: Dict[str, SignalType]
-
-    def flag_names(self) -> Dict[int, str]:
-        return {c.id: f"h{c.id}" for c in self.schedule.hierarchy.classes}
 
 
 # ---------------------------------------------------------------------------
@@ -686,6 +686,7 @@ def build_step_ir(
         outputs=outputs,
         initialized_flags=initialized_flags,
         root_flags=builder.root_flag_descriptions(),
-        schedule=schedule,
+        flag_ids=sorted(c.id for c in schedule.hierarchy.classes if not c.is_null),
+        signals=list(schedule.signal_class),
         types=types,
     )

@@ -10,16 +10,16 @@ payload (part of the unit artifact record, see
 * the **link-time materialization** of a cached unit payload into the
   enclosing program: canonical signal names are renamed back to the
   program's actual names, clock-class ids are shifted by a per-unit offset
-  so units never collide, and every free clock's presence key and root
-  default are *recomputed* for the linked program (a unit alone is its own
-  master clock; embedded next to other units it is one root among many,
-  so ``SetFlagRoot`` defaults flip from "present unless said otherwise"
-  to "absent unless driven"),
+  so units never collide, and every free clock's presence key (by
+  :func:`~repro.clocks.resolution.presence_name`, the monolithic rule) and
+  root default are *recomputed* for the linked program (a unit alone is
+  its own master clock; embedded next to other units it is one root among
+  many, so ``SetFlagRoot`` defaults flip from "present unless said
+  otherwise" to "absent unless driven"),
 * :func:`link_step_ir`, which concatenates the materialized parts into a
-  single :class:`StepIR` whose schedule is a lightweight stub carrying
-  exactly what the backends read (non-null class ids and the signal ->
-  class map); all three backends (python, c, c_shared) then emit from the
-  linked IR unchanged.
+  single :class:`StepIR` with the linked program's flag ids and signals;
+  all three backends (python, c, c_shared) then emit from the linked IR
+  unchanged.
 
 Linking composes IR, never text: the linked IR is the only source of a
 linked program's generated code, exactly as a monolithic compile's step IR
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
+from ..clocks.resolution import presence_name
 from ..lang.types import SignalType
 from .ir import (
     Binary,
@@ -59,15 +60,7 @@ from .ir import (
     ValueExpr,
 )
 
-__all__ = [
-    "ir_to_payload",
-    "link_step_ir",
-    "presence_key_for_atoms",
-    "rename_atoms",
-    "LinkedClockClass",
-    "LinkedHierarchy",
-    "LinkedSchedule",
-]
+__all__ = ["ir_to_payload", "link_step_ir"]
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +148,9 @@ def _ids_in_stmt(statement: Stmt, into: set) -> None:
 def ir_to_payload(ir: StepIR) -> dict:
     """Encode the portable part of a step IR as a JSON-safe payload.
 
-    The schedule is *not* encoded; the unit record carries the class-id /
-    signal-class summaries the link stage needs to rebuild a stub.
+    The schedule is *not* encoded; the unit record carries the class ids
+    and the signal -> class map the link stage turns into the linked
+    program's flag ids and signals.
     """
     referenced: set = set()
     for statement in ir.statements:
@@ -174,41 +168,6 @@ def ir_to_payload(ir: StepIR) -> dict:
         "root_flags": [[cid, key, default] for cid, key, default in ir.root_flags],
         "referenced_class_ids": sorted(referenced),
     }
-
-
-# ---------------------------------------------------------------------------
-# Presence-key recomputation
-# ---------------------------------------------------------------------------
-
-def rename_atoms(atoms: Sequence[Sequence[str]], rename: Dict[str, str]) -> List[Tuple[str, str]]:
-    """Rename serialized clock atoms ``(kind, signal)`` through ``rename``."""
-    return [(kind, rename.get(signal, signal)) for kind, signal in atoms]
-
-
-def presence_key_for_atoms(atoms: Sequence[Tuple[str, str]], class_id: int) -> str:
-    """The root presence-flag input key for a free class, from its atoms.
-
-    Reproduces ``ClockClass.display_name`` / ``presence_name`` exactly
-    (same atom renderings, same ``sorted`` tie-breaks) so a linked
-    executable exposes the *same* root keys as the monolithic compile of
-    the same program -- the differential fuzz suite asserts this.
-    """
-    renderings = {
-        "signal": "^{0}",
-        "cond_true": "[{0}]",
-        "cond_false": "[~{0}]",
-    }
-    rendered = [(kind, renderings[kind].format(signal)) for kind, signal in atoms]
-    signal_atoms = sorted(text for kind, text in rendered if kind == "signal")
-    if signal_atoms:
-        base = signal_atoms[0]
-    else:
-        sampled = sorted(text for _, text in rendered)
-        base = sampled[0] if sampled else f"k{class_id}"
-    cleaned = (
-        base.replace("^", "C_").replace("[~", "NOT_").replace("[", "AT_").replace("]", "")
-    )
-    return f"h_{cleaned}"
 
 
 # ---------------------------------------------------------------------------
@@ -307,42 +266,6 @@ class _Materializer:
 
 
 # ---------------------------------------------------------------------------
-# The stub schedule carried by linked IR
-# ---------------------------------------------------------------------------
-
-class LinkedClockClass:
-    """Minimal stand-in for :class:`ClockClass` inside linked IR."""
-
-    __slots__ = ("id", "is_null")
-
-    def __init__(self, class_id: int, is_null: bool = False):
-        self.id = class_id
-        self.is_null = is_null
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"LinkedClockClass({self.id})"
-
-
-class LinkedHierarchy:
-    """Carries exactly what backends read from ``schedule.hierarchy``."""
-
-    __slots__ = ("classes",)
-
-    def __init__(self, classes: List[LinkedClockClass]):
-        self.classes = classes
-
-
-class LinkedSchedule:
-    """Carries exactly what backends read from ``ir.schedule``."""
-
-    __slots__ = ("hierarchy", "signal_class")
-
-    def __init__(self, hierarchy: LinkedHierarchy, signal_class: Dict[str, LinkedClockClass]):
-        self.hierarchy = hierarchy
-        self.signal_class = signal_class
-
-
-# ---------------------------------------------------------------------------
 # Linking
 # ---------------------------------------------------------------------------
 
@@ -360,16 +283,17 @@ def link_step_ir(
         {
             "ir": <ir payload for the requested style>,
             "rename": {canonical -> actual signal name},
-            "class_ids": [non-null class ids of the unit hierarchy],
+            "class_ids": [non-null class ids of the unit hierarchy, ascending],
             "max_class_id": <largest id of any class, null included>,
             "signal_class": {canonical signal -> class id},
-            "free_classes": [{"id": id, "atoms": [[kind, signal], ...]}],
+            "free_classes": [(id, [clock atoms over actual names]), ...],
             "types": {actual signal -> SignalType},
         }
 
-    ``input_order`` / ``output_order`` give the enclosing program's
-    declaration order, so the linked interface lists the same signals in
-    the same order as a monolithic compile.
+    ``free_classes`` lists the unit's free classes in the order of its
+    ``root_flags``.  ``input_order`` / ``output_order`` give the enclosing
+    program's declaration order, so the linked interface lists the same
+    signals in the same order as a monolithic compile.
     """
     total_free = sum(len(part["free_classes"]) for part in parts)
     root_default = total_free == 1
@@ -378,8 +302,8 @@ def link_step_ir(
     registers: List[RegisterInfo] = []
     initialized_flags: List[int] = []
     root_flags: List[Tuple[int, str, bool]] = []
-    classes: List[LinkedClockClass] = []
-    signal_class: Dict[str, LinkedClockClass] = {}
+    flag_ids: List[int] = []
+    signals: List[str] = []
     types: Dict[str, SignalType] = {}
     inputs_seen: set = set()
     outputs_seen: set = set()
@@ -388,31 +312,24 @@ def link_step_ir(
     for part in parts:
         rename = part["rename"]
         root_info: Dict[int, Tuple[str, bool]] = {}
-        for free in part["free_classes"]:
-            atoms = rename_atoms(free["atoms"], rename)
-            key = presence_key_for_atoms(atoms, free["id"] + offset)
-            root_info[free["id"]] = (key, root_default)
+        for class_id, atoms in part["free_classes"]:
+            key = presence_name(atoms, class_id + offset)
+            root_info[class_id] = (key, root_default)
+            root_flags.append((class_id + offset, key, root_default))
 
         materializer = _Materializer(rename, offset, root_info)
         payload = part["ir"]
         statements.extend(materializer.statement(s) for s in payload["statements"])
         registers.extend(materializer.register(r) for r in payload["registers"])
         initialized_flags.extend(cid + offset for cid in payload["initialized_flags"])
-        for cid, _key, _default in payload["root_flags"]:
-            key, default = root_info[cid]
-            root_flags.append((cid + offset, key, default))
-        for cid in part["class_ids"]:
-            classes.append(LinkedClockClass(cid + offset))
-        for canonical, cid in part["signal_class"].items():
-            actual = rename.get(canonical, canonical)
-            signal_class[actual] = LinkedClockClass(cid + offset)
+        flag_ids.extend(cid + offset for cid in part["class_ids"])
+        signals.extend(rename.get(s, s) for s in part["signal_class"])
         types.update(part["types"])
         inputs_seen.update(rename.get(s, s) for s in payload["inputs"])
         outputs_seen.update(rename.get(s, s) for s in payload["outputs"])
 
         offset += part["max_class_id"] + 1
 
-    schedule = LinkedSchedule(LinkedHierarchy(classes), signal_class)
     return StepIR(
         name=name,
         style=style,
@@ -422,6 +339,7 @@ def link_step_ir(
         outputs=[s for s in output_order if s in outputs_seen],
         initialized_flags=initialized_flags,
         root_flags=root_flags,
-        schedule=schedule,  # type: ignore[arg-type]
+        flag_ids=flag_ids,
+        signals=signals,
         types=types,
     )

@@ -21,13 +21,10 @@ inspect every stage.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Dict, Optional
-
-if TYPE_CHECKING:  # imported lazily to avoid a circular module import
-    from .service import CompilationService
+from typing import Dict, List, Optional, Tuple
 
 from .bdd import BDDManager
-from .clocks.algebra import CondFalse, CondTrue, SignalClock
+from .clocks.algebra import ClockAtom, CondFalse, CondTrue, SignalClock
 from .clocks.equations import ClockSystem, extract_clock_system
 from .clocks.resolution import ClockHierarchy, resolve
 from .codegen.c_backend import generate_c_shared_source, generate_c_source
@@ -208,6 +205,10 @@ class CompilationResult(_Rendered):
     def _build_step_ir(self, style: GenerationStyle) -> StepIR:
         return build_step_ir(self.schedule, self.types, style)
 
+    def root_flag_atoms(self) -> List[List[ClockAtom]]:
+        """The clock atoms of the free class behind each of ``step_ir().root_flags``."""
+        return [list(c.atoms) for c in self.hierarchy.free_classes() if not c.is_null]
+
     def tree_text(self) -> str:
         """The forest of clock trees plus the free clocks, as printed text.
 
@@ -269,24 +270,8 @@ def compile_process(
     observable: bool = True,
     manager: Optional[BDDManager] = None,
     program: Optional[KernelProgram] = None,
-    service: Optional["CompilationService"] = None,
 ) -> CompilationResult:
-    """Compile a parsed process through the complete pipeline.
-
-    Passing a :class:`repro.service.CompilationService` as ``service``
-    routes the compilation through its compile cache; this is mutually
-    exclusive with ``manager``/``program`` (a service miss compiles on a
-    fresh manager of its own).
-    """
-    if service is not None:
-        if manager is not None or program is not None:
-            raise ValueError(
-                "manager=/program= cannot be combined with service=: the "
-                "compilation service supplies its own managers"
-            )
-        return service.compile_process(
-            process, style=style, build_flat=build_flat, observable=observable
-        )
+    """Compile a parsed process through the complete pipeline."""
     return _schedule_process(
         process, style, build_flat, observable, manager, program
     ).materialize()
@@ -328,27 +313,14 @@ def compile_source(
     build_flat: bool = False,
     observable: bool = True,
     manager: Optional[BDDManager] = None,
-    service: Optional["CompilationService"] = None,
 ) -> CompilationResult:
     """Compile SIGNAL source text through the complete pipeline.
 
     Without ``manager`` the compilation runs on a fresh
     :class:`~repro.bdd.BDDManager`, so its BDDs and statistics depend on
-    this program alone.  Passing a :class:`repro.service.CompilationService`
-    as ``service`` routes the compilation through its compile cache
-    (repeated or kernel-equivalent sources then return cached results, and
-    a miss compiles on a fresh manager exactly like this function); this is
-    mutually exclusive with ``manager``.
+    this program alone.  :meth:`repro.service.CompilationService.compile`
+    is the cached counterpart.
     """
-    if service is not None:
-        if manager is not None:
-            raise ValueError(
-                "manager= cannot be combined with service=: the compilation "
-                "service supplies its own managers"
-            )
-        return service.compile(
-            source, style=style, build_flat=build_flat, observable=observable
-        )
     process = parse_process(source)
     return compile_process(
         process,
@@ -363,19 +335,27 @@ def compile_source(
 # Modular compilation: per-unit artifacts and the link stage
 # ---------------------------------------------------------------------------
 
+#: the ``kind`` a unit record names each clock atom of a free class by
+_ATOM_KINDS = {"signal": SignalClock, "cond_true": CondTrue, "cond_false": CondFalse}
+_KIND_OF_ATOM = {atom: kind for kind, atom in _ATOM_KINDS.items()}
+
+
 def _serialize_atoms(atoms) -> list:
     """Clock atoms of a free class as JSON-safe ``[kind, signal]`` pairs."""
-    serialized = []
-    for atom in atoms:
-        if isinstance(atom, SignalClock):
-            serialized.append(["signal", atom.signal])
-        elif isinstance(atom, CondTrue):
-            serialized.append(["cond_true", atom.signal])
-        elif isinstance(atom, CondFalse):
-            serialized.append(["cond_false", atom.signal])
-        else:  # pragma: no cover - free classes only hold the three atom kinds
-            raise TypeError(f"unsupported clock atom {atom!r} on a free class")
-    return sorted(serialized)
+    return sorted([_KIND_OF_ATOM[type(atom)], atom.signal] for atom in atoms)
+
+
+def _free_classes(unit: ProgramUnit, record: dict) -> List[Tuple[int, List[ClockAtom]]]:
+    """``(id, atoms)`` of every free class of a unit record, in the order of
+    its ``root_flags``, with the atoms renamed to the program's signals."""
+    rename = unit.from_canonical
+    return [
+        (
+            free["id"],
+            [_ATOM_KINDS[kind](rename.get(signal, signal)) for kind, signal in free["atoms"]],
+        )
+        for free in record["free_classes"]
+    ]
 
 
 def compile_unit_record(unit: ProgramUnit, manager: Optional[BDDManager] = None) -> dict:
@@ -514,7 +494,7 @@ class LinkedCompilationResult(_Rendered):
             "class_ids": record["class_ids"],
             "max_class_id": record["max_class_id"],
             "signal_class": record["signal_class"],
-            "free_classes": record["free_classes"],
+            "free_classes": _free_classes(unit, record),
             "types": {
                 rename.get(name, name): SignalType(value)
                 for name, value in record["types"].items()
@@ -532,6 +512,14 @@ class LinkedCompilationResult(_Rendered):
             self.program.inputs,
             self.program.outputs,
         )
+
+    def root_flag_atoms(self) -> List[List[ClockAtom]]:
+        """The clock atoms of the free class behind each of ``step_ir().root_flags``."""
+        return [
+            atoms
+            for unit, record in zip(self.units, self.unit_records)
+            for _class_id, atoms in _free_classes(unit, record)
+        ]
 
     # -- composed artifacts ---------------------------------------------------
     def tree_text(self) -> str:

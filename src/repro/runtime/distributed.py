@@ -3,8 +3,8 @@
 The partitioner (:mod:`repro.lang.partition`) cuts a program into one
 kernel program per location plus typed channels at the cuts.  This module
 compiles every fragment through the :class:`~repro.service.service.
-CompilationService` (the modular path by default, so fragments sharing
-modules dedupe against the fleet-wide unit cache) and advances the
+CompilationService` (the modular path, so fragments sharing modules
+dedupe against the fleet-wide unit cache) and advances the
 fragments **instant by instant**:
 
 * each instant, fragments step in the topological order of the location
@@ -36,6 +36,7 @@ import multiprocessing
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from ..clocks.algebra import ClockAtom, SignalClock
 from ..errors import PartitionError
 from ..lang.ast import Process
 from ..lang.kernel import KernelProgram, normalize
@@ -48,56 +49,6 @@ __all__ = [
     "DistributedProgram",
     "build_distributed",
 ]
-
-
-def _serialize_atoms(atoms) -> List[Tuple[str, str]]:
-    """Clock atoms as ``(kind, signal)`` pairs (mirrors the unit records)."""
-    from ..clocks.algebra import CondFalse, CondTrue, SignalClock
-
-    serialized: List[Tuple[str, str]] = []
-    for atom in atoms:
-        if isinstance(atom, SignalClock):
-            serialized.append(("signal", atom.signal))
-        elif isinstance(atom, CondTrue):
-            serialized.append(("cond_true", atom.signal))
-        elif isinstance(atom, CondFalse):
-            serialized.append(("cond_false", atom.signal))
-    return serialized
-
-
-def _root_flag_atoms(result) -> List[List[Tuple[str, str]]]:
-    """Atom sets of the free classes behind ``result.executable.root_flags``.
-
-    Aligned index-by-index with the executable's root-flag list.  Works for
-    both monolithic results (read off the clock hierarchy) and linked
-    modular results (read off the per-unit records, renamed back to the
-    program's signal names).
-    """
-    hierarchy = getattr(result, "hierarchy", None)
-    if hierarchy is not None:
-        return [
-            _serialize_atoms(c.atoms)
-            for c in hierarchy.free_classes()
-            if not c.is_null
-        ]
-    units = getattr(result, "units", None) or []
-    records = getattr(result, "unit_records", None) or []
-    if len(units) != len(records) or not units:
-        raise PartitionError(
-            "cannot recover free-clock membership from a record-backed "
-            "linked result; rebuild the distributed harness with a live "
-            "compilation service"
-        )
-    atoms_per_flag: List[List[Tuple[str, str]]] = []
-    for unit, record in zip(units, records):
-        rename = unit.from_canonical
-        by_id = {free["id"]: free["atoms"] for free in record["free_classes"]}
-        payload = next(iter(record["ir"].values()))
-        for cid, _key, _default in payload["root_flags"]:
-            atoms_per_flag.append(
-                [(kind, rename.get(signal, signal)) for kind, signal in by_id[cid]]
-            )
-    return atoms_per_flag
 
 
 @dataclass
@@ -350,21 +301,17 @@ def _fragment_worker(control, in_conns, out_conns, payload) -> None:
 def _plan_fragment_flags(
     runtime_result,
     fragment: Fragment,
-    monolithic_atoms_by_key: Dict[Tuple[str, str], str],
+    monolithic_atoms_by_key: Dict[ClockAtom, str],
 ) -> List[Tuple[str, str, object]]:
     """Decide, per fragment free clock, where its presence comes from."""
     plans: List[Tuple[str, str, object]] = []
     channel_inputs = set(fragment.channel_inputs)
-    atoms_per_flag = _root_flag_atoms(runtime_result)
-    root_flags = runtime_result.executable.root_flags
-    if len(atoms_per_flag) != len(root_flags):  # pragma: no cover - invariant
-        raise PartitionError(
-            f"fragment {fragment.location!r}: free-clock metadata out of sync"
-        )
-    for (cid, key, _default), atoms in zip(root_flags, atoms_per_flag):
+    for (cid, key, _default), atoms in zip(
+        runtime_result.executable.root_flags, runtime_result.root_flag_atoms(), strict=True
+    ):
         members = [
-            signal for kind, signal in atoms
-            if kind == "signal" and signal in channel_inputs
+            atom.signal for atom in atoms
+            if isinstance(atom, SignalClock) and atom.signal in channel_inputs
         ]
         if members:
             plans.append((key, "channel", members))
@@ -375,7 +322,7 @@ def _plan_fragment_flags(
             if monolithic_key is not None:
                 break
         if monolithic_key is None:
-            names = ", ".join(signal for _kind, signal in atoms) or key
+            names = ", ".join(atom.signal for atom in atoms) or key
             raise PartitionError(
                 f"fragment {fragment.location!r}: the clock of {names} is free"
                 " locally but constrained at another location; co-locate the"
@@ -391,15 +338,14 @@ def build_distributed(
     program: Optional[KernelProgram] = None,
     service=None,
     style=None,
-    modular: bool = True,
 ) -> DistributedProgram:
     """Partition, compile and wire a program for distributed execution.
 
     The monolithic program is compiled once (the reference for schedules
-    and differential checks), each fragment once through ``service`` --
-    by default the modular path, so fragments reuse fleet-wide unit
-    artifacts.  Raises :class:`~repro.errors.PartitionError` when the cut
-    cannot be executed lock-step.
+    and differential checks), each fragment once through ``service``'s
+    modular path, so fragments reuse fleet-wide unit artifacts.  Raises
+    :class:`~repro.errors.PartitionError` when the cut cannot be executed
+    lock-step.
     """
     from ..codegen.ir import GenerationStyle
     from ..service.service import CompilationService
@@ -421,9 +367,9 @@ def build_distributed(
     try:
         partitioned = partition_program(program)
         reference = service.compile_process(process, style=style, program=program)
-        monolithic_atoms_by_key: Dict[Tuple[str, str], str] = {}
+        monolithic_atoms_by_key: Dict[ClockAtom, str] = {}
         for (cid, key, _default), atoms in zip(
-            reference.executable.root_flags, _root_flag_atoms(reference)
+            reference.executable.root_flags, reference.root_flag_atoms(), strict=True
         ):
             for atom in atoms:
                 monolithic_atoms_by_key[atom] = key
@@ -432,14 +378,9 @@ def build_distributed(
         runtimes: List[FragmentRuntime] = []
         for fragment in partitioned.fragments:
             stub = Process(name=fragment.program.name)
-            if modular:
-                result = service.compile_modular(
-                    process=stub, program=fragment.program, style=style
-                )
-            else:
-                result = service.compile_process(
-                    stub, style=style, program=fragment.program
-                )
+            result = service.compile_modular(
+                process=stub, program=fragment.program, style=style
+            )
             sends: Dict[str, List[str]] = {}
             for channel in partitioned.channels:
                 if channel.producer == fragment.location:

@@ -22,6 +22,29 @@ def alarm_file(tmp_path):
     return str(path)
 
 
+#: a two-location program: a smoother at the edge, an accumulator in the cloud
+PIPE_SOURCE = """
+process PIPE =
+  ( ? integer RAW at edge; boolean ENABLE at edge;
+    ! integer SMOOTH at edge; integer TOTAL at cloud; )
+  (| ZRAW := RAW $ 1 init 0
+   | SMOOTH := (RAW + ZRAW) / 2
+   | SAMPLE := SMOOTH when ENABLE
+   | ZTOTAL := TOTAL $ 1 init 0
+   | TOTAL := SAMPLE + ZTOTAL at cloud
+  |)
+  where integer ZRAW, SAMPLE, ZTOTAL;
+end;
+"""
+
+
+@pytest.fixture()
+def pipe_file(tmp_path):
+    path = tmp_path / "pipe.sig"
+    path.write_text(PIPE_SOURCE)
+    return str(path)
+
+
 class TestEmit:
     def test_default_emits_tree_and_free_clocks(self, counter_file, capsys):
         assert main([counter_file]) == 0
@@ -275,3 +298,117 @@ class TestSimulationAndErrors:
         path.write_text("process P = (| |) end")
         assert main([str(path)]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+#: population options shared by the ``simulate`` subcommand tests
+POPULATION = ["--instances", "3", "--ticks", "8", "--seed", "1"]
+
+
+class TestSimulateSubcommand:
+    def test_python_backend_json(self, alarm_file, capsys):
+        assert main(["simulate", alarm_file, "--backend", "python", "--json", *POPULATION]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "backend": "python",
+            "instance_steps": 24,
+            "instances": 3,
+            "name": "ALARM",
+            "outputs": {"ALARM": 10},
+            "seed": 1,
+            "ticks": 8,
+        }
+
+    def test_python_backend_text(self, alarm_file, capsys):
+        assert main(["simulate", alarm_file, "--backend", "python", *POPULATION]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "process ALARM: 3 instance(s) x 8 tick(s), backend python"
+        assert lines[1].startswith("  24 instance-steps in ")
+        assert lines[2:] == ["  ALARM: present 10/24"]
+
+    def test_record_simulates_like_its_source(self, alarm_file, tmp_path, capsys):
+        from repro import compile_source
+        from repro.codegen.ir import GenerationStyle
+        from repro.service.store import record_from_result
+
+        record = record_from_result(
+            compile_source(ALARM_SOURCE), GenerationStyle.HIERARCHICAL
+        )
+        path = tmp_path / "alarm.json"
+        path.write_text(json.dumps(record))
+        options = ["--backend", "python", "--json", *POPULATION]
+        assert main(["simulate", "--record", str(path), *options]) == 0
+        from_record = json.loads(capsys.readouterr().out)
+        assert main(["simulate", alarm_file, *options]) == 0
+        assert from_record == json.loads(capsys.readouterr().out)
+
+    def test_distributed_json(self, pipe_file, capsys):
+        assert main(["simulate", pipe_file, "--distributed", "--json", *POPULATION]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "backend": "distributed",
+            "channels": 1,
+            "instance_steps": 24,
+            "instances": 3,
+            "locations": ["edge", "cloud"],
+            "name": "PIPE",
+            "outputs": {"SMOOTH": 19, "TOTAL": 7},
+            "seed": 1,
+            "ticks": 8,
+        }
+
+    def test_distributed_flat_matches_nested(self, pipe_file, capsys):
+        options = ["simulate", pipe_file, "--distributed", "--json", *POPULATION]
+        assert main(options) == 0
+        nested = json.loads(capsys.readouterr().out)
+        assert main([*options, "--flat"]) == 0
+        assert json.loads(capsys.readouterr().out) == nested
+
+    def test_distributed_text(self, pipe_file, capsys):
+        assert main(["simulate", pipe_file, "--distributed", *POPULATION]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == (
+            "process PIPE: 3 instance(s) x 8 tick(s), backend distributed "
+            "(2 location(s): edge, cloud)"
+        )
+        assert lines[1].startswith("  24 instance-steps in ")
+        assert lines[2:] == ["  SMOOTH: present 19/24", "  TOTAL: present 7/24"]
+
+
+class TestPartitionSubcommand:
+    def test_run_json(self, pipe_file, capsys):
+        assert main(["partition", pipe_file, "--run", "16", "--json"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["name"] == "PIPE"
+        assert summary["locations"] == ["edge", "cloud"]
+        assert [
+            (fragment["location"], fragment["processes"], fragment["channel_inputs"])
+            for fragment in summary["fragments"]
+        ] == [("edge", 4, []), ("cloud", 2, ["SAMPLE"])]
+        assert summary["channels"] == [
+            {
+                "producer": "edge",
+                "consumer": "cloud",
+                "signals": [{"name": "SAMPLE", "type": "integer"}],
+            }
+        ]
+        assert summary["run"] == {
+            "instants": 16,
+            "seed": 0,
+            "mode": "in-process",
+            "matches_monolithic": True,
+        }
+
+    def test_fragments_always_compile_modular(self, pipe_file, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["partition", pipe_file, "--monolithic"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_readme_option_tables_list_only_defined_flags(monkeypatch):
+    """The docs check flags an option row the subcommand's parser lacks."""
+    import pathlib
+
+    root = pathlib.Path(__file__).resolve().parent.parent
+    monkeypatch.syspath_prepend(str(root / "tools"))
+    import check_docs
+
+    assert check_docs.stale_option_rows(root / "README.md") == []

@@ -5,6 +5,7 @@ import pytest
 from repro import CompilationService, GenerationStyle, compile_source
 from repro.bdd import BDDManager
 from repro.errors import SignalError
+from repro.lang.parser import parse_process
 from repro.programs import (
     ACCUMULATOR_SOURCE,
     ALARM_SOURCE,
@@ -276,23 +277,18 @@ class TestBatch:
         assert service.statistics()["cache_entries"] == 1
 
 
-class TestCompilerWiring:
-    def test_compile_source_accepts_service(self):
+class TestEntryPoints:
+    def test_compile_process_hits_the_cache_of_compile(self):
         service = CompilationService()
-        first = compile_source(COUNTER_SOURCE, service=service)
-        second = compile_source(COUNTER_SOURCE, service=service)
+        first = service.compile(COUNTER_SOURCE)
+        second = service.compile_process(parse_process(COUNTER_SOURCE))
         assert first.schedule is second.schedule
         assert service.statistics()["cache_hits"] == 1
 
-    def test_service_and_manager_are_mutually_exclusive(self):
+    def test_compile_respects_options(self):
         service = CompilationService()
-        with pytest.raises(ValueError, match="service"):
-            compile_source(COUNTER_SOURCE, manager=BDDManager(), service=service)
-
-    def test_compile_source_service_respects_options(self):
-        service = CompilationService()
-        result = compile_source(
-            COUNTER_SOURCE, style=GenerationStyle.FLAT, build_flat=True, service=service
+        result = service.compile(
+            COUNTER_SOURCE, style=GenerationStyle.FLAT, build_flat=True
         )
         assert result.executable.style is GenerationStyle.FLAT
         assert result.executable_flat is not None

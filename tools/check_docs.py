@@ -19,6 +19,11 @@ Rules
   later blocks, exactly as a reader would do.
 * Blocks run with ``PYTHONPATH`` pointing at the repository ``src`` tree;
   bash blocks run under ``bash -euo pipefail``.
+* Every long flag (``--name``) in the first column of an option table
+  under a ``python -m repro <subcommand>`` heading must be defined by that
+  subcommand's argparse parser (``python -m repro <file.sig>`` headings
+  check the single-compile parser), so a deleted option cannot keep its
+  row.
 
 Usage::
 
@@ -46,6 +51,19 @@ RUNNABLE_LANGUAGES = ("bash", "python")
 BLOCK_TIMEOUT_SECONDS = 600
 
 _FENCE = re.compile(r"^```([A-Za-z0-9_+-]*)\s*$")
+_COMMAND_HEADING = re.compile(r"^#+\s+`python -m repro ([^\s`]+)")
+_LONG_FLAG = re.compile(r"--[A-Za-z0-9][A-Za-z0-9-]*")
+
+#: the argparse builder in ``repro.cli`` of each documented command
+PARSER_BUILDERS = {
+    "<file.sig>": "build_argument_parser",
+    "batch": "build_batch_argument_parser",
+    "serve": "build_serve_argument_parser",
+    "gateway": "build_gateway_argument_parser",
+    "remote-compile": "build_remote_argument_parser",
+    "simulate": "build_simulate_argument_parser",
+    "partition": "build_partition_argument_parser",
+}
 
 
 @dataclass
@@ -100,6 +118,48 @@ def extract_snippets(document: pathlib.Path) -> List[Snippet]:
             )
         pending_skip = False
     return snippets
+
+
+def stale_option_rows(document: pathlib.Path) -> List[str]:
+    """The option-table flags ``document`` lists that the CLI does not define.
+
+    One message per flag, naming the line, the command and the flag.
+    """
+    sys.path.insert(0, str(REPO_ROOT / "src"))
+    try:
+        from repro import cli
+    finally:
+        sys.path.pop(0)
+
+    problems: List[str] = []
+    defined = None
+    command = None
+    lines = document.read_text(encoding="utf-8").splitlines()
+    for number, line in enumerate(lines, start=1):
+        if line.startswith("#"):
+            heading = _COMMAND_HEADING.match(line)
+            command = heading.group(1) if heading else None
+            defined = None
+            if command is not None:
+                builder = PARSER_BUILDERS.get(command)
+                if builder is None:
+                    problems.append(f"{document}:{number}: no parser known for `{command}`")
+                    command = None
+                else:
+                    parser = getattr(cli, builder)()
+                    defined = {
+                        option for action in parser._actions for option in action.option_strings
+                    }
+            continue
+        if defined is None or not line.startswith("|"):
+            continue
+        first_cell = line.split("|")[1]
+        for flag in _LONG_FLAG.findall(first_cell):
+            if flag not in defined:
+                problems.append(
+                    f"{document}:{number}: `python -m repro {command}` has no option {flag}"
+                )
+    return problems
 
 
 def run_snippet(snippet: Snippet, workdir: str, env: dict) -> subprocess.CompletedProcess:
@@ -185,7 +245,10 @@ def main(argv=None) -> int:
                 status = "skip" if snippet.skipped else "run"
                 print(f"{status:>4}  {snippet.label}")
             continue
-        failures += check_document(document, arguments.verbose)
+        problems = stale_option_rows(document)
+        for problem in problems:
+            print(f"FAIL  {problem}")
+        failures += len(problems) + check_document(document, arguments.verbose)
     if failures:
         print(f"\n{failures} snippet(s) failed", file=sys.stderr)
         return 1

@@ -33,6 +33,7 @@ __all__ = [
     "Join",
     "Diff",
     "ClockAtom",
+    "SignalClocks",
     "clock_atoms",
     "clock_signals",
     "meet_all",
@@ -127,6 +128,18 @@ class Diff(ClockExpr):
 
     def __str__(self) -> str:
         return f"({self.left} \\ {self.right})"
+
+
+class SignalClocks(dict):
+    """The clock ``x̂`` of each signal name, built on its first lookup.
+
+    A layer that labels many equations or edges with signal clocks builds
+    one :class:`SignalClock` per signal and reuses it.
+    """
+
+    def __missing__(self, signal: str) -> SignalClock:
+        clock = self[signal] = SignalClock(signal)
+        return clock
 
 
 #: The atomic (variable-like) clock expressions.

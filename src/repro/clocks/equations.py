@@ -23,7 +23,7 @@ constraint (``X := true when C`` yields ``x̂ = [C]``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Set
 
 from ..lang.kernel import (
     KernelDefault,
@@ -34,7 +34,6 @@ from ..lang.kernel import (
     KernelSynchro,
     KernelWhen,
     Literal,
-    Operand,
 )
 from ..lang.types import SignalType
 from .algebra import (
@@ -44,14 +43,13 @@ from .algebra import (
     Join,
     Meet,
     NULL_CLOCK,
-    SignalClock,
+    SignalClocks,
 )
 
 __all__ = ["ClockEquation", "ClockSystem", "extract_clock_system"]
 
 
-@dataclass(frozen=True)
-class ClockEquation:
+class ClockEquation(NamedTuple):
     """An (unoriented) equation ``left = right`` between clock formulas.
 
     ``partition`` marks the ``[C] ∨ [¬C] = ĉ`` and ``[C] ∧ [¬C] = Ô``
@@ -107,76 +105,73 @@ class ClockSystem:
         return "\n".join(lines)
 
 
-def _operand_clock(operand: Operand) -> Optional[ClockExpr]:
-    """The clock of a kernel operand, or ``None`` for clock-neutral literals."""
-    if isinstance(operand, Literal):
-        return None
-    return SignalClock(operand)
-
-
 def extract_clock_system(
     program: KernelProgram, types: Dict[str, SignalType]
 ) -> ClockSystem:
     """Build the system of clock equations for ``program`` (Table 1)."""
-    system = ClockSystem(program=program, types=types)
-
-    for name in program.signals:
-        if types[name].is_boolean_like and name not in system.boolean_signals:
-            system.boolean_signals.append(name)
-
-    def add(left: ClockExpr, right: ClockExpr, partition: bool = False) -> None:
-        system.equations.append(ClockEquation(left, right, partition))
+    clocks = SignalClocks()
+    boolean_signals = [
+        name for name in dict.fromkeys(program.signals) if types[name].is_boolean_like
+    ]
+    condition_signals: List[str] = []
+    conditions_seen: Set[str] = set()
+    equations: List[ClockEquation] = []
+    add = equations.append
 
     for process in program.processes:
         if isinstance(process, KernelFunction):
-            target_clock = SignalClock(process.target)
+            target_clock = clocks[process.target]
             for operand in process.operands:
-                operand_clock = _operand_clock(operand)
-                if operand_clock is not None:
-                    add(target_clock, operand_clock)
+                # Literal operands are clock-neutral.
+                if not isinstance(operand, Literal):
+                    add(ClockEquation(target_clock, clocks[operand]))
         elif isinstance(process, KernelDelay):
-            add(SignalClock(process.target), SignalClock(process.source))
+            add(ClockEquation(clocks[process.target], clocks[process.source]))
         elif isinstance(process, KernelWhen):
-            if process.condition not in system.condition_signals:
-                system.condition_signals.append(process.condition)
-            source_clock = _operand_clock(process.source)
-            sampling = CondTrue(process.condition)
-            if source_clock is None:
-                add(SignalClock(process.target), sampling)
+            condition = process.condition
+            if condition not in conditions_seen:
+                conditions_seen.add(condition)
+                condition_signals.append(condition)
+            sampling = CondTrue(condition)
+            if isinstance(process.source, Literal):
+                add(ClockEquation(clocks[process.target], sampling))
             else:
-                add(SignalClock(process.target), Meet(source_clock, sampling))
+                add(ClockEquation(
+                    clocks[process.target], Meet(clocks[process.source], sampling)
+                ))
         elif isinstance(process, KernelDefault):
-            left_clock = _operand_clock(process.left)
-            right_clock = _operand_clock(process.right)
-            if left_clock is None or right_clock is None:
+            left, right = process.left, process.right
+            if isinstance(right, Literal):
                 # A constant branch is clock-neutral; the merge clock is then
                 # simply the other branch's clock (the desugarer rejects the
                 # two-constant case).
-                only = left_clock if left_clock is not None else right_clock
-                assert only is not None
-                add(SignalClock(process.target), only)
+                assert not isinstance(left, Literal)
+                add(ClockEquation(clocks[process.target], clocks[left]))
+            elif isinstance(left, Literal):
+                add(ClockEquation(clocks[process.target], clocks[right]))
             else:
-                add(SignalClock(process.target), Join(left_clock, right_clock))
+                add(ClockEquation(
+                    clocks[process.target], Join(clocks[left], clocks[right])
+                ))
         elif isinstance(process, KernelSynchro):
             if len(process.signals) >= 2:
-                first = SignalClock(process.signals[0])
+                first = clocks[process.signals[0]]
                 for other in process.signals[1:]:
-                    add(first, SignalClock(other))
+                    add(ClockEquation(first, clocks[other]))
         else:  # pragma: no cover - exhaustive over kernel constructors
             raise TypeError(f"unknown kernel process {process!r}")
 
     # Partition constraints for every boolean signal (Figure 7 partitions all
     # boolean signals of the program, not only the ones used as conditions).
-    for name in system.boolean_signals:
-        add(
-            Join(CondTrue(name), CondFalse(name)),
-            SignalClock(name),
-            partition=True,
-        )
-        add(
-            Meet(CondTrue(name), CondFalse(name)),
-            NULL_CLOCK,
-            partition=True,
-        )
+    for name in boolean_signals:
+        true, false = CondTrue(name), CondFalse(name)
+        add(ClockEquation(Join(true, false), clocks[name], True))
+        add(ClockEquation(Meet(true, false), NULL_CLOCK, True))
 
-    return system
+    return ClockSystem(
+        program=program,
+        types=types,
+        equations=equations,
+        boolean_signals=boolean_signals,
+        condition_signals=condition_signals,
+    )

@@ -30,7 +30,7 @@ from ..clocks.resolution import (
 )
 from ..clocks.tree import ClockNode
 from ..errors import CodeGenerationError
-from ..graph.scheduling import Action, ComputeClock, ComputeSignal, Schedule
+from ..graph.scheduling import ComputeClock, ComputeSignal, Schedule
 from ..lang.kernel import (
     KernelDefault,
     KernelDelay,
@@ -506,16 +506,19 @@ class _HierarchicalBuilder:
         depth = [0] * virtual + [-1]
         #: the item index of each node among its parent's items
         item_in_parent = [0] * virtual
-        #: (node, item index there; -1 for the node's clock) of every action
-        where: Dict[Action, Tuple[int, int]] = {}
+        #: (node, item index there; -1 for the node's clock) of every action,
+        #: by schedule position
+        where: List[Optional[Tuple[int, int]]] = [None] * self._unranked
         for index, child in enumerate(self.forest.roots):
             item_in_parent[position[child.clock_class.id]] = index
         for index, node in enumerate(nodes):
             class_id = node.clock_class.id
             signals = self.node_signals.get(class_id, ())
-            where[ComputeClock(class_id)] = (index, -1)
+            rank = self._clock_rank.get(class_id)
+            if rank is not None:
+                where[rank] = (index, -1)
             for item, signal in enumerate(signals):
-                where[ComputeSignal(signal)] = (index, item)
+                where[self._signal_rank[signal]] = (index, item)
             for item, child in enumerate(node.children, start=len(signals)):
                 child_index = position[child.clock_class.id]
                 parent[child_index] = index
@@ -524,12 +527,11 @@ class _HierarchicalBuilder:
 
         self._position = position
         self._edges: List[Set[Tuple[int, int]]] = [set() for _ in range(virtual + 1)]
-        for action, prerequisites in self.schedule.prerequisites.items():
-            target = where.get(action)
+        for target, prerequisites in zip(where, self.schedule.prerequisite_positions):
             if target is None:
                 continue
             for prerequisite in prerequisites:
-                source = where.get(prerequisite)
+                source = where[prerequisite]
                 if source is None:
                     continue
                 (before, before_item), (after, after_item) = source, target

@@ -8,13 +8,15 @@ a :class:`SourceLocation`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 
-@dataclass(frozen=True)
-class SourceLocation:
-    """A position in a SIGNAL source text (1-based line and column)."""
+class SourceLocation(NamedTuple):
+    """A position in a SIGNAL source text (1-based line and column).
+
+    The lexer makes one per token, so it is a named tuple: built, compared
+    and hashed in C.
+    """
 
     line: int
     column: int

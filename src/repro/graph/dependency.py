@@ -24,8 +24,7 @@ active.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, List, NamedTuple, Optional, Set, Tuple, Union
 
 from ..clocks.algebra import (
     ClockAtom,
@@ -34,6 +33,7 @@ from ..clocks.algebra import (
     CondTrue,
     Diff,
     SignalClock,
+    SignalClocks,
     meet_all,
 )
 from ..clocks.resolution import ClockHierarchy
@@ -59,8 +59,7 @@ def node_label(node: GraphNode) -> str:
     return node if isinstance(node, str) else str(node)
 
 
-@dataclass(frozen=True)
-class DependencyEdge:
+class DependencyEdge(NamedTuple):
     """A conditioned dependency ``source --clock--> target``."""
 
     source: GraphNode
@@ -76,27 +75,43 @@ class ConditionalDependencyGraph:
 
     def __init__(self) -> None:
         self.edges: List[DependencyEdge] = []
+        #: the outgoing and incoming edges of every node, in edge order
         self._successors: Dict[GraphNode, List[DependencyEdge]] = {}
         self._predecessors: Dict[GraphNode, List[DependencyEdge]] = {}
+        #: the nodes in order of first appearance
         self.nodes: List[GraphNode] = []
-        self._node_set: Set[GraphNode] = set()
 
     # -- construction ------------------------------------------------------
     def add_node(self, node: GraphNode) -> None:
-        if node not in self._node_set:
-            self._node_set.add(node)
+        if node not in self._successors:
             self.nodes.append(node)
             self._successors[node] = []
             self._predecessors[node] = []
 
     def add_edge(self, source: GraphNode, target: GraphNode, clock: ClockExpr) -> DependencyEdge:
-        self.add_node(source)
-        self.add_node(target)
         edge = DependencyEdge(source, target, clock)
-        self.edges.append(edge)
-        self._successors[source].append(edge)
-        self._predecessors[target].append(edge)
+        self.add_edges((edge,))
         return edge
+
+    def add_edges(self, edges: Iterable[DependencyEdge]) -> None:
+        """Append ``edges`` in order, adding each node where it first appears."""
+        successors, predecessors = self._successors, self._predecessors
+        nodes, append = self.nodes, self.edges.append
+        for edge in edges:
+            source, target, _ = edge
+            outgoing = successors.get(source)
+            if outgoing is None:
+                nodes.append(source)
+                outgoing = successors[source] = []
+                predecessors[source] = []
+            incoming = predecessors.get(target)
+            if incoming is None:
+                nodes.append(target)
+                successors[target] = []
+                incoming = predecessors[target] = []
+            append(edge)
+            outgoing.append(edge)
+            incoming.append(edge)
 
     # -- queries --------------------------------------------------------------
     def successors(self, node: GraphNode) -> List[DependencyEdge]:
@@ -247,46 +262,50 @@ class ConditionalDependencyGraph:
 
 def build_dependency_graph(program: KernelProgram) -> ConditionalDependencyGraph:
     """Construct the conditional dependency graph of a kernel program (Table 2)."""
-    graph = ConditionalDependencyGraph()
+    clocks = SignalClocks()
+    edges: List[DependencyEdge] = []
+    add = edges.append
 
     # For each signal X, its clock constrains it: x̂ --x̂--> X.
     for name in program.signals:
-        graph.add_edge(SignalClock(name), name, SignalClock(name))
+        clock = clocks[name]
+        add(DependencyEdge(clock, name, clock))
 
     conditions_seen: Set[str] = set()
 
     for process in program.processes:
         if isinstance(process, KernelFunction):
-            target_clock = SignalClock(process.target)
+            target, target_clock = process.target, clocks[process.target]
             for operand in process.operands:
-                if isinstance(operand, Literal):
-                    continue
-                graph.add_edge(operand, process.target, target_clock)
+                if not isinstance(operand, Literal):
+                    add(DependencyEdge(operand, target, target_clock))
         elif isinstance(process, KernelDelay):
             # No dependency: the delay's value is taken from the previous instant.
             continue
         elif isinstance(process, KernelWhen):
-            target_clock = SignalClock(process.target)
             if not isinstance(process.source, Literal):
-                graph.add_edge(process.source, process.target, target_clock)
-            if process.condition not in conditions_seen:
-                conditions_seen.add(process.condition)
-                condition_clock = SignalClock(process.condition)
-                graph.add_edge(process.condition, CondTrue(process.condition), condition_clock)
-                graph.add_edge(process.condition, CondFalse(process.condition), condition_clock)
+                add(DependencyEdge(process.source, process.target, clocks[process.target]))
+            condition = process.condition
+            if condition not in conditions_seen:
+                conditions_seen.add(condition)
+                condition_clock = clocks[condition]
+                add(DependencyEdge(condition, CondTrue(condition), condition_clock))
+                add(DependencyEdge(condition, CondFalse(condition), condition_clock))
         elif isinstance(process, KernelDefault):
             left, right = process.left, process.right
             if not isinstance(left, Literal):
-                graph.add_edge(left, process.target, SignalClock(left))
+                add(DependencyEdge(left, process.target, clocks[left]))
             if not isinstance(right, Literal):
                 if isinstance(left, Literal):
-                    right_clock: ClockExpr = SignalClock(right)
+                    right_clock: ClockExpr = clocks[right]
                 else:
-                    right_clock = Diff(SignalClock(right), SignalClock(left))
-                graph.add_edge(right, process.target, right_clock)
+                    right_clock = Diff(clocks[right], clocks[left])
+                add(DependencyEdge(right, process.target, right_clock))
         elif isinstance(process, KernelSynchro):
             continue
         else:  # pragma: no cover - exhaustive over kernel constructors
             raise TypeError(f"unknown kernel process {process!r}")
 
+    graph = ConditionalDependencyGraph()
+    graph.add_edges(edges)
     return graph

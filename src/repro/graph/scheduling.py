@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Union
 
 from ..clocks.resolution import (
     ClockClass,
@@ -27,7 +27,7 @@ from ..clocks.resolution import (
 )
 from ..clocks.algebra import clock_atoms
 from ..errors import CausalityError
-from ..lang.kernel import KernelProgram, KernelSynchro
+from ..lang.kernel import KernelProgram
 from .dependency import ConditionalDependencyGraph
 
 __all__ = ["Action", "ComputeClock", "ComputeSignal", "Schedule", "build_schedule"]
@@ -64,9 +64,23 @@ class Schedule:
     hierarchy: ClockHierarchy
     graph: ConditionalDependencyGraph
     actions: List[Action]
-    prerequisites: Dict[Action, Set[Action]]
+    #: for each action, the positions in ``actions`` of the actions it
+    #: directly requires (all earlier), ascending
+    prerequisite_positions: List[List[int]]
     #: clock class of every scheduled signal (null-clocked signals are omitted)
     signal_class: Dict[str, ClockClass]
+
+    @property
+    def prerequisites(self) -> Dict[Action, Set[Action]]:
+        """The actions each action directly requires, keyed by action.
+
+        Built from ``prerequisite_positions`` on every read.
+        """
+        actions = self.actions
+        return {
+            action: {actions[position] for position in positions}
+            for action, positions in zip(actions, self.prerequisite_positions)
+        }
 
     def ordered_signals(self) -> List[str]:
         return [a.signal for a in self.actions if isinstance(a, ComputeSignal)]
@@ -76,12 +90,15 @@ class Schedule:
 
     def depends_on(self, action: Action, other: Action) -> bool:
         """Whether ``action`` (transitively) requires ``other`` to run first."""
-        seen: Set[Action] = set()
-        stack = [action]
+        position = {scheduled: index for index, scheduled in enumerate(self.actions)}
+        start, target = position.get(action), position.get(other)
+        if start is None or target is None:
+            return False
+        seen: Set[int] = set()
+        stack = [start]
         while stack:
-            current = stack.pop()
-            for prerequisite in self.prerequisites.get(current, ()):
-                if prerequisite == other:
+            for prerequisite in self.prerequisite_positions[stack.pop()]:
+                if prerequisite == target:
                     return True
                 if prerequisite not in seen:
                     seen.add(prerequisite)
@@ -94,7 +111,13 @@ def build_schedule(
     hierarchy: ClockHierarchy,
     graph: ConditionalDependencyGraph,
 ) -> Schedule:
-    """Compute the global triangular order of clock and signal actions."""
+    """Compute the global triangular order of clock and signal actions.
+
+    The actions are declared in a fixed order (clock classes in placement
+    order, then signals in program order) and worked on by their index in
+    it: every constraint is a pair of indices, and the sort takes the
+    ready action declared first.
+    """
     class_by_id: Dict[int, ClockClass] = {c.id: c for c in hierarchy.classes}
 
     # Which signals are scheduled: every program signal whose clock is not null.
@@ -105,34 +128,34 @@ def build_schedule(
             continue
         signal_class[name] = clock_class
 
-    actions: List[Action] = []
-    action_set: Set[Action] = set()
-
-    def add_action(action: Action) -> None:
-        if action not in action_set:
-            action_set.add(action)
-            actions.append(action)
-
     # Clock actions in placement order (already triangular), then signal reads.
+    actions: List[Action] = []
+    clock_index: Dict[int, int] = {}
     for clock_class in hierarchy.placement_order:
-        if clock_class.is_null:
-            continue
-        add_action(ComputeClock(clock_class.id))
-    for name in program.signals:
-        if name in signal_class:
-            add_action(ComputeSignal(name))
+        if not clock_class.is_null and clock_class.id not in clock_index:
+            clock_index[clock_class.id] = len(actions)
+            actions.append(ComputeClock(clock_class.id))
+    signal_index: Dict[str, int] = {}
+    for name in signal_class:
+        signal_index[name] = len(actions)
+        actions.append(ComputeSignal(name))
 
-    prerequisites: Dict[Action, Set[Action]] = {action: set() for action in actions}
+    # The indices of the actions each action requires; a signal requires
+    # its clock.
+    prerequisites: List[Set[int]] = [set() for _ in clock_index]
+    for clock_class in signal_class.values():
+        clock = clock_index.get(clock_class.id)
+        prerequisites.append(set() if clock is None else {clock})
 
-    def add_edge(before: Action, after: Action) -> None:
-        if before in action_set and after in action_set and before != after:
+    def add_edge(before: Optional[int], after: Optional[int]) -> None:
+        if before is not None and after is not None and before != after:
             prerequisites[after].add(before)
 
     # Clock-to-clock and value-to-clock constraints from the class definitions.
     for clock_class in hierarchy.classes:
         if clock_class.is_null:
             continue
-        action = ComputeClock(clock_class.id)
+        action = clock_index.get(clock_class.id)
         definition = clock_class.definition
         if isinstance(definition, PartitionDefinition):
             parent = class_by_id.get(definition.parent_id)
@@ -140,62 +163,63 @@ def build_schedule(
                 # The recorded parent was merged; use the canonical class of the
                 # condition signal's clock instead.
                 parent = hierarchy.class_of_signal(definition.condition)
-            add_edge(ComputeClock(parent.id), action)
-            add_edge(ComputeSignal(definition.condition), action)
+            add_edge(clock_index.get(parent.id), action)
+            add_edge(signal_index.get(definition.condition), action)
         elif isinstance(definition, FormulaDefinition):
             for atom in clock_atoms(definition.formula):
                 operand = hierarchy.class_of_atom(atom)
-                add_edge(ComputeClock(operand.id), action)
-
-    # A signal is computed after its clock.
-    for name, clock_class in signal_class.items():
-        add_edge(ComputeClock(clock_class.id), ComputeSignal(name))
+                add_edge(clock_index.get(operand.id), action)
 
     # Value dependencies from the conditional dependency graph (signal-to-signal
     # edges only; clock-to-signal edges are covered above).
-    for edge in graph.edges:
-        if isinstance(edge.source, str) and isinstance(edge.target, str):
-            add_edge(ComputeSignal(edge.source), ComputeSignal(edge.target))
+    for source, target, _ in graph.edges:
+        if isinstance(source, str) and isinstance(target, str):
+            add_edge(signal_index.get(source), signal_index.get(target))
 
-    ordered = _topological_sort(actions, prerequisites)
+    order = _topological_sort(actions, prerequisites)
+    position = [0] * len(actions)
+    for index, action in enumerate(order):
+        position[action] = index
+    position_of = position.__getitem__
 
     return Schedule(
         program=program,
         hierarchy=hierarchy,
         graph=graph,
-        actions=ordered,
-        prerequisites=prerequisites,
+        actions=[actions[action] for action in order],
+        prerequisite_positions=[
+            sorted(map(position_of, prerequisites[action])) for action in order
+        ],
         signal_class=signal_class,
     )
 
 
-def _topological_sort(
-    actions: Sequence[Action], prerequisites: Dict[Action, Set[Action]]
-) -> List[Action]:
-    """Stable topological sort (Kahn); raises :class:`CausalityError` on cycles."""
-    remaining_prereqs: Dict[Action, Set[Action]] = {
-        action: set(prerequisites.get(action, ())) for action in actions
-    }
-    dependents: Dict[Action, List[Action]] = {action: [] for action in actions}
-    for action, prereqs in remaining_prereqs.items():
-        for prerequisite in prereqs:
+def _topological_sort(actions: Sequence[Action], prerequisites: List[Set[int]]) -> List[int]:
+    """Stable topological sort (Kahn) of action indices.
+
+    Among the ready actions the one declared first goes first (a heap of
+    indices).  Raises :class:`CausalityError` naming, in declaration order,
+    every action left waiting by a cycle.
+    """
+    waiting = [len(before) for before in prerequisites]
+    dependents: List[List[int]] = [[] for _ in actions]
+    for action, before in enumerate(prerequisites):
+        for prerequisite in before:
             dependents[prerequisite].append(action)
 
-    # Stable: the ready action first declared goes first (a heap of indices).
-    order_index = {action: index for index, action in enumerate(actions)}
-    ready = [index for index, action in enumerate(actions) if not remaining_prereqs[action]]
-    result: List[Action] = []
+    ready = [action for action, count in enumerate(waiting) if not count]
+    order: List[int] = []
     while ready:
-        action = actions[heapq.heappop(ready)]
-        result.append(action)
+        action = heapq.heappop(ready)
+        order.append(action)
         for dependent in dependents[action]:
-            remaining_prereqs[dependent].discard(action)
-            if not remaining_prereqs[dependent]:
-                heapq.heappush(ready, order_index[dependent])
+            waiting[dependent] -= 1
+            if not waiting[dependent]:
+                heapq.heappush(ready, dependent)
 
-    if len(result) != len(actions):
-        stuck = [str(a) for a in actions if a not in set(result)]
+    if len(order) != len(actions):
+        stuck = [str(actions[action]) for action, count in enumerate(waiting) if count]
         raise CausalityError(
             "cannot order computations (instantaneous cycle): " + ", ".join(stuck)
         )
-    return result
+    return order

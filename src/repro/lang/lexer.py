@@ -11,8 +11,7 @@ One compiled regular expression scans the whole source.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import List, Optional, Union
+from typing import List, NamedTuple, Optional, Union
 
 from ..errors import LexerError, SourceLocation
 
@@ -58,9 +57,13 @@ _TOKEN_PATTERN = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Token:
-    """A lexical token with its kind, text, literal value and position."""
+class Token(NamedTuple):
+    """A lexical token with its kind, text, literal value and position.
+
+    A named tuple: the lexer makes one per token, and the parser reads its
+    fields in C.  Keywords are matched case-insensitively and no identifier
+    spells one, so a keyword or operator is known by its text alone.
+    """
 
     kind: str  # "keyword" | "identifier" | "integer" | "real" | "operator" | "eof"
     text: str
@@ -77,10 +80,19 @@ class Token:
         return f"{self.kind}({self.text!r})"
 
 
+#: the literal value of every keyword (``None`` but for ``true``/``false``)
+_KEYWORD_VALUES = dict.fromkeys(KEYWORDS)
+_KEYWORD_VALUES.update(true=True, false=False)
+_NOT_A_KEYWORD = object()
+
+
 def tokenize(source: str, filename: str = "<signal>") -> List[Token]:
     """Tokenize ``source`` into a list of tokens terminated by an EOF token."""
     tokens: List[Token] = []
     append = tokens.append
+    # Builds each named tuple in C, without the Python-level ``__new__``.
+    new = tuple.__new__
+    keyword_value = _KEYWORD_VALUES.get
     line = 1
     line_start = 0  # index of the first character of the current line
     for match in _TOKEN_PATTERN.finditer(source):
@@ -94,20 +106,20 @@ def tokenize(source: str, filename: str = "<signal>") -> List[Token]:
                 line += newlines
                 line_start = start + text.rindex("\n") + 1
             continue
-        location = SourceLocation(line, start - line_start + 1, filename)
+        location = new(SourceLocation, (line, start - line_start + 1, filename))
         if kind == "word":
             lowered = text.lower()
-            if lowered in KEYWORDS:
-                value = (lowered == "true") if lowered in ("true", "false") else None
-                append(Token("keyword", lowered, location, value))
+            value = keyword_value(lowered, _NOT_A_KEYWORD)
+            if value is _NOT_A_KEYWORD:
+                append(new(Token, ("identifier", text, location, None)))
             else:
-                append(Token("identifier", text, location))
+                append(new(Token, ("keyword", lowered, location, value)))
         elif kind == "operator":
-            append(Token("operator", text, location))
+            append(new(Token, ("operator", text, location, None)))
         elif kind == "integer":
-            append(Token("integer", text, location, int(text)))
+            append(new(Token, ("integer", text, location, int(text))))
         elif kind == "real":
-            append(Token("real", text, location, float(text)))
+            append(new(Token, ("real", text, location, float(text))))
         else:
             raise LexerError(f"unexpected character {text!r}", location)
     append(Token("eof", "", SourceLocation(line, len(source) - line_start + 1, filename)))

@@ -1,4 +1,4 @@
-"""Recursive-descent parser for the SIGNAL surface syntax.
+"""Parser for the SIGNAL surface syntax.
 
 Grammar (informal)::
 
@@ -26,11 +26,21 @@ Grammar (informal)::
 Operator precedence follows the SIGNAL reference manual ordering used by the
 paper's examples: ``default`` binds loosest, then ``when``, then the boolean,
 relational and arithmetic operators.
+
+Processes and declarations are parsed by recursive descent.  Expressions
+are parsed by one operator-precedence loop over a table of binary operator
+levels (``_BINARY_LEVELS``) and a table of the prefixes unary ``when``,
+``not`` and ``-`` (``_PREFIX_LEVELS``), each allowed only where the rules
+above allow it; the tree it builds is the one the rules describe.  Chains
+of operators and prefixes of any length parse in constant stack depth.
+Only parentheses nest the parser: an expression nested deeper than
+``MAX_NESTING`` (200) parentheses is a :class:`~repro.errors.ParseError` at
+the first parenthesis beyond it.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from ..errors import ParseError
 from .ast import (
@@ -57,13 +67,45 @@ __all__ = ["parse_process", "parse_expression", "Parser"]
 
 _TYPE_NAMES = ("boolean", "integer", "real", "event")
 
+#: deepest nesting of parentheses in an expression
+MAX_NESTING = 200
+
+# Expression levels, loosest first: the operand of an operator of level L is
+# an expression whose operators all bind at L + 1 or tighter.
+_DEFAULT, _WHEN, _OR, _AND, _RELATIONAL, _ADDITIVE, _MULTIPLICATIVE, _UNARY = range(1, 9)
+
+#: binary operator -> its level (a keyword or operator is known by its text)
+_BINARY_LEVELS = {
+    "default": _DEFAULT,
+    "when": _WHEN,
+    "or": _OR,
+    "xor": _OR,
+    "and": _AND,
+    **dict.fromkeys(("=", "/=", "<", "<=", ">", ">="), _RELATIONAL),
+    "+": _ADDITIVE,
+    "-": _ADDITIVE,
+    "*": _MULTIPLICATIVE,
+    "/": _MULTIPLICATIVE,
+    "modulo": _MULTIPLICATIVE,
+}
+
+#: prefix -> (a, b): it may start an operand of level a or looser, its own
+#: operand has level b, and only operators looser than a apply to its result
+_PREFIX_LEVELS = {
+    "when": (_WHEN, _OR),
+    "not": (_RELATIONAL, _RELATIONAL),
+    "-": (_UNARY, _UNARY),
+}
+
 
 class Parser:
-    """A recursive-descent parser over a token list."""
+    """A parser over a token list (ending with the lexer's EOF token)."""
 
     def __init__(self, tokens: List[Token]):
         self._tokens = tokens
         self._position = 0
+        #: parentheses open around the expression being parsed
+        self._depth = 0
 
     # -- token helpers -----------------------------------------------------
     @property
@@ -71,46 +113,53 @@ class Parser:
         return self._tokens[self._position]
 
     def _advance(self) -> Token:
-        token = self.current
+        token = self._tokens[self._position]
         if token.kind != "eof":
             self._position += 1
         return token
 
     def _expect_operator(self, symbol: str) -> Token:
-        if not self.current.is_operator(symbol):
-            raise ParseError(
-                f"expected {symbol!r} but found {self.current.text!r}",
-                self.current.location,
-            )
-        return self._advance()
+        token = self._tokens[self._position]
+        if token.text != symbol or token.kind != "operator":
+            raise ParseError(f"expected {symbol!r} but found {token.text!r}", token.location)
+        self._position += 1
+        return token
 
     def _expect_keyword(self, word: str) -> Token:
-        if not self.current.is_keyword(word):
+        token = self._tokens[self._position]
+        if token.text != word or token.kind != "keyword":
             raise ParseError(
-                f"expected keyword {word!r} but found {self.current.text!r}",
-                self.current.location,
+                f"expected keyword {word!r} but found {token.text!r}", token.location
             )
-        return self._advance()
+        self._position += 1
+        return token
 
     def _expect_identifier(self) -> Token:
-        if self.current.kind != "identifier":
+        token = self._tokens[self._position]
+        if token.kind != "identifier":
             raise ParseError(
-                f"expected an identifier but found {self.current.text!r}",
-                self.current.location,
+                f"expected an identifier but found {token.text!r}", token.location
             )
-        return self._advance()
+        self._position += 1
+        return token
 
     def _accept_operator(self, symbol: str) -> bool:
-        if self.current.is_operator(symbol):
-            self._advance()
+        token = self._tokens[self._position]
+        if token.text == symbol and token.kind == "operator":
+            self._position += 1
             return True
         return False
 
     def _accept_keyword(self, word: str) -> bool:
-        if self.current.is_keyword(word):
-            self._advance()
+        token = self._tokens[self._position]
+        if token.text == word and token.kind == "keyword":
+            self._position += 1
             return True
         return False
+
+    def _at_type_name(self) -> bool:
+        token = self._tokens[self._position]
+        return token.text in _TYPE_NAMES and token.kind == "keyword"
 
     # -- declarations ---------------------------------------------------------
     def _parse_declaration_group(self) -> List[SignalDeclaration]:
@@ -119,15 +168,10 @@ class Parser:
         Returns one declaration per name.  The optional ``at <loc>`` suffix is
         the distribution annotation consumed by :mod:`repro.lang.partition`.
         """
-        type_token = self.current
-        if not any(type_token.is_keyword(name) for name in _TYPE_NAMES):
-            raise ParseError(
-                f"expected a type name but found {type_token.text!r}", type_token.location
-            )
-        self._advance()
-        declarations = [self._parse_declared_name(type_token.text)]
+        type_name = self._advance().text  # the caller saw a type name
+        declarations = [self._parse_declared_name(type_name)]
         while self._accept_operator(","):
-            declarations.append(self._parse_declared_name(type_token.text))
+            declarations.append(self._parse_declared_name(type_name))
         self._expect_operator(";")
         return declarations
 
@@ -145,7 +189,7 @@ class Parser:
 
     def _parse_declarations(self) -> List[SignalDeclaration]:
         declarations: List[SignalDeclaration] = []
-        while any(self.current.is_keyword(name) for name in _TYPE_NAMES):
+        while self._at_type_name():
             declarations.extend(self._parse_declaration_group())
         return declarations
 
@@ -188,14 +232,14 @@ class Parser:
         # so we simply require one statement per "|"-separated slot.
         statements.append(self._parse_statement())
         while self._accept_operator("|"):
-            if self.current.is_operator("|)"):
+            if self._tokens[self._position].text == "|)":
                 break
             statements.append(self._parse_statement())
         self._expect_operator("|)")
         return statements
 
     def _parse_statement(self) -> Statement:
-        if self.current.is_keyword("synchro"):
+        if self._tokens[self._position].text == "synchro":
             return self._parse_synchro()
         target = self._expect_identifier()
         self._expect_operator(":=")
@@ -214,144 +258,149 @@ class Parser:
 
     # -- expressions -----------------------------------------------------------------
     def parse_expression(self) -> Expression:
-        return self._parse_default()
+        """Parse one expression with the operator-precedence loop.
 
-    def _parse_default(self) -> Expression:
-        left = self._parse_when()
-        while self.current.is_keyword("default"):
-            location = self._advance().location
-            right = self._parse_when()
-            left = Default(left, right, location)
-        return left
-
-    def _parse_when(self) -> Expression:
-        if self.current.is_keyword("when"):
-            location = self._advance().location
-            condition = self._parse_or()
-            return UnaryWhen(condition, location)
-        left = self._parse_or()
-        while self.current.is_keyword("when"):
-            location = self._advance().location
-            condition = self._parse_or()
-            left = When(left, condition, location)
-        return left
-
-    def _parse_or(self) -> Expression:
-        left = self._parse_and()
-        while self.current.is_keyword("or") or self.current.is_keyword("xor"):
-            operator = self._advance()
-            right = self._parse_and()
-            left = BinaryOp(operator.text, left, right, operator.location)
-        return left
-
-    def _parse_and(self) -> Expression:
-        left = self._parse_not()
-        while self.current.is_keyword("and"):
-            operator = self._advance()
-            right = self._parse_not()
-            left = BinaryOp(operator.text, left, right, operator.location)
-        return left
-
-    def _parse_not(self) -> Expression:
-        if self.current.is_keyword("not"):
-            location = self._advance().location
-            operand = self._parse_not()
-            return UnaryOp("not", operand, location)
-        return self._parse_relational()
-
-    def _parse_relational(self) -> Expression:
-        left = self._parse_additive()
-        for symbol in ("=", "/=", "<=", ">=", "<", ">"):
-            if self.current.is_operator(symbol):
-                operator = self._advance()
-                right = self._parse_additive()
-                return BinaryOp(operator.text, left, right, operator.location)
-        return left
-
-    def _parse_additive(self) -> Expression:
-        left = self._parse_multiplicative()
-        while self.current.is_operator("+") or self.current.is_operator("-"):
-            operator = self._advance()
-            right = self._parse_multiplicative()
-            left = BinaryOp(operator.text, left, right, operator.location)
-        return left
-
-    def _parse_multiplicative(self) -> Expression:
-        left = self._parse_unary()
-        while (
-            self.current.is_operator("*")
-            or self.current.is_operator("/")
-            or self.current.is_keyword("modulo")
-        ):
-            operator = self._advance()
-            right = self._parse_unary()
-            left = BinaryOp(operator.text, left, right, operator.location)
-        return left
-
-    def _parse_unary(self) -> Expression:
-        if self.current.is_operator("-"):
-            location = self._advance().location
-            operand = self._parse_unary()
-            return UnaryOp("-", operand, location)
-        return self._parse_postfix()
+        Binary operators come from ``_BINARY_LEVELS``.  The operators met
+        but not yet applied wait on a stack, each with the level the
+        expression around it had, so that no operator costs a Python frame
+        and chains of any length parse in constant stack depth.
+        """
+        tokens = self._tokens
+        #: (operator token, level around it, left operand or None for a prefix)
+        pending: List[Tuple[Token, int, Optional[Expression]]] = []
+        level = _DEFAULT
+        while True:
+            token = tokens[self._position]
+            prefix = _PREFIX_LEVELS.get(token.text)
+            while prefix is not None and level <= prefix[0]:
+                pending.append((token, level, None))
+                level = prefix[1]
+                self._position += 1
+                token = tokens[self._position]
+                prefix = _PREFIX_LEVELS.get(token.text)
+            left = self._parse_postfix()
+            # Only an operator binding looser than ``bound`` may take ``left``
+            # as its left operand: a tighter one would be inside ``left``,
+            # unless it is a second relational operator, which ends it.
+            bound = _UNARY
+            while True:
+                token = tokens[self._position]
+                binding = _BINARY_LEVELS.get(token.text)
+                if binding is not None and level <= binding < bound:
+                    self._position += 1
+                    pending.append((token, level, left))
+                    level = binding + 1
+                    break
+                if not pending:
+                    return left
+                token, level, operand = pending.pop()
+                text = token.text
+                if operand is None:
+                    if text == "when":
+                        left = UnaryWhen(left, token.location)
+                    else:
+                        left = UnaryOp(text, left, token.location)
+                    bound = _PREFIX_LEVELS[text][0]
+                    continue
+                binding = _BINARY_LEVELS[text]
+                if binding == _DEFAULT:
+                    left = Default(operand, left, token.location)
+                elif binding == _WHEN:
+                    left = When(operand, left, token.location)
+                else:
+                    left = BinaryOp(text, operand, left, token.location)
+                # Left-associative; a relational operator does not associate.
+                bound = binding if binding == _RELATIONAL else binding + 1
 
     def _parse_postfix(self) -> Expression:
         expression = self._parse_primary()
+        tokens = self._tokens
         while True:
-            if self.current.is_operator("$"):
-                location = self._advance().location
+            token = tokens[self._position]
+            if token.text == "$":
+                self._position += 1
                 depth = 1
-                if self.current.kind == "integer":
-                    depth = int(self.current.value)  # type: ignore[arg-type]
-                    self._advance()
+                if tokens[self._position].kind == "integer":
+                    depth = int(tokens[self._position].value)  # type: ignore[arg-type]
+                    self._position += 1
                 initial: Optional[Constant] = None
-                if self._accept_keyword("init"):
+                if tokens[self._position].text == "init":
+                    self._position += 1
                     initial = self._parse_constant()
-                expression = Delay(expression, depth, initial, location)
-            elif self.current.is_keyword("cell"):
-                location = self._advance().location
+                expression = Delay(expression, depth, initial, token.location)
+            elif token.text == "cell":
+                self._position += 1
                 condition = self._parse_primary()
                 self._expect_keyword("init")
                 initial = self._parse_constant()
-                expression = Cell(expression, condition, initial, location)
+                expression = Cell(expression, condition, initial, token.location)
             else:
                 return expression
 
     def _parse_constant(self) -> Constant:
-        token = self.current
+        """An ``init`` constant: a literal, negated by any number of ``-``."""
+        tokens = self._tokens
+        first = token = tokens[self._position]
+        negations = 0
+        while token.text == "-":
+            negations += 1
+            minus = token
+            self._position += 1
+            token = tokens[self._position]
         if token.kind in ("integer", "real"):
-            self._advance()
-            return Constant(token.value, token.location)
-        if token.kind == "keyword" and token.text in ("true", "false"):
-            self._advance()
-            return Constant(bool(token.value), token.location)
-        if token.is_operator("-"):
-            self._advance()
-            inner = self._parse_constant()
-            return Constant(-inner.value, token.location)  # type: ignore[operator]
-        raise ParseError(f"expected a constant but found {token.text!r}", token.location)
+            value = token.value
+        elif token.kind == "keyword" and token.text in ("true", "false"):
+            if negations:
+                raise ParseError(
+                    f"cannot negate the boolean constant {token.text!r}", minus.location
+                )
+            value = bool(token.value)
+        else:
+            raise ParseError(f"expected a constant but found {token.text!r}", token.location)
+        self._position += 1
+        if negations % 2:
+            value = -value  # type: ignore[operator]
+        return Constant(value, first.location)
 
     def _parse_primary(self) -> Expression:
-        token = self.current
-        if token.kind in ("integer", "real"):
-            self._advance()
-            return Constant(token.value, token.location)
-        if token.kind == "keyword" and token.text in ("true", "false"):
-            self._advance()
-            return Constant(bool(token.value), token.location)
-        if token.is_keyword("event"):
-            self._advance()
-            operand = self._parse_primary()
-            return EventOf(operand, token.location)
-        if token.kind == "identifier":
-            self._advance()
+        token = self._tokens[self._position]
+        kind = token.kind
+        if kind == "identifier":
+            self._position += 1
             return SignalRef(token.text, token.location)
-        if token.is_operator("("):
-            self._advance()
+        if kind in ("integer", "real"):
+            self._position += 1
+            return Constant(token.value, token.location)
+        if kind == "keyword":
+            if token.text in ("true", "false"):
+                self._position += 1
+                return Constant(bool(token.value), token.location)
+            if token.text == "event":
+                return self._parse_event()
+        elif token.text == "(" and kind == "operator":
+            if self._depth == MAX_NESTING:
+                raise ParseError(
+                    f"expression nested deeper than {MAX_NESTING} parentheses", token.location
+                )
+            self._position += 1
+            self._depth += 1
             expression = self.parse_expression()
             self._expect_operator(")")
+            self._depth -= 1
             return expression
         raise ParseError(f"unexpected token {token.text!r} in expression", token.location)
+
+    def _parse_event(self) -> Expression:
+        """``event`` applied to a primary, any number of times over."""
+        tokens = self._tokens
+        events = []
+        while tokens[self._position].text == "event":
+            events.append(tokens[self._position])
+            self._position += 1
+        expression = self._parse_primary()
+        for token in reversed(events):
+            expression = EventOf(expression, token.location)
+        return expression
 
     def expect_eof(self) -> None:
         if self.current.kind != "eof":

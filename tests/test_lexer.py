@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import LexerError
+from repro.errors import LexerError, SourceLocation
 from repro.lang.lexer import Token, tokenize
 
 
@@ -121,6 +121,20 @@ class TestAsciiLexicalRules:
     def test_eof_location_follows_the_last_line(self):
         eof = tokenize("X\n  % trailing comment\n   ")[-1]
         assert (eof.kind, eof.location.line, eof.location.column) == ("eof", 3, 4)
+
+    def test_tokens_and_locations_are_values(self):
+        first, again = tokenize("when X", "p.sig"), tokenize("when X", "p.sig")
+        assert first == again and hash(tuple(first)) == hash(tuple(again))
+        keyword = first[0]
+        assert (keyword.kind, keyword.text, keyword.value) == ("keyword", "when", None)
+        assert str(keyword) == "keyword('when')"
+        location = first[1].location
+        assert location == SourceLocation(1, 6, "p.sig")
+        assert hash(location) == hash(SourceLocation(1, 6, "p.sig"))
+        assert (location.line, location.column, location.filename) == (1, 6, "p.sig")
+        assert str(location) == "p.sig:1:6"
+        assert SourceLocation(2, 3).filename == "<signal>"
+        assert Token("identifier", "X", location) == first[1]
 
 
 class TestNonAsciiSourcesThroughTheCompiler:

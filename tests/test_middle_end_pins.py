@@ -9,6 +9,11 @@ cycle, like every generated control program; the two fleet members have
 three free roots and three clock trees each.  ``tests/test_golden_digests.py``
 pins the hierarchical Python and C of the Figure-13 programs only; a faster
 resolver, causality check or IR builder must leave these unchanged too.
+
+``LAYER_PINS`` pins, for the same programs, what the layers around the
+resolution build: the rendered clock equations (Table 1), the rendered
+conditional dependency graph (Table 2) with its edge order, the schedule's
+actions in order, and its sorted (prerequisite, action) pairs.
 """
 
 import hashlib
@@ -97,6 +102,82 @@ PINS = {
     ),
 }
 
+#: program -> (clock equations, dependency graph, schedule actions, prerequisite pairs)
+LAYER_PINS = {
+    "STOPWATCH": (
+        "f8f89ffafdb6aa5e4f446d05303ea3de9bd8763f1d51462a34b7f16f0b26e2d6",
+        "ccd376478d8a8fa1f47c299e4f943b143ad8bd0e7453532686689624bb9ca49e",
+        "7f7658fd7561d8abbacf4dba281c32e686215dffc724ca2109aae6cb2035e322",
+        "9573b38877732a7bf207a687c6448024191eea0de95b49911c74acac9e5abb82",
+    ),
+    "WATCH": (
+        "2cc774a8e7d263c68f2d7494517e822e15eaef1a6d11ebd149934b6935b90b38",
+        "ea9bbf881eff69f2897a437c645a9e76f0ee650493fcaa266982dab7fa68e9a5",
+        "48bc5f5adc54e49d8b9b2626432d8e306c663507fee6b1fce7d93a9c46232aac",
+        "c2cbddbda72937fe8a2cb5914f3cbf0a3bfbf8ce254eecda58223391722d1b8a",
+    ),
+    "ALARM": (
+        "f2580063092dfff7b4fea075c6b18484e59da584bc6eca37506519c5ae76ee01",
+        "36e95d0a96a155c8a06869246e65431f30f8fedda82e2b08ab0126ffd08737bd",
+        "c08c274f1f4b6199793b186da8581791f51f2beb76b37f7905a03939d824328f",
+        "081bbf65fd1edd17f0347c6e42aaeee87e34fac0844606d6b18f1c93f55816fa",
+    ),
+    "CHRONO": (
+        "4c0112f5d572b1812ffa23b2ff6de492014968c9c5e2f04ea3f64723f20c1fc7",
+        "1101aacf639f546bfd1177ebc06b6fd1ffa709ac9e1928adbfaf9ee1b3e32ba8",
+        "06395f8c71ce133a48568ef02031cc792c6b6e140fc0299127fe4271bc03dbef",
+        "182556f9eddd16d46006ed91bdeaed4709123a68e89b1abbd070a30608c9e09a",
+    ),
+    "SUPERVISOR": (
+        "2c09e6828e059710e783659fb36dbd29da423402784639d4727ca34fee790a90",
+        "a2f42412d160118177af181bf24b63cb829eb6626e18c654474d94370e5368da",
+        "c98dd499cb068d7bcf157b8d2fa59bc6cdd382de38b792abaaea24f7ad2b4f9c",
+        "b58619d877a78c0f92fd50f08b93b33d1d5f826d99f441bf2978f082aa278291",
+    ),
+    "PACE_MAKER": (
+        "2b066a38fcb12275d513fd1f6cc546a0b4e60cfeb314bd7adf8b42d2f4f7a736",
+        "78b05b5ef0600966bd1bfadebdd9e7fb3e6eb50a71cde6a96a44f4ec0e390ee0",
+        "3ef9fe07862c2987cb7686e9fd83ad1d43b587ec09379122efb4563dd4ccae31",
+        "06d2f0f6f541b0f7dd535e625df6c0acd39e0c70a885377c5771e6244d0099d8",
+    ),
+    "ROBOT": (
+        "7d7cd1a79c2eb00a9b185b51175a4e791495ee2a810e7516c26a4ed530b47c64",
+        "146f700fe7e901db278cb8bfc09e6f7c4afe3a9acb4b582ee618279a3e2b7cf1",
+        "f2b690dc8aa029e039bf30780ef244e762b78f9a8eab67af8410d03a147ef947",
+        "1571289680f928d471d20893f7726df1c37985b9156553bc5281a42171749b37",
+    ),
+    "LADDER10": (
+        "b4a9871c6d2ff8758e54adaf7d7a3e86e94ae164f8894a532aed9d9b17d3848b",
+        "48b05366669700e0211e4931a0f9de37777df6f23eb0306b25d941ca6c664165",
+        "73e20b664289199ab9411a83ca456258f0cd335a7948fcabb6a88e83f6d401e6",
+        "1f3d34cfcf227e63f1748202a362d1376596f39f1bc798f0db2f71f51a9e69ab",
+    ),
+    "ROUTER": (
+        "099090752b47bf0b534b6c589be370782de982d882266792622d4a8dffa618b5",
+        "c030e45d6fa8b952d653cbe44282f60e343aa53a86a0887b578f78bbfccaef21",
+        "a230386df087c1f007738750849721ea646fcad0673b3b561fd8020fec07a8e2",
+        "cf16797113772868b355fd9195ece77826596d3aa836b0a7dfd8166395e674fc",
+    ),
+    "EDGE": (
+        "e367e1da1fb63ff3f086ec49daed8bfedc49661c0b7c15d9582ed953b930bbb1",
+        "99921173427b629285f2191dff3be9d74553544b3df3301c094ac23ca9e892de",
+        "95ca7f0b8fdb97bd017cf45175256e6a9b7276943976a5e2eff23b97d5555ced",
+        "414106247b4de40aa59dbb9f56b44c5d65feec4c7008fae09f7cea072d4e2906",
+    ),
+    "FLEET0": (
+        "6e49d39a06277194f785be25ca5760d04d46c889d09dded2c452cca50bf6e28c",
+        "eb04b38d51d6eff7d144ac04715ac248837b31ec51f612ee3a8dddb66ce5deb6",
+        "39b2daa918a4e8159a97b88544fd9210383a0bb2ee0293a68f8f7e1e84292211",
+        "c075e011b4a10c80ec5cc4513e740e7037659cc3cf1f09110cc3b84e99545c64",
+    ),
+    "FLEET3": (
+        "4a2edd403bd7bf4eda2d0cc7d4878fc5d9c018caaaeb4ee3b36f3b2f7d8a4dc0",
+        "e5acdfae39434ad1551b2784fce0f1add28937c5b63da04caf1690d4a19ee1d8",
+        "1b394d47ea3194fe43fbb99a0b8c26bcb287ac6368d628856c6791eac7ced20d",
+        "28feb74bbe054dbb37bac4e794359f5c5250eb9ec63e8310b368a852c2f15945",
+    ),
+}
+
 GENERATED = {
     "LADDER10": ControlProgramSpec("LADDER10", modules=10, branching=3, sensors=3),
     "ROUTER": ControlProgramSpec(
@@ -131,6 +212,21 @@ def pins_of(result):
     )
 
 
+def layer_pins_of(result):
+    schedule = result.schedule
+    pairs = sorted(
+        f"{prerequisite} -> {action}"
+        for action, prerequisites in schedule.prerequisites.items()
+        for prerequisite in prerequisites
+    )
+    return (
+        sha256(str(result.clock_system)),
+        sha256(str(result.graph)),
+        sha256("\n".join(str(action) for action in schedule.actions)),
+        sha256("\n".join(pairs)),
+    )
+
+
 def test_the_corpus_is_the_one_described():
     assert sorted(PINS) == sorted(
         list(benchmark_names()) + list(GENERATED) + ["FLEET0", "FLEET3"]
@@ -146,3 +242,8 @@ def test_the_corpus_is_the_one_described():
 @pytest.mark.parametrize("name", sorted(PINS))
 def test_middle_end_matches_its_pins(name):
     assert pins_of(compile_source(source_of(name))) == PINS[name]
+
+
+@pytest.mark.parametrize("name", sorted(LAYER_PINS))
+def test_layers_around_resolution_match_their_pins(name):
+    assert layer_pins_of(compile_source(source_of(name))) == LAYER_PINS[name]

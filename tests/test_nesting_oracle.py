@@ -36,6 +36,7 @@ class ScanNesting:
 
     def __init__(self, schedule):
         self.schedule = schedule
+        self.prerequisites = schedule.prerequisites
         self.forest = schedule.hierarchy.forest
         self._rank = {action: index for index, action in enumerate(schedule.actions)}
         self.node_signals = {}
@@ -84,7 +85,7 @@ class ScanNesting:
             action_item.update(dict.fromkeys(self._actions[start:end], index))
         edges = set()
         for action, target in action_item.items():
-            for prerequisite in self.schedule.prerequisites.get(action, ()):
+            for prerequisite in self.prerequisites.get(action, ()):
                 source = action_item.get(prerequisite)
                 if source is not None and source != target:
                     edges.add((source, target))

@@ -1,5 +1,8 @@
 """Tests for the SIGNAL parser (grammar, precedence, diagnostics)."""
 
+import dataclasses
+import time
+
 import pytest
 
 from repro.errors import ParseError
@@ -17,7 +20,8 @@ from repro.lang.ast import (
     UnaryWhen,
     When,
 )
-from repro.lang.parser import parse_expression, parse_process
+from repro.lang import parser as parser_module
+from repro.lang.parser import MAX_NESTING, parse_expression, parse_process
 from repro.programs import ALARM_SOURCE
 
 
@@ -191,3 +195,101 @@ class TestProcesses:
             parse_process("process P =\n  ( ? boolean A; ! boolean B )\n  (| B := A |)\nend;")
         # missing ';' after the output declaration
         assert excinfo.value.location is not None
+
+
+class TestNegatedBooleanInit:
+    """``-`` before ``true``/``false`` in an ``init`` constant is an error at
+    that ``-``; the parser once negated the boolean into the integer -1/0."""
+
+    @pytest.mark.parametrize(
+        "text,column",
+        [
+            ("X $ 1 init -true", 12),
+            ("X $ 1 init - false", 12),
+            ("X cell C init -false", 15),
+            ("X cell C init -true", 15),
+            ("X $ 1 init - - true", 14),
+        ],
+    )
+    def test_minus_before_a_boolean_is_located(self, text, column):
+        with pytest.raises(ParseError) as excinfo:
+            parse_expression(text)
+        word = text.split()[-1].lstrip("-")
+        assert excinfo.value.message == f"cannot negate the boolean constant {word!r}"
+        assert (excinfo.value.location.line, excinfo.value.location.column) == (1, column)
+
+    def test_in_a_process_the_error_points_at_the_minus(self):
+        source = (
+            "process P = ( ? boolean A; ! boolean B; )\n"
+            "  (| B := A $ 1 init -true |) end;"
+        )
+        with pytest.raises(ParseError) as excinfo:
+            parse_process(source)
+        assert (excinfo.value.location.line, excinfo.value.location.column) == (2, 22)
+
+    def test_negated_numbers_still_parse(self):
+        assert parse_expression("X $ 1 init -2").initial == Constant(-2)
+        assert parse_expression("X $ 1 init - - 3").initial == Constant(3)
+        assert parse_expression("X cell C init -2.5").initial == Constant(-2.5)
+        initial = parse_expression("X $ 1 init true").initial
+        assert initial.value is True
+
+
+def walk(expression):
+    """(node count, depth) of an expression tree, walked without recursion."""
+    count, deepest = 0, 0
+    stack = [(expression, 1)]
+    while stack:
+        node, depth = stack.pop()
+        count += 1
+        deepest = max(deepest, depth)
+        for field in dataclasses.fields(node):
+            child = getattr(node, field.name)
+            if dataclasses.is_dataclass(child) and field.name != "location":
+                stack.append((child, depth + 1))
+    return count, deepest
+
+
+class TestNoRecursionError:
+    """Deep inputs return or raise a located ParseError, never RecursionError."""
+
+    N = 10_000
+
+    def parse_quickly(self, text):
+        started = time.process_time()
+        try:
+            return parse_expression(text)
+        finally:
+            assert time.process_time() - started < 10.0
+
+    def test_the_limit_is_in_the_docstring(self):
+        assert f"``MAX_NESTING`` ({MAX_NESTING})" in parser_module.__doc__
+
+    def test_nested_parentheses_stop_at_the_limit(self):
+        text = "(" * self.N + "x" + ")" * self.N
+        with pytest.raises(ParseError) as excinfo:
+            self.parse_quickly(text)
+        location = excinfo.value.location
+        assert (location.line, location.column) == (1, MAX_NESTING + 1)
+        assert str(MAX_NESTING) in excinfo.value.message
+
+    def test_parentheses_up_to_the_limit_parse(self):
+        text = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+        assert self.parse_quickly(text) == SignalRef("x")
+        cell = "x cell " + "(" * MAX_NESTING + "c" + ")" * MAX_NESTING + " init 0"
+        assert self.parse_quickly(cell).condition == SignalRef("c")
+
+    @pytest.mark.parametrize("prefix", ["not ", "- ", "event "])
+    def test_prefix_chains(self, prefix):
+        count, depth = walk(self.parse_quickly(prefix * self.N + "x"))
+        assert count == depth == self.N + 1
+
+    @pytest.mark.parametrize("operator", ["+", "default", "when", "and", "*"])
+    def test_binary_chains(self, operator):
+        expression = self.parse_quickly(f" {operator} ".join(["a"] * self.N))
+        count, depth = walk(expression)
+        assert (count, depth) == (2 * self.N - 1, self.N)
+
+    def test_negated_init_chain(self):
+        expression = self.parse_quickly("X $ 1 init " + "- " * self.N + "1")
+        assert expression.initial == Constant(1)

@@ -84,6 +84,26 @@ class TestOrderingInvariants:
                 " (| X := Y + A | Y := X + A |) end;"
             )
 
+    def test_cycle_left_by_the_causality_check_is_named(self):
+        # X reads Y only when C and Y reads X only when not C: the meet of
+        # the cycle's edge labels is empty, so the causality check passes.
+        # The schedule ignores labels; its sort names every action it
+        # cannot place, in declaration order.
+        program = normalize(parse_process(
+            "process P = ( ? boolean C; integer A; ! integer X, Y; )"
+            " (| X := (Y when C) default A | Y := (X when (not C)) default A"
+            " | synchro {X, Y, A} |) end;"
+        ))
+        hierarchy = resolve(extract_clock_system(program, infer_types(program)))
+        graph = build_dependency_graph(program)
+        graph.check_causality(hierarchy)
+        with pytest.raises(CausalityError) as excinfo:
+            build_schedule(program, hierarchy, graph)
+        assert excinfo.value.message == (
+            "cannot order computations (instantaneous cycle): "
+            "signal X, signal Y, signal w_k1, signal w_k3"
+        )
+
     def test_ordered_accessors(self):
         schedule = schedule_of(COUNTER_SOURCE)
         assert set(schedule.ordered_signals()) == set(schedule.signal_class)

@@ -35,7 +35,7 @@ def idle_oracle(name):
 
 def main() -> None:
     print("=== ALARM: the two generated shapes ===")
-    alarm = compile_source(ALARM_SOURCE, build_flat=True, observable=False)
+    alarm = compile_source(ALARM_SOURCE, build_flat=True)
     nested_c = alarm.c_source(GenerationStyle.HIERARCHICAL)
     flat_c = alarm.c_source(GenerationStyle.FLAT)
     print("-- nested (Figure 9, code a) --")
@@ -50,7 +50,7 @@ def main() -> None:
     source = generate_control_program(
         ControlProgramSpec("DEEPWATCH", modules=20, branching=1, sensors=3)
     )
-    result = compile_source(source, build_flat=True, observable=False)
+    result = compile_source(source, build_flat=True)
     steps = 3000
     for label, oracle_factory in (
         ("idle (all modes off)", lambda: idle_oracle),

@@ -91,7 +91,7 @@ from .service import (
     RemoteError,
 )
 from .service.daemon import pin_allocator
-from .service.store import types_from_record
+from .service.store import step_interface, types_from_record
 
 __all__ = [
     "main",
@@ -567,18 +567,23 @@ def run_simulate(argv: List[str]) -> int:
         return _run_simulate_distributed(arguments)
 
     style = GenerationStyle.FLAT if arguments.flat else GenerationStyle.HIERARCHICAL
-    try:
-        if arguments.record is not None:
+    if arguments.record is not None:
+        try:
             with open(arguments.record, "r", encoding="utf-8") as handle:
                 record = json.load(handle)
+            interface = step_interface(record)
+        except (OSError, ValueError) as error:
+            print(f"error: {arguments.record}: {error}", file=sys.stderr)
+            return 2
+    try:
+        if arguments.record is not None:
             simulation = MassSimulation.from_record(
                 record, arguments.instances, backend=arguments.backend
             )
-            entry = record["executable"]
-            name = entry["name"]
+            name = interface["name"]
             types = types_from_record(record)
-            inputs = list(entry["inputs"])
-            root_flags = [tuple(flag) for flag in entry["root_flags"]]
+            inputs = interface["inputs"]
+            root_flags = interface["root_flags"]
         else:
             source = _read_source(arguments.source)
             result = compile_source(source, style=style, build_flat=arguments.flat)

@@ -125,6 +125,11 @@ def _flag_expr(expression: FlagExpr) -> str:
     raise CodeGenerationError(f"unsupported flag expression {expression!r}")
 
 
+def _emit_observe(signal: str, lines: List[str], pad: str) -> None:
+    lines.append(f"{pad}if observe is not None:")
+    lines.append(f"{pad}    observe[{signal!r}] = {_signal_var(signal)}")
+
+
 #: the deepest indentation level CPython's tokenizer accepts (its MAXINDENT
 #: is 100); generated code nested deeper would not load
 _MAX_INDENT = 99
@@ -134,7 +139,6 @@ def _emit_statement(
     statement: Stmt,
     lines: List[str],
     indent: int,
-    observable: bool,
     name: str,
     clock: Optional[int] = None,
 ) -> None:
@@ -142,9 +146,8 @@ def _emit_statement(
     class id of the innermost guard around it (None at the top level)."""
     if isinstance(statement, Guard):
         clock = statement.class_id
-    deepest = indent + (
-        isinstance(statement, (Guard, ReadInput))
-        or (observable and isinstance(statement, (ReadRegister, ComputeValue)))
+    deepest = indent + isinstance(
+        statement, (Guard, ReadInput, ReadRegister, ComputeValue)
     )
     if deepest > _MAX_INDENT:
         raise CodeGenerationError(
@@ -180,25 +183,15 @@ def _emit_statement(
             f"{pad}    raise SimulationError("
             f"'input signal {statement.signal} is required at this instant')"
         )
-        if observable:
-            lines.append(f"{pad}if observe is not None:")
-            lines.append(f"{pad}    observe[{statement.signal!r}] = {variable}")
+        _emit_observe(statement.signal, lines, pad)
     elif isinstance(statement, ReadRegister):
         lines.append(f"{pad}{_signal_var(statement.signal)} = self.{statement.register}")
-        if observable:
-            lines.append(f"{pad}if observe is not None:")
-            lines.append(
-                f"{pad}    observe[{statement.signal!r}] = {_signal_var(statement.signal)}"
-            )
+        _emit_observe(statement.signal, lines, pad)
     elif isinstance(statement, ComputeValue):
         lines.append(
             f"{pad}{_signal_var(statement.signal)} = {_value_expr(statement.expression)}"
         )
-        if observable:
-            lines.append(f"{pad}if observe is not None:")
-            lines.append(
-                f"{pad}    observe[{statement.signal!r}] = {_signal_var(statement.signal)}"
-            )
+        _emit_observe(statement.signal, lines, pad)
     elif isinstance(statement, EmitOutput):
         lines.append(
             f"{pad}outputs[{statement.signal!r}] = {_signal_var(statement.signal)}"
@@ -209,14 +202,14 @@ def _emit_statement(
         lines.append(f"{pad}if {_flag(statement.class_id)}:")
         if statement.body:
             for inner in statement.body:
-                _emit_statement(inner, lines, indent + 1, observable, name, clock)
+                _emit_statement(inner, lines, indent + 1, name, clock)
         else:
             lines.append(f"{pad}    pass")
     else:  # pragma: no cover - exhaustive over statement kinds
         raise CodeGenerationError(f"unsupported statement {statement!r}")
 
 
-def generate_python_source(ir: StepIR, observable: bool = True) -> str:
+def generate_python_source(ir: StepIR) -> str:
     """Render the step IR as Python source defining a ``Step`` class."""
     name = ir.name
     register_inits = [
@@ -239,15 +232,12 @@ def generate_python_source(ir: StepIR, observable: bool = True) -> str:
     lines.append("    def reset(self):")
     lines.extend(register_inits)
     lines.append("")
-    if observable:
-        lines.append("    def step(self, inputs, oracle=None, observe=None):")
-    else:
-        lines.append("    def step(self, inputs, oracle=None):")
+    lines.append("    def step(self, inputs, oracle=None, observe=None):")
     lines.append("        outputs = {}")
     for class_id in ir.initialized_flags:
         lines.append(f"        {_flag(class_id)} = False")
     for statement in ir.statements:
-        _emit_statement(statement, lines, 2, observable, name)
+        _emit_statement(statement, lines, 2, name)
     lines.append("        return outputs")
     lines.append("")
     return "\n".join(lines)
@@ -270,8 +260,6 @@ class CompiledProcess:
     #: (input key, default) for every free clock of the program
     root_flags: List[Tuple[int, str, bool]]
     types: Dict[str, SignalType] = field(default_factory=dict)
-    #: whether the generated step supports the ``observe=`` parameter
-    observable: bool = True
 
     def step(
         self,
@@ -300,12 +288,10 @@ class CompiledProcess:
         The returned process shares the immutable artifacts (source, IR,
         types) but has its own step instance with freshly initialized delay
         registers, so its state is fully isolated from this one.  The
-        already-built step class is re-instantiated directly (the
-        ``observable=False`` wrapper lives on instances, never the class, so
-        the class is always pristine) -- no re-exec of the source.
+        already-built step class is re-instantiated directly -- no re-exec
+        of the source.
         """
-        instance = _prepare_step_instance(type(self.step_instance)(), self.observable)
-        return replace(self, step_instance=instance)
+        return replace(self, step_instance=type(self.step_instance)())
 
     @classmethod
     def from_generated_source(
@@ -317,7 +303,6 @@ class CompiledProcess:
         outputs: List[str],
         root_flags: List[Tuple[int, str, bool]],
         types: Dict[str, SignalType],
-        observable: bool = True,
     ) -> "CompiledProcess":
         """Rebuild an executable from previously generated step source.
 
@@ -326,7 +311,7 @@ class CompiledProcess:
         pipeline: the generated source is re-executed and wrapped exactly
         like a fresh compilation, but no IR is available (``ir`` is None).
         """
-        instance = _instantiate_step(source, name, observable)
+        instance = _instantiate_step(source, name)
         return cls(
             name=name,
             style=style,
@@ -337,26 +322,13 @@ class CompiledProcess:
             outputs=list(outputs),
             root_flags=[tuple(flag) for flag in root_flags],
             types=dict(types),
-            observable=observable,
         )
 
 
-def _prepare_step_instance(instance: object, observable: bool) -> object:
-    if not observable:
-        # Normalize the signature so CompiledProcess.step can always pass observe.
-        original_step = instance.step
-
-        def step_without_observe(inputs, oracle=None, observe=None):  # noqa: ANN001
-            return original_step(inputs, oracle)
-
-        instance.step = step_without_observe  # type: ignore[method-assign]
-    return instance
-
-
-def _instantiate_step(source: str, name: str, observable: bool) -> object:
+def _instantiate_step(source: str, name: str) -> object:
     """Execute generated step source and return a ready step instance."""
     namespace: Dict[str, object] = {"SimulationError": SimulationError}
     exec(compile(source, f"<generated {name}>", "exec"), namespace)
     class_name = f"{name}_step".replace("-", "_")
     step_class = namespace[class_name]
-    return _prepare_step_instance(step_class(), observable)  # type: ignore[operator]
+    return step_class()  # type: ignore[operator]

@@ -72,7 +72,6 @@ class _Rendered:
 
     style: GenerationStyle = GenerationStyle.HIERARCHICAL
     build_flat: bool = False
-    observable: bool = True
     _irs: Dict[GenerationStyle, StepIR] = field(
         default_factory=dict, repr=False, compare=False
     )
@@ -92,13 +91,13 @@ class _Rendered:
             ir = self._irs[style] = self._build_step_ir(style)
         return ir
 
-    def _text(self, backend: str, style: GenerationStyle, observable: bool = True) -> str:
-        key = (backend, style, observable)
+    def _text(self, backend: str, style: GenerationStyle) -> str:
+        key = (backend, style)
         text = self._texts.get(key)
         if text is None:
             ir = self.step_ir(style)
             if backend == "python":
-                text = generate_python_source(ir, observable=observable)
+                text = generate_python_source(ir)
             elif backend == "c":
                 text = generate_c_source(ir)
             else:
@@ -108,11 +107,6 @@ class _Rendered:
 
     def python_source(self, style: GenerationStyle = GenerationStyle.HIERARCHICAL) -> str:
         return self._text("python", style)
-
-    def executable_source(self, style: GenerationStyle = GenerationStyle.HIERARCHICAL) -> str:
-        """The Python text an executable of ``style`` runs: :meth:`python_source`,
-        without the ``observe=`` hook when the result is not observable."""
-        return self._text("python", style, self.observable)
 
     def c_source(self, style: GenerationStyle = GenerationStyle.HIERARCHICAL) -> str:
         return self._text("c", style)
@@ -132,18 +126,17 @@ class _Rendered:
         if executable is None:
             style = GenerationStyle.FLAT if flat else self.style
             ir = self.step_ir(style)
-            source = self.executable_source(style)
+            source = self.python_source(style)
             executable = CompiledProcess(
                 name=ir.name,
                 style=style,
                 source=source,
                 ir=ir,
-                step_instance=_instantiate_step(source, ir.name, self.observable),
+                step_instance=_instantiate_step(source, ir.name),
                 inputs=list(ir.inputs),
                 outputs=list(ir.outputs),
                 root_flags=list(ir.root_flags),
                 types=dict(self.types),
-                observable=self.observable,
             )
             self._executables[flat] = executable
         return executable
@@ -267,21 +260,17 @@ def compile_process(
     process: Process,
     style: GenerationStyle = GenerationStyle.HIERARCHICAL,
     build_flat: bool = False,
-    observable: bool = True,
     manager: Optional[BDDManager] = None,
     program: Optional[KernelProgram] = None,
 ) -> CompilationResult:
     """Compile a parsed process through the complete pipeline."""
-    return _schedule_process(
-        process, style, build_flat, observable, manager, program
-    ).materialize()
+    return _schedule_process(process, style, build_flat, manager, program).materialize()
 
 
 def _schedule_process(
     process: Process,
     style: GenerationStyle,
     build_flat: bool,
-    observable: bool,
     manager: Optional[BDDManager] = None,
     program: Optional[KernelProgram] = None,
 ) -> CompilationResult:
@@ -303,7 +292,6 @@ def _schedule_process(
         schedule=schedule,
         style=style,
         build_flat=build_flat,
-        observable=observable,
     )
 
 
@@ -311,7 +299,6 @@ def compile_source(
     source: str,
     style: GenerationStyle = GenerationStyle.HIERARCHICAL,
     build_flat: bool = False,
-    observable: bool = True,
     manager: Optional[BDDManager] = None,
 ) -> CompilationResult:
     """Compile SIGNAL source text through the complete pipeline.
@@ -322,13 +309,7 @@ def compile_source(
     is the cached counterpart.
     """
     process = parse_process(source)
-    return compile_process(
-        process,
-        style=style,
-        build_flat=build_flat,
-        observable=observable,
-        manager=manager,
-    )
+    return compile_process(process, style=style, build_flat=build_flat, manager=manager)
 
 
 # ---------------------------------------------------------------------------
@@ -368,9 +349,7 @@ def compile_unit_record(unit: ProgramUnit, manager: Optional[BDDManager] = None)
     their structural atoms (presence keys are recomputed per program at
     link time), the inferred types and the rendered tree, clock-system and
     kernel texts.  It holds no generated code: every backend emits from the
-    linked step IR.  Records written by older code also carry pre-rendered
-    statement bodies under an ``emit`` key, which nothing reads, so they
-    still link to the same bytes.  The record is JSON-safe and is what the
+    linked step IR.  The record is JSON-safe and is what the
     in-memory unit LRU and the on-disk
     :class:`~repro.service.store.CompileStore` cache.
     """
@@ -406,7 +385,6 @@ def compile_unit_record(unit: ProgramUnit, manager: Optional[BDDManager] = None)
         "fingerprint": unit.fingerprint(),
         "style": UNIT_STYLE,
         "build_flat": False,
-        "observable": True,
         "unit_version": UNIT_FINGERPRINT_VERSION,
         "name": canonical.name,
         "types": {name: type_.value for name, type_ in types.items()},
@@ -567,7 +545,6 @@ def link_units(
     records: list,
     style: GenerationStyle = GenerationStyle.HIERARCHICAL,
     build_flat: bool = False,
-    observable: bool = True,
     process: Optional[Process] = None,
 ) -> LinkedCompilationResult:
     """Compose cached unit records into an executable compilation result.
@@ -580,9 +557,7 @@ def link_units(
     trace-equivalence of the two paths is what the differential fuzz suite
     proves.
     """
-    return _link(
-        program, units, records, style, build_flat, observable, process
-    ).materialize()
+    return _link(program, units, records, style, build_flat, process).materialize()
 
 
 def _link(
@@ -591,7 +566,6 @@ def _link(
     records: list,
     style: GenerationStyle,
     build_flat: bool,
-    observable: bool,
     process: Optional[Process] = None,
 ) -> LinkedCompilationResult:
     """:func:`link_units` without byte-compiling: the linked step IR and
@@ -614,7 +588,6 @@ def _link(
         process=process,
         style=style,
         build_flat=build_flat,
-        observable=observable,
     )
 
 
@@ -622,7 +595,6 @@ def compile_modular_source(
     source: str,
     style: GenerationStyle = GenerationStyle.HIERARCHICAL,
     build_flat: bool = False,
-    observable: bool = True,
     manager: Optional[BDDManager] = None,
 ) -> LinkedCompilationResult:
     """Compile SIGNAL source unit-by-unit and link (no caching involved).
@@ -636,12 +608,6 @@ def compile_modular_source(
     units = split_units(program)
     records = [compile_unit_record(unit, manager=manager) for unit in units]
     return link_units(
-        program,
-        units,
-        records,
-        style=style,
-        build_flat=build_flat,
-        observable=observable,
-        process=process,
+        program, units, records, style=style, build_flat=build_flat, process=process
     )
 

@@ -226,29 +226,22 @@ class SharedCProgram:
     def from_record(cls, record: Mapping[str, object], cc: Optional[str] = None) -> "SharedCProgram":
         """Load a persisted artifact record's ``c_shared`` artifact.
 
-        Records written before the ``c_shared`` artifact existed (store
-        format 1) raise :class:`SimulationError` -- recompile the program.
+        A record that fails the store's check (one of an older format, or
+        one missing its ``c_shared`` text) raises :class:`SimulationError`
+        -- recompile the program.
         """
-        artifacts = record.get("artifacts", {})
-        c_shared = artifacts.get("c_shared")
-        if not c_shared:
-            raise SimulationError(
-                "artifact record has no 'c_shared' artifact "
-                "(written by an older store format -- recompile)"
-            )
-        entry = record["executable"]
-        types = {
-            name: SignalType(value) for name, value in record["types"].items()
-        }
+        from ..service.store import step_interface, types_from_record
+
+        try:
+            interface = step_interface(record)
+        except ValueError as error:
+            raise SimulationError(f"not a loadable artifact record: {error}") from None
         return cls.from_metadata(
-            c_shared,
-            name=entry["name"],
+            record["artifacts"]["c_shared"],
             style=GenerationStyle(record["style"]),
-            inputs=entry["inputs"],
-            outputs=entry["outputs"],
-            root_flags=entry["root_flags"],
-            types=types,
+            types=types_from_record(record),
             cc=cc,
+            **interface,
         )
 
     # -- instantiation -------------------------------------------------------
@@ -471,7 +464,6 @@ class LoadedCProcess:
         self.outputs = list(program.outputs)
         self.root_flags = list(program.root_flags)
         self.types = dict(program.types)
-        self.observable = True
         self._population = program.population(1)
 
     def step(

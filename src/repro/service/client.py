@@ -259,7 +259,6 @@ class RemoteCompiler:
         source: str,
         style: Union[GenerationStyle, str] = GenerationStyle.HIERARCHICAL,
         build_flat: bool = False,
-        observable: bool = True,
         emit: Iterable[str] = (),
         simulate: int = 0,
         seed: int = 0,
@@ -277,7 +276,6 @@ class RemoteCompiler:
             "source": source,
             "style": style_value,
             "build_flat": build_flat,
-            "observable": observable,
             "emit": list(emit),
             "simulate": simulate,
             "seed": seed,
@@ -318,7 +316,6 @@ class RemoteCompiler:
         fingerprint: str,
         style: Union[GenerationStyle, str] = GenerationStyle.HIERARCHICAL,
         build_flat: bool = False,
-        observable: bool = True,
     ) -> Optional[Dict[str, object]]:
         """Fetch the artifact record cached under a key, or ``None``.
 
@@ -333,7 +330,6 @@ class RemoteCompiler:
                 "fingerprint": fingerprint,
                 "style": style_value,
                 "build_flat": build_flat,
-                "observable": observable,
             }
         )
         return response["record"] if response.get("found") else None

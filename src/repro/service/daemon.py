@@ -99,6 +99,7 @@ from ..runtime import ReactiveExecutor, random_oracle, timing_diagram
 from .cache import LRUCache, source_digest
 from .service import CompilationService
 from .store import (
+    ARTIFACT_KINDS,
     CompileStore,
     executable_from_record,
     key_from_record,
@@ -117,7 +118,7 @@ PROTOCOL_VERSION = 1
 MAX_LINE_BYTES = 16 * 1024 * 1024
 
 #: artifact kinds a compile request may ask for via ``emit``
-EMIT_KINDS = ("tree", "clocks", "kernel", "python", "c", "c_shared", "stats")
+EMIT_KINDS = (*ARTIFACT_KINDS, "stats")
 
 def pin_allocator() -> bool:
     """Fix glibc's malloc trim (256 MiB) and mmap (32 MiB) thresholds.
@@ -193,14 +194,23 @@ def _style_field(request: Dict[str, object]) -> GenerationStyle:
         ) from None
 
 
+def _options(request: Dict[str, object]) -> Tuple[GenerationStyle, bool]:
+    """The validated code-generation options of a ``compile`` or ``store-get``:
+    ``(style, build_flat)``.  Every generated step takes ``observe=``, so the
+    legacy ``observable`` field is accepted only as ``true``."""
+    style = _style_field(request)
+    build_flat = _field(request, "build_flat", bool, False)
+    if _field(request, "observable", bool, True) is not True:
+        raise _RequestError("field 'observable' must be true (every step is observable)")
+    return style, build_flat
+
+
 def _compile_arguments(request: Dict[str, object]) -> tuple:
     """Validate a ``compile`` request; returns its ``compile_record`` arguments."""
     source = request.get("source")
     if not isinstance(source, str) or not source.strip():
         raise _RequestError("field 'source' must be a non-empty string")
-    style = _style_field(request)
-    build_flat = _field(request, "build_flat", bool, False)
-    observable = _field(request, "observable", bool, True)
+    style, build_flat = _options(request)
     modular = _field(request, "modular", bool, False)
     _field(request, "simulate", int, 0)
     _field(request, "seed", int, 0)
@@ -210,7 +220,7 @@ def _compile_arguments(request: Dict[str, object]) -> tuple:
     unknown = [kind for kind in emit if kind not in EMIT_KINDS]
     if unknown:
         raise _RequestError(f"unknown emit kind(s) {unknown}; expected {list(EMIT_KINDS)}")
-    return source, style, build_flat, observable, modular
+    return source, style, build_flat, modular
 
 
 def _compile_response(request: dict, record: dict, origin: str) -> Dict[str, object]:
@@ -316,7 +326,6 @@ class CompilationDaemon:
         source: str,
         style: GenerationStyle = GenerationStyle.HIERARCHICAL,
         build_flat: bool = False,
-        observable: bool = True,
         modular: bool = False,
     ) -> Tuple[Dict[str, object], str]:
         """Compile (or fetch) the artifact record for one source.
@@ -345,14 +354,14 @@ class CompilationDaemon:
         with self._lock:
             self._compile_requests += 1
         digest = source_digest(source)
-        key, record = self._memory_tier(digest, style, build_flat, observable)
+        key, record = self._memory_tier(digest, style, build_flat)
         process = None
         program = None
         if key is None:
             process = parse_process(source)
             program = normalize(process)
             self._digests.put(digest, program.fingerprint())
-            key, record = self._memory_tier(digest, style, build_flat, observable)
+            key, record = self._memory_tier(digest, style, build_flat)
         if record is not None:
             return record, "memory"
 
@@ -368,7 +377,6 @@ class CompilationDaemon:
             source,
             style=style,
             build_flat=build_flat,
-            observable=observable,
             process=process,
             program=program,
             modular=modular,
@@ -392,7 +400,7 @@ class CompilationDaemon:
         return record, "compiled"
 
     def _memory_tier(
-        self, digest: str, style: GenerationStyle, build_flat: bool, observable: bool
+        self, digest: str, style: GenerationStyle, build_flat: bool
     ) -> Tuple[Optional[tuple], Optional[dict]]:
         """Tier 1: ``(key, record)``, ``record`` None on a miss.
 
@@ -405,7 +413,7 @@ class CompilationDaemon:
         fingerprint = self._digests.get(digest)
         if fingerprint is None:
             return None, None
-        key = store_key(fingerprint, style, build_flat, observable)
+        key = store_key(fingerprint, style, build_flat)
         record = self._records.get(key)
         if record is not None:
             with self._lock:
@@ -552,11 +560,11 @@ class CompilationDaemon:
             return None
         started = time.perf_counter()
         try:
-            source, style, build_flat, observable, _ = _compile_arguments(request)
+            source, style, build_flat, _ = _compile_arguments(request)
             digest = source_digest(source)
         except (_RequestError, UnicodeError):  # the pool answers the error
             return None
-        _, record = self._memory_tier(digest, style, build_flat, observable)
+        _, record = self._memory_tier(digest, style, build_flat)
         if record is None:
             return None
         with self._lock:
@@ -629,10 +637,7 @@ class CompilationDaemon:
             return unit_store_key(fingerprint)
         if kind != "program":
             raise _RequestError("field 'kind' must be 'program' or 'unit'")
-        style = _style_field(request)
-        build_flat = _field(request, "build_flat", bool, False)
-        observable = _field(request, "observable", bool, True)
-        return store_key(fingerprint, style, build_flat, observable)
+        return store_key(fingerprint, *_options(request))
 
     def _handle_store_get(self, request: Dict[str, object]) -> Dict[str, object]:
         """The ``store-get`` op: read the artifact tier without compiling.

@@ -119,7 +119,6 @@ def _compile_result(
     program: KernelProgram,
     style: GenerationStyle,
     build_flat: bool,
-    observable: bool,
     known: Optional[Dict[str, Dict[str, object]]],
     units: Optional[List[ProgramUnit]] = None,
 ) -> Tuple[CompilationResult, Dict[str, Dict[str, object]]]:
@@ -132,9 +131,7 @@ def _compile_result(
     ``materialize()``."""
     compiled: Dict[str, Dict[str, object]] = {}
     if known is None:
-        result = CompilationService._compile_program(
-            process, program, style, build_flat, observable
-        )
+        result = CompilationService._compile_program(process, program, style, build_flat)
         return result, compiled
     if units is None:
         units = split_units(program)
@@ -147,7 +144,6 @@ def _compile_result(
         [known.get(unit.fingerprint()) or compiled[unit.fingerprint()] for unit in units],
         style,
         build_flat,
-        observable,
         process,
     )
     return linked, compiled
@@ -157,7 +153,6 @@ def _process_worker_record(
     source: str,
     style: GenerationStyle,
     build_flat: bool,
-    observable: bool,
     known: Optional[Dict[str, Dict[str, object]]],
 ) -> Tuple[Dict[str, object], Dict[str, Dict[str, object]]]:
     """:func:`_compile_result` of one source in a worker process, rendered.
@@ -167,10 +162,8 @@ def _process_worker_record(
     original ``SignalError`` subclass.
     """
     process = parse_process(source)
-    result, compiled = _compile_result(
-        process, normalize(process), style, build_flat, observable, known
-    )
-    record = record_from_result(result, style, build_flat=build_flat, observable=observable)
+    result, compiled = _compile_result(process, normalize(process), style, build_flat, known)
+    record = record_from_result(result, style, build_flat=build_flat)
     return record, compiled
 
 
@@ -208,7 +201,7 @@ class CompilationService:
             store = CompileStore(store)
         #: disk store under the unit records and process batches (may be None)
         self.store: Optional[CompileStore] = store
-        #: (kernel fingerprint, style, build_flat, observable, modular) -> result
+        #: (kernel fingerprint, style, build_flat, modular) -> result
         self._results: LRUCache[_Result] = LRUCache(max_entries)
         # Per-unit artifact records (modular compilation), keyed by unit
         # fingerprint.  Units are small next to whole results, and one
@@ -239,7 +232,6 @@ class CompilationService:
         program: KernelProgram,
         style: GenerationStyle,
         build_flat: bool,
-        observable: bool,
     ) -> CompilationResult:
         """Run one cache miss through the pipeline on a fresh manager, up to
         the schedule (no executable is byte-compiled).
@@ -250,7 +242,7 @@ class CompilationService:
         """
         manager = BDDManager()
         result = _schedule_process(
-            process, style, build_flat, observable, manager=manager, program=program
+            process, style, build_flat, manager=manager, program=program
         )
         manager.clear_caches()
         return result
@@ -261,7 +253,6 @@ class CompilationService:
         process: Optional[Process],
         style: GenerationStyle,
         build_flat: bool,
-        observable: bool,
         program: Optional[KernelProgram] = None,
         modular: bool = False,
     ) -> _Result:
@@ -283,9 +274,7 @@ class CompilationService:
             digest = source_digest(source)
             fingerprint = self._source_fingerprints.get(digest)
             if fingerprint is not None:
-                cached = self._results.get(
-                    (fingerprint, style, build_flat, observable, modular)
-                )
+                cached = self._results.get((fingerprint, style, build_flat, modular))
                 if cached is not None:
                     return self._fresh_hit(cached)
                 counted_miss = True
@@ -301,7 +290,7 @@ class CompilationService:
         if digest is not None:
             self._source_fingerprints.put(digest, fingerprint)
 
-        key = (fingerprint, style, build_flat, observable, modular)
+        key = (fingerprint, style, build_flat, modular)
         # The fast path above already charged this request with a miss; avoid
         # double counting while still honouring a concurrent caller that may
         # have filled the entry in the meantime.
@@ -314,9 +303,7 @@ class CompilationService:
                 self._link_misses += 1
             units = split_units(program)
             known = self._known_units(units, self.store, compile_missing=True)
-        result, _ = _compile_result(
-            process, program, style, build_flat, observable, known, units
-        )
+        result, _ = _compile_result(process, program, style, build_flat, known, units)
         result.materialize()
         if modular:
             with self._lock:
@@ -345,7 +332,6 @@ class CompilationService:
         source: str,
         style: GenerationStyle = GenerationStyle.HIERARCHICAL,
         build_flat: bool = False,
-        observable: bool = True,
     ) -> CompilationResult:
         """Compile SIGNAL source text, reusing cached results.
 
@@ -353,14 +339,13 @@ class CompilationService:
         statistics included) is exactly what
         :func:`~repro.compiler.compile_source` returns for the same source.
         """
-        return self._compile_cached(source, None, style, build_flat, observable)
+        return self._compile_cached(source, None, style, build_flat)
 
     def compile_process(
         self,
         process: Process,
         style: GenerationStyle = GenerationStyle.HIERARCHICAL,
         build_flat: bool = False,
-        observable: bool = True,
         program: Optional[KernelProgram] = None,
     ) -> CompilationResult:
         """Like :meth:`compile` for an already-parsed process.
@@ -369,16 +354,13 @@ class CompilationService:
         of ``process`` (callers like the daemon normalize first to compute
         the cache key; passing it through avoids normalizing twice).
         """
-        return self._compile_cached(
-            None, process, style, build_flat, observable, program=program
-        )
+        return self._compile_cached(None, process, style, build_flat, program=program)
 
     def compile_record(
         self,
         source: Optional[str] = None,
         style: GenerationStyle = GenerationStyle.HIERARCHICAL,
         build_flat: bool = False,
-        observable: bool = True,
         process: Optional[Process] = None,
         program: Optional[KernelProgram] = None,
         modular: bool = False,
@@ -417,15 +399,13 @@ class CompilationService:
             known = self._known_units(units, store, compile_missing=jobs <= 1)
         if jobs <= 1:
             result, compiled = _compile_result(
-                process, program, style, build_flat, observable, known, units
+                process, program, style, build_flat, known, units
             )
-            record = record_from_result(
-                result, style, build_flat=build_flat, observable=observable
-            )
+            record = record_from_result(result, style, build_flat=build_flat)
         else:
             with self._borrow_process_pool(jobs) as pool:
                 record, compiled = pool.submit(
-                    _process_worker_record, source, style, build_flat, observable, known
+                    _process_worker_record, source, style, build_flat, known
                 ).result()
             with self._lock:
                 self._process_records += 1
@@ -484,7 +464,6 @@ class CompilationService:
         process: Optional[Process] = None,
         style: GenerationStyle = GenerationStyle.HIERARCHICAL,
         build_flat: bool = False,
-        observable: bool = True,
         program: Optional[KernelProgram] = None,
     ) -> LinkedCompilationResult:
         """Compile unit-by-unit against the unit cache, then link.
@@ -506,7 +485,7 @@ class CompilationService:
         if source is None and process is None:
             raise ValueError("compile_modular needs source= or process=")
         return self._compile_cached(
-            source, process, style, build_flat, observable, program=program, modular=True
+            source, process, style, build_flat, program=program, modular=True
         )
 
     def compile_batch(
@@ -514,7 +493,6 @@ class CompilationService:
         sources: Iterable[str],
         style: GenerationStyle = GenerationStyle.HIERARCHICAL,
         build_flat: bool = False,
-        observable: bool = True,
         modular: bool = False,
     ) -> list:
         """Compile many sources serially; return live results in input order.
@@ -530,11 +508,7 @@ class CompilationService:
         results = []
         for index, source in enumerate(sources):
             with _blame(index):
-                results.append(
-                    compile_one(
-                        source, style=style, build_flat=build_flat, observable=observable
-                    )
-                )
+                results.append(compile_one(source, style=style, build_flat=build_flat))
         return results
 
     def compile_batch_records(
@@ -543,7 +517,6 @@ class CompilationService:
         jobs: int = 1,
         style: GenerationStyle = GenerationStyle.HIERARCHICAL,
         build_flat: bool = False,
-        observable: bool = True,
         modular: bool = False,
     ) -> List[Dict[str, object]]:
         """Compile many sources into JSON-safe artifact records, in input order.
@@ -567,12 +540,11 @@ class CompilationService:
                 self._compile_batch_modular_processes if modular
                 else self._compile_batch_processes
             )
-            return fan_out(source_list, jobs, style, build_flat, observable)
+            return fan_out(source_list, jobs, style, build_flat)
         return [
-            record_from_result(r, style, build_flat=build_flat, observable=observable)
+            record_from_result(r, style, build_flat=build_flat)
             for r in self.compile_batch(
-                source_list, style=style, build_flat=build_flat,
-                observable=observable, modular=modular,
+                source_list, style=style, build_flat=build_flat, modular=modular
             )
         ]
 
@@ -583,7 +555,6 @@ class CompilationService:
         jobs: int,
         style: GenerationStyle,
         build_flat: bool,
-        observable: bool,
     ) -> List[Dict[str, object]]:
         """The parallel link stage.
 
@@ -630,13 +601,10 @@ class CompilationService:
                     process=process,
                     style=style,
                     build_flat=build_flat,
-                    observable=observable,
                     program=program,
                 )
-            record = record_from_result(
-                linked, style, build_flat=build_flat, observable=observable
-            )
-            key = store_key(program.fingerprint(), style, build_flat, observable)
+            record = record_from_result(linked, style, build_flat=build_flat)
+            key = store_key(program.fingerprint(), style, build_flat)
             _spill(store, key, record)
             records.append(record)
         with self._lock:
@@ -649,7 +617,6 @@ class CompilationService:
         jobs: int,
         style: GenerationStyle,
         build_flat: bool,
-        observable: bool,
     ) -> List[Dict[str, object]]:
         """Ship every source the store does not hold to a worker process.
 
@@ -665,10 +632,10 @@ class CompilationService:
                 if store is not None:
                     with _blame(index):
                         program = normalize(parse_process(source))
-                    key = store_key(program.fingerprint(), style, build_flat, observable)
+                    key = store_key(program.fingerprint(), style, build_flat)
                     record = store.get(key)
                 answers.append((key, record or pool.submit(
-                    _process_worker_record, source, style, build_flat, observable, None
+                    _process_worker_record, source, style, build_flat, None
                 )))
             records = []
             for index, (key, answer) in enumerate(answers):

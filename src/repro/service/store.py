@@ -14,8 +14,8 @@ JSON: the clock hierarchy, dependency graph and schedule hold BDD handles
 bound to the live manager of the process that compiled them.  The record
 therefore captures the *rendered* artifacts -- generated Python and C
 sources, the clock tree and clock system as text, the kernel form, the size
-statistics -- plus exactly enough metadata (inputs, outputs, root flags,
-signal types, the generated step source) to rebuild a runnable
+statistics -- plus exactly enough metadata (the step interface and the
+signal types) to rebuild a runnable
 :class:`~repro.codegen.python_backend.CompiledProcess` via
 :func:`executable_from_record`.  That covers everything the daemon protocol
 can answer (``--emit`` artifacts and simulation); callers that need the
@@ -50,10 +50,13 @@ if TYPE_CHECKING:  # avoid a circular import at runtime
 __all__ = [
     "STORE_FORMAT",
     "UNIT_STYLE",
+    "ARTIFACT_KINDS",
     "CompileStore",
     "store_key",
     "unit_store_key",
     "key_from_record",
+    "check_program_record",
+    "step_interface",
     "record_from_result",
     "executable_from_record",
     "types_from_record",
@@ -63,32 +66,36 @@ __all__ = [
 #: (2: added the ``c_shared`` artifact -- the reentrant columnar C source
 #: that the mass-simulation runtime builds with ``cc -shared``;
 #: 3: records self-describe their ``kind`` -- whole-program artifact
-#: records (``"program"``) now coexist with per-unit artifact records
-#: (``"unit"``, modular compilation).  Format-1/2 entries found in a store
-#: directory are quarantined on read: reported as misses, counted in
-#: ``invalid`` and unlinked, never parsed for artifacts.)
-#: A whole program has one record kind, ``"program"``, whether a monolithic
-#: or a modular compile wrote it.  ``"linked"`` files left by older format-3
-#: code are never addressed again and age out through :meth:`CompileStore.prune`.
-#: Unit records hold no generated code; format-3 unit records written by
-#: older code also carry pre-rendered statement bodies under an ``emit``
-#: key, which nothing reads, so they still load and link unchanged.
-STORE_FORMAT = 3
+#: records (``"program"``) coexist with per-unit artifact records
+#: (``"unit"``, modular compilation);
+#: 4: a program record stores each Python text once and its step interface
+#: once (see :func:`check_program_record`); keys lose their fourth slot,
+#: as every generated step takes ``observe=``.)  An older-format entry
+#: found under a current key is quarantined on read: reported as a miss,
+#: counted in ``invalid`` and unlinked, never parsed for artifacts.  Files
+#: written under keys this code never addresses (every format-3 file) age
+#: out through :meth:`CompileStore.prune`.
+STORE_FORMAT = 4
 
 #: the pseudo-style under which per-unit artifact records are keyed; unit
 #: records are style-independent (they carry the IR of *both* generation
 #: styles), so the style slot of the key is this constant instead
 UNIT_STYLE = "unit"
 
-#: store key: (kernel fingerprint, style value, build_flat, observable)
-StoreKey = Tuple[str, str, bool, bool]
+#: the rendered texts of a program record, by ``artifacts`` key
+ARTIFACT_KINDS = ("tree", "clocks", "kernel", "python", "c", "c_shared")
+
+#: the values a record's ``types`` map may hold
+_TYPE_NAMES = frozenset(type_.value for type_ in SignalType)
+
+#: store key: (kernel fingerprint, style value, build_flat)
+StoreKey = Tuple[str, str, bool]
 
 
 def store_key(
     fingerprint: str,
     style: GenerationStyle,
     build_flat: bool = False,
-    observable: bool = True,
 ) -> StoreKey:
     """The persistent identity of one compile-cache entry.
 
@@ -96,57 +103,45 @@ def store_key(
     normalizes away surface-text differences, the remaining fields are the
     code-generation options that change the produced artifacts.
     """
-    return (fingerprint, style.value, bool(build_flat), bool(observable))
+    return (fingerprint, style.value, bool(build_flat))
 
 
 def unit_store_key(fingerprint: str) -> StoreKey:
     """The persistent identity of one per-unit artifact record.
 
     Unit records are keyed by the unit fingerprint alone: they carry both
-    generation styles and are always observable-neutral, so the remaining
-    key slots are fixed.  The ``UNIT_STYLE`` marker keeps unit and
-    whole-program entries in disjoint key spaces even though they share a
-    store directory (unit fingerprints are additionally versioned, see
+    generation styles, so the remaining key slots are fixed.  The
+    ``UNIT_STYLE`` marker keeps unit and whole-program entries in disjoint
+    key spaces even though they share a store directory (unit fingerprints
+    are additionally versioned, see
     :data:`repro.lang.units.UNIT_FINGERPRINT_VERSION`).
     """
-    return (fingerprint, UNIT_STYLE, False, True)
-
-
-def _executable_record(result: "CompilationResult", style: GenerationStyle) -> Dict[str, object]:
-    """What :func:`executable_from_record` needs to rebuild the step of
-    ``style``: its Python text plus the interface of its step IR."""
-    ir = result.step_ir(style)
-    return {
-        "source": result.executable_source(style),
-        "name": ir.name,
-        "style": style.value,
-        "inputs": list(ir.inputs),
-        "outputs": list(ir.outputs),
-        "root_flags": [list(flag) for flag in ir.root_flags],
-        "observable": result.observable,
-    }
+    return (fingerprint, UNIT_STYLE, False)
 
 
 def record_from_result(
     result: "CompilationResult",
     style: GenerationStyle,
     build_flat: bool = False,
-    observable: bool = True,
 ) -> Dict[str, object]:
     """Serialize a compilation result into a JSON-safe artifact record.
 
     Every artifact is rendered from the result's memoized step IR and
     texts; no executable is built or read, so rendering a record never
     byte-compiles the Python it carries (its clients do, through
-    :func:`executable_from_record`).
+    :func:`executable_from_record`).  ``artifacts.python`` is the step of
+    ``style``; with ``build_flat``, the flat step's text is added as
+    ``flat_python`` unless it is that same text.  The step interface is
+    stored once: both styles' steps share it.
     """
+    ir = result.step_ir(style)
+    python = result.python_source(style)
     record: Dict[str, object] = {
         "format": STORE_FORMAT,
         "kind": "program",
         "fingerprint": result.program.fingerprint(),
         "style": style.value,
         "build_flat": bool(build_flat),
-        "observable": bool(observable),
         "name": result.name,
         "statistics": result.statistics(),
         "types": {name: type_.value for name, type_ in result.types.items()},
@@ -154,28 +149,42 @@ def record_from_result(
             "tree": result.tree_text(),
             "clocks": str(result.clock_system),
             "kernel": str(result.program),
-            "python": result.python_source(style),
+            "python": python,
             "c": result.c_source(style),
             "c_shared": result.c_shared_source(style),
         },
-        "executable": _executable_record(result, result.style),
-        "executable_flat": (
-            _executable_record(result, GenerationStyle.FLAT)
-            if result.build_flat
-            else None
-        ),
+        "step": {
+            "name": ir.name,
+            "inputs": list(ir.inputs),
+            "outputs": list(ir.outputs),
+            "root_flags": [list(flag) for flag in ir.root_flags],
+        },
     }
+    if build_flat:
+        flat = result.python_source(GenerationStyle.FLAT)
+        if flat != python:
+            record["flat_python"] = flat
     return record
 
 
-def key_from_record(record: Dict[str, object]) -> StoreKey:
-    """The store key a self-describing record belongs under.
+def _is_text_list(value: object) -> bool:
+    return isinstance(value, list) and all(isinstance(item, str) for item in value)
 
-    Validates the identity fields a record must carry (the ``store-put``
-    protocol op and cross-node record transfer rely on this): a record of
-    another format version, or one missing its fingerprint/style, raises
-    ``ValueError`` rather than being filed under a made-up key.
-    """
+
+def _is_root_flag(flag: object) -> bool:
+    """A ``[class id, input key, default]`` triple."""
+    return (
+        isinstance(flag, list)
+        and len(flag) == 3
+        and isinstance(flag[0], int)
+        and not isinstance(flag[0], bool)
+        and isinstance(flag[1], str)
+        and isinstance(flag[2], bool)
+    )
+
+
+def _check_identity(record: object) -> str:
+    """Check the fields every record of this format carries; return its kind."""
     if not isinstance(record, dict):
         raise ValueError("artifact record must be a JSON object")
     if record.get("format") != STORE_FORMAT:
@@ -185,31 +194,104 @@ def key_from_record(record: Dict[str, object]) -> StoreKey:
         )
     fingerprint = record.get("fingerprint")
     if not isinstance(fingerprint, str) or not fingerprint:
-        raise ValueError("record carries no kernel fingerprint")
-    kind = record.get("kind", "program")
-    if kind == "unit":
+        raise ValueError("record carries no fingerprint")
+    kind = record.get("kind")
+    if kind not in ("program", "unit"):
+        raise ValueError(f"record carries unknown kind {kind!r}")
+    return kind
+
+
+def check_program_record(record: object) -> None:
+    """Raise ``ValueError`` unless ``record`` is a well-formed program record.
+
+    The one check of the format-4 program layout: the identity fields
+    (``format``, ``kind``, ``fingerprint``, ``style``, ``build_flat``),
+    ``name``, ``statistics``, ``types``, every artifact of
+    :data:`ARTIFACT_KINDS` as text, the step interface and the optional
+    ``flat_python`` text.  Everything that reads a record from outside this
+    process -- ``store-put``, the disk store, ``simulate --record`` -- runs
+    it, so no reader meets a record it cannot serve.
+    """
+    if _check_identity(record) != "program":
+        raise ValueError("record is a unit record, not a program record")
+    try:
+        GenerationStyle(record.get("style"))
+    except ValueError:
+        raise ValueError(f"record carries unknown style {record.get('style')!r}") from None
+    if not isinstance(record.get("build_flat"), bool):
+        raise ValueError("record field 'build_flat' must be a boolean")
+    if not isinstance(record.get("name"), str):
+        raise ValueError("record carries no process name")
+    statistics = record.get("statistics")
+    if not isinstance(statistics, dict) or not all(
+        isinstance(value, int) for value in statistics.values()
+    ):
+        raise ValueError("record field 'statistics' must map names to counts")
+    types = record.get("types")
+    if not isinstance(types, dict) or not all(
+        isinstance(value, str) and value in _TYPE_NAMES for value in types.values()
+    ):
+        raise ValueError("record field 'types' must map signals to type names")
+    artifacts = record.get("artifacts")
+    if not isinstance(artifacts, dict):
+        raise ValueError("record carries no artifacts")
+    for kind in ARTIFACT_KINDS:
+        if not isinstance(artifacts.get(kind), str):
+            raise ValueError(f"record carries no {kind!r} artifact text")
+    step = record.get("step")
+    if not (
+        isinstance(step, dict)
+        and isinstance(step.get("name"), str)
+        and _is_text_list(step.get("inputs"))
+        and _is_text_list(step.get("outputs"))
+        and isinstance(step.get("root_flags"), list)
+        and all(_is_root_flag(flag) for flag in step["root_flags"])
+    ):
+        raise ValueError("record carries no valid step interface")
+    if "flat_python" in record and not (
+        record["build_flat"] and isinstance(record["flat_python"], str)
+    ):
+        raise ValueError("record field 'flat_python' needs build_flat and text")
+
+
+def key_from_record(record: Dict[str, object]) -> StoreKey:
+    """The store key a self-describing record belongs under.
+
+    Validates the record first (the ``store-put`` protocol op and
+    cross-node record transfer rely on this): a program record must pass
+    :func:`check_program_record`, a unit record must carry this format and
+    the unit style.  Anything else raises ``ValueError`` rather than being
+    filed under a made-up key.
+    """
+    if _check_identity(record) == "unit":
         if record.get("style") != UNIT_STYLE:
             raise ValueError(
                 f"unit record carries style {record.get('style')!r} instead of {UNIT_STYLE!r}"
             )
-        return unit_store_key(fingerprint)
-    if kind != "program":
-        raise ValueError(f"record carries unknown kind {kind!r}")
-    try:
-        style = GenerationStyle(record.get("style"))
-    except ValueError:
-        raise ValueError(f"record carries unknown style {record.get('style')!r}") from None
+        return unit_store_key(record["fingerprint"])
+    check_program_record(record)
     return store_key(
-        fingerprint,
-        style,
-        bool(record.get("build_flat", False)),
-        bool(record.get("observable", True)),
+        record["fingerprint"], GenerationStyle(record["style"]), record["build_flat"]
     )
 
 
 def types_from_record(record: Dict[str, object]) -> Dict[str, SignalType]:
     """The signal-type map of a record (needed by input oracles)."""
     return {name: SignalType(value) for name, value in record["types"].items()}
+
+
+def step_interface(record: Dict[str, object]) -> Dict[str, object]:
+    """The checked step interface of a program record: its ``name``,
+    ``inputs``, ``outputs`` and ``root_flags`` (as tuples), shared by the
+    steps of both styles.  Raises ``ValueError`` on a malformed record."""
+    check_program_record(record)
+    step = record["step"]
+    return {
+        "name": step["name"],
+        "inputs": list(step["inputs"]),
+        "outputs": list(step["outputs"]),
+        "root_flags": [tuple(flag) for flag in step["root_flags"]],
+    }
 
 
 def executable_from_record(
@@ -219,20 +301,22 @@ def executable_from_record(
 
     The generated step source is re-executed; delay registers start from
     their initial values, exactly like a fresh compile (and like the
-    fresh-instance copy a memory cache hit hands out).
+    fresh-instance copy a memory cache hit hands out).  ``flat`` rebuilds
+    the flat step of a ``build_flat`` record.
     """
-    entry = record["executable_flat"] if flat else record["executable"]
-    if entry is None:
-        raise ValueError("record has no flat executable (compiled without build_flat)")
+    interface = step_interface(record)
+    source = record["artifacts"]["python"]
+    style = GenerationStyle(record["style"])
+    if flat:
+        if not record["build_flat"]:
+            raise ValueError("record has no flat executable (compiled without build_flat)")
+        source = record.get("flat_python", source)
+        style = GenerationStyle.FLAT
     return CompiledProcess.from_generated_source(
-        source=entry["source"],
-        name=entry["name"],
-        style=GenerationStyle(entry["style"]),
-        inputs=entry["inputs"],
-        outputs=entry["outputs"],
-        root_flags=[tuple(flag) for flag in entry["root_flags"]],
+        source=source,
+        style=style,
         types=types_from_record(record),
-        observable=entry["observable"],
+        **interface,
     )
 
 
@@ -291,15 +375,8 @@ class CompileStore:
             # The record self-describes its full key; every field must
             # match, or a mis-placed file (bad rebuild/rsync of the
             # directory) would serve artifacts for the wrong options.
-            if (
-                not isinstance(record, dict)
-                or record.get("format") != STORE_FORMAT
-                or record.get("fingerprint") != key[0]
-                or record.get("style") != key[1]
-                or record.get("build_flat") != key[2]
-                or record.get("observable") != key[3]
-            ):
-                raise ValueError("record does not match its key or format")
+            if key_from_record(record) != key:
+                raise ValueError("record does not match its key")
         except FileNotFoundError:
             with self._lock:
                 self.misses += 1

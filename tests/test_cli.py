@@ -340,6 +340,33 @@ class TestSimulateSubcommand:
         assert main(["simulate", alarm_file, *options]) == 0
         assert from_record == json.loads(capsys.readouterr().out)
 
+    @pytest.mark.parametrize("case", ["not-json", "format-3", "hollow"])
+    def test_bad_record_is_an_error_not_a_traceback(self, case, tmp_path, capsys):
+        from repro import compile_source
+        from repro.codegen.ir import GenerationStyle
+        from repro.service.store import record_from_result
+
+        record = record_from_result(compile_source(ALARM_SOURCE), GenerationStyle.HIERARCHICAL)
+        path = tmp_path / "record.json"
+        if case == "not-json":
+            path.write_text("notjson")
+        elif case == "format-3":
+            # The step interface and text sat under "executable" in format 3.
+            step = record.pop("step")
+            executable = {**step, "source": record["artifacts"]["python"],
+                          "style": record["style"], "observable": True}
+            path.write_text(json.dumps(
+                {**record, "format": 3, "observable": True, "executable": executable,
+                 "executable_flat": None}
+            ))
+        else:
+            path.write_text(json.dumps({key: record[key] for key in (
+                "format", "kind", "fingerprint", "style", "build_flat")}))
+        assert main(["simulate", "--record", str(path), *POPULATION]) == 2
+        error = capsys.readouterr().err
+        assert error.startswith(f"error: {path}: ")
+        assert "Traceback" not in error
+
     def test_distributed_json(self, pipe_file, capsys):
         assert main(["simulate", pipe_file, "--distributed", "--json", *POPULATION]) == 0
         assert json.loads(capsys.readouterr().out) == {

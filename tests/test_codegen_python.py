@@ -87,10 +87,13 @@ class TestGeneratedSource:
         source = counter_result.python_source()
         assert "self.z_ZN = 0" in source
 
-    def test_non_observable_compilation(self):
-        result = compile_source(COUNTER_SOURCE, observable=False)
-        outputs = result.executable.step({"RESET": False})
+    def test_every_step_is_observable(self):
+        result = compile_source(COUNTER_SOURCE)
+        observed = {}
+        outputs = result.executable.step({"RESET": False}, observe=observed)
         assert outputs["N"] == 1
+        assert observed["N"] == 1 and observed["RESET"] is False
+        assert "def step(self, inputs, oracle=None, observe=None):" in result.python_source()
 
     def test_inputs_and_outputs_lists(self, accumulator_result):
         assert accumulator_result.executable.inputs == ["X", "EMIT"]

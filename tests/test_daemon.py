@@ -728,8 +728,8 @@ class TestMemoryHitsOnTheEventLoop:
         fresh engine: identical response bytes, counters and log fields."""
         fingerprint = compile_source(COUNTER_SOURCE).program.fingerprint()
         compile_counter = {"op": "compile", "source": COUNTER_SOURCE}
-        # A record another node put without its "name": answering a hit on
-        # it fails inside the response builder, on the loop as in a worker.
+        # A record another node put without its "name" is refused, so the
+        # program then misses and hits as usual, on the loop as in a worker.
         broken, _ = CompilationDaemon().compile_record(WATCHDOG_SOURCE)
         broken = {key: value for key, value in broken.items() if key != "name"}
         compile_watchdog = {"op": "compile", "source": WATCHDOG_SOURCE}
@@ -747,7 +747,7 @@ class TestMemoryHitsOnTheEventLoop:
             json.dumps({"op": "compile", "source": "\ud800"}).encode() + b"\n",
             json.dumps({"op": "store-get", "fingerprint": fingerprint}).encode() + b"\n",
             json.dumps({"op": "store-put", "record": broken}).encode() + b"\n",
-            json.dumps(compile_watchdog).encode() + b"\n",  # parsed, then a hit
+            json.dumps(compile_watchdog).encode() + b"\n",  # a miss
             json.dumps(compile_watchdog).encode() + b"\n",  # a hit
             b'{"op": "stats"}\n',
         ]
@@ -771,8 +771,9 @@ class TestMemoryHitsOnTheEventLoop:
         assert [json.loads(line).get("origin") for line in served[:4]] == [
             "compiled", "memory", "memory", "memory",
         ]
-        assert [json.loads(line)["error"]["code"] for line in served[-3:-1]] == [
-            "internal-error", "internal-error",
+        assert json.loads(served[-4])["error"]["code"] == "invalid-request"
+        assert [json.loads(line)["origin"] for line in served[-3:-1]] == [
+            "compiled", "memory",
         ]
         assert served == local  # the stats line carries every counter
 
@@ -885,7 +886,7 @@ class TestStorePruning:
         def key_of(source):
             return store_key(
                 normalize(parse_process(source)).fingerprint(),
-                GenerationStyle.HIERARCHICAL, False, True,
+                GenerationStyle.HIERARCHICAL, False,
             )
 
         store = CompileStore(tmp_path)
@@ -914,6 +915,12 @@ class TestStorePruning:
                 assert result.artifacts["python"] == compile_source(
                     COUNTER_SOURCE
                 ).python_source()
+
+
+def _hollow(record):
+    """``record`` with its identity fields only."""
+    identity = ("format", "kind", "fingerprint", "style", "build_flat")
+    return {key: record[key] for key in identity}
 
 
 class TestStoreOps:
@@ -1026,6 +1033,33 @@ class TestStoreOps:
             response = daemon.handle_request({"op": "store-put", "record": bad})
             assert not response["ok"]
             assert response["error"]["code"] == "invalid-request"
+
+    def test_hollow_record_cannot_wedge_a_program(self):
+        """A record carrying only its identity fields is refused, so every
+        later compile of its program is still answered."""
+        record = self._record()
+        daemon = CompilationDaemon()
+        response = daemon.handle_request({"op": "store-put", "record": _hollow(record)})
+        assert response["error"]["code"] == "invalid-request"
+        response = daemon.handle_request({"op": "compile", "source": COUNTER_SOURCE})
+        assert response["ok"] and response["origin"] == "compiled"
+
+    def test_hollow_record_on_disk_is_quarantined_across_a_restart(self, tmp_path):
+        """A hollow record written to disk under the program's key (by a
+        build that did not check records) is quarantined by the restarted
+        daemon, which compiles, rewrites the entry and serves it again."""
+        from repro.service.store import key_from_record
+
+        record = self._record()
+        CompileStore(tmp_path).put(key_from_record(record), _hollow(record))
+        restarted = CompilationDaemon(store=str(tmp_path))
+        request = {"op": "compile", "source": COUNTER_SOURCE, "simulate": 2}
+        response = restarted.handle_request(request)
+        assert response["ok"] and response["origin"] == "compiled"
+        assert restarted.statistics()["store"]["invalid"] == 1
+        again = CompilationDaemon(store=str(tmp_path)).handle_request(request)
+        assert again["origin"] == "store"
+        assert again["simulation"] == response["simulation"]
 
     def test_unknown_op_lists_the_store_ops(self):
         response = CompilationDaemon().handle_request({"op": "nope"})

@@ -18,9 +18,7 @@ section below:
   scope too.
 """
 
-import json
 import os
-import pathlib
 import random
 import re
 
@@ -29,7 +27,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import CausalityError, CompilationService, compile_source
 from repro.codegen.ir import GenerationStyle
-from repro.compiler import compile_unit_record, link_units
+from repro.compiler import compile_unit_record
 from repro.lang import normalize, parse_process
 from repro.lang.kernel import rename_program
 from repro.lang.units import UNIT_FINGERPRINT_VERSION, rename_text, split_units
@@ -288,55 +286,6 @@ def test_clear_cache_drops_linked_results():
         stats = service.statistics()
         assert stats["link_hits"] == 0
         assert stats["links"] == 2
-
-
-#: Two independent components (a counter and a watchdog) in one process:
-#: two units, so the link offsets class ids and flips both root defaults.
-_PAIR_SOURCE = """
-process PAIR =
-  ( ? boolean RESET; boolean LIFE_SIGN; integer LIMIT;
-    ! integer N; boolean ALARM; )
-  (| N := (0 when RESET) default (ZN + 1)
-   | ZN := N $ 1 init 0
-   | synchro { N, RESET }
-   | COUNT := (0 when LIFE_SIGN) default (ZCOUNT + 1)
-   | ZCOUNT := COUNT $ 1 init 0
-   | ALARM := COUNT >= LIMIT
-   | synchro { LIFE_SIGN, LIMIT, COUNT }
-   |)
-  where integer ZN, COUNT, ZCOUNT;
-end;
-"""
-
-#: The unit records of ``_PAIR_SOURCE`` as written by the format-3 code that
-#: still stored pre-rendered statement bodies under an ``emit`` key.
-_RECORDS_WITH_EMIT = pathlib.Path(__file__).parent / "data" / "unit_records_with_emit.json"
-
-
-def test_unit_records_written_with_emit_bodies_link_to_the_same_bytes():
-    """A unit record holds no generated code, and a record that still
-    carries an ``emit`` map links exactly like one without it: the linker
-    reads only the step IR, so stores shared with older code stay correct."""
-    program = normalize(parse_process(_PAIR_SOURCE))
-    units = split_units(program)
-    fresh = [compile_unit_record(unit) for unit in units]
-    old = json.loads(_RECORDS_WITH_EMIT.read_text())
-    assert len(units) == 2
-    for record, old_record in zip(fresh, old):
-        assert "emit" not in record
-        assert set(old_record["emit"]) == {"hierarchical", "flat"}
-        assert {k: v for k, v in old_record.items() if k != "emit"} == record
-
-    linked = link_units(program, units, fresh, build_flat=True)
-    linked_old = link_units(program, units, old, build_flat=True)
-    for style in GenerationStyle:
-        assert linked_old.python_source(style) == linked.python_source(style)
-        assert linked_old.c_source(style) == linked.c_source(style)
-        assert linked_old.c_shared_source(style) == linked.c_shared_source(style)
-    assert [flag[2] for flag in linked.executable.root_flags] == [False, False]
-    assert record_from_result(
-        linked_old, GenerationStyle.HIERARCHICAL, build_flat=True
-    ) == record_from_result(linked, GenerationStyle.HIERARCHICAL, build_flat=True)
 
 
 def _alternation_renamer(mapping):

@@ -47,7 +47,7 @@ def fingerprint_of(source):
 def make_record(source=COUNTER_SOURCE, build_flat=False):
     result = compile_source(source, build_flat=build_flat)
     record = record_from_result(result, STYLE, build_flat=build_flat)
-    key = store_key(result.program.fingerprint(), STYLE, build_flat, True)
+    key = store_key(result.program.fingerprint(), STYLE, build_flat)
     return result, record, key
 
 
@@ -82,10 +82,10 @@ class TestRoundTrip:
         _, record, _ = make_record()
         fingerprint = record["fingerprint"]
         store = CompileStore(tmp_path)
-        store.put(store_key(fingerprint, STYLE, False, True), record)
-        assert store.get(store_key(fingerprint, GenerationStyle.FLAT, False, True)) is None
-        assert store.get(store_key(fingerprint, STYLE, True, True)) is None
-        assert store.get(store_key(fingerprint, STYLE, False, True)) is not None
+        store.put(store_key(fingerprint, STYLE, False), record)
+        assert store.get(store_key(fingerprint, GenerationStyle.FLAT, False)) is None
+        assert store.get(store_key(fingerprint, STYLE, True)) is None
+        assert store.get(store_key(fingerprint, STYLE, False)) is not None
 
     def test_reformatted_source_shares_one_entry(self, tmp_path):
         """The disk key normalizes surface text away, like the LRU key."""
@@ -137,6 +137,27 @@ class TestCorruptionTolerance:
         assert store.get(key) is None
         assert store.statistics()["invalid"] == 1
 
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            {"name": None},
+            {"statistics": {"classes": "many"}},
+            {"types": {"N": "complex"}},
+            {"artifacts": {"python": "pass"}},
+            {"step": {"name": "COUNT", "inputs": ["RESET"], "outputs": ["N"]}},
+            {"step": {"name": "COUNT", "inputs": "RESET", "outputs": [], "root_flags": []}},
+            {"flat_python": "pass"},
+        ],
+        ids=["name", "statistics", "types", "artifacts", "root_flags", "inputs", "flat"],
+    )
+    def test_record_failing_the_layout_check_is_quarantined(self, tmp_path, damage):
+        _, record, key = make_record()
+        store = CompileStore(tmp_path)
+        store.put(key, {**record, **damage})
+        assert store.get(key) is None
+        assert store.statistics()["invalid"] == 1
+        assert len(store) == 0
+
     def test_no_temp_files_left_behind(self, tmp_path):
         _, record, key = make_record()
         store = CompileStore(tmp_path)
@@ -147,20 +168,28 @@ class TestCorruptionTolerance:
         assert len(store) == 1
 
 
-class TestFormatMigration:
-    """Format 3 added the ``kind`` field (program vs unit records).
+def _old_record(old_format):
+    """A current record relabelled with an older format (format 3 added ``kind``)."""
+    _, record, key = make_record()
+    old = dict(record, format=old_format)
+    if old_format < 3:
+        del old["kind"]
+    return old, key
 
-    A store directory written by an older build contains format-1/2 records
-    at the very paths current keys hash to.  The read path must treat them
-    as quarantined misses -- count them invalid and unlink them -- never
-    crash or serve them.
+
+class TestFormatMigration:
+    """Format 3 added the ``kind`` field (program vs unit records); format
+    4 stores each record text once.
+
+    A store directory written by an older build may hold format-1/2/3
+    records at the very paths current keys hash to.  The read path must
+    treat them as quarantined misses -- count them invalid and unlink them
+    -- never crash or serve them.
     """
 
-    @pytest.mark.parametrize("old_format", [1, 2])
+    @pytest.mark.parametrize("old_format", [1, 2, 3])
     def test_old_format_record_is_quarantined_not_crashed(self, tmp_path, old_format):
-        _, record, key = make_record()
-        old = {k: v for k, v in record.items() if k != "kind"}
-        old["format"] = old_format
+        old, key = _old_record(old_format)
         store = CompileStore(tmp_path)
         store.put(key, old)  # the exact path a current get() probes
         assert len(store) == 1
@@ -170,11 +199,9 @@ class TestFormatMigration:
         assert fresh.statistics()["invalid"] == 1
         assert len(fresh) == 0  # unlinked: the miss will recompile and overwrite
 
-    @pytest.mark.parametrize("old_format", [1, 2])
+    @pytest.mark.parametrize("old_format", [1, 2, 3])
     def test_key_from_record_rejects_old_formats(self, old_format):
-        _, record, _ = make_record()
-        old = {k: v for k, v in record.items() if k != "kind"}
-        old["format"] = old_format
+        old, _ = _old_record(old_format)
         with pytest.raises(ValueError):
             key_from_record(old)
 
@@ -219,9 +246,7 @@ class TestUnitRecords:
         assert store.get(unit_store_key(fingerprint)) is None
         for style in GenerationStyle:
             for build_flat in (False, True):
-                assert unit_store_key(fingerprint) != store_key(
-                    fingerprint, style, build_flat, True
-                )
+                assert unit_store_key(fingerprint) != store_key(fingerprint, style, build_flat)
 
 
 class TestPruning:
@@ -373,6 +398,20 @@ class TestRehydration:
         first = executable_from_record(record)
         second = executable_from_record(record)
         assert first.step_instance is not second.step_instance
+
+    @pytest.mark.parametrize("style", list(GenerationStyle))
+    def test_each_python_text_is_stored_once(self, style):
+        result = compile_source(ALARM_SOURCE, style=style, build_flat=True)
+        record = record_from_result(result, style, build_flat=True)
+        assert ("flat_python" in record) == (style is GenerationStyle.HIERARCHICAL)
+        text = json.dumps(record)
+        for flat, executable in ((False, result.executable), (True, result.executable_flat)):
+            assert text.count(json.dumps(executable.source)) == 1
+            back = executable_from_record(record, flat=flat)
+            assert (back.source, back.style) == (executable.source, executable.style)
+            assert (back.name, back.inputs, back.outputs, back.root_flags) == (
+                executable.name, executable.inputs, executable.outputs, executable.root_flags
+            )
 
     def test_artifacts_match_a_fresh_compile(self):
         result, record, _ = make_record()
@@ -567,29 +606,19 @@ class TestStepIRSharing:
 
     @pytest.mark.parametrize("style", list(GenerationStyle))
     @pytest.mark.parametrize("build_flat", [False, True])
-    @pytest.mark.parametrize("observable", [True, False])
-    def test_record_artifacts_equal_renders_of_fresh_irs(self, style, build_flat, observable):
-        result = compile_source(
-            ALARM_SOURCE, style=style, build_flat=build_flat, observable=observable
-        )
-        record = record_from_result(
-            result, style, build_flat=build_flat, observable=observable
-        )
+    def test_record_artifacts_equal_renders_of_fresh_irs(self, style, build_flat):
+        result = compile_source(ALARM_SOURCE, style=style, build_flat=build_flat)
+        record = record_from_result(result, style, build_flat=build_flat)
         ir = build_step_ir(result.schedule, result.types, style)
         assert record["artifacts"]["python"] == generate_python_source(ir)
         assert record["artifacts"]["c"] == generate_c_source(ir)
         assert record["artifacts"]["c_shared"] == generate_c_shared_source(ir)
         assert result.step_ir(style) is result.executable.ir
-        if not observable:
-            # The executable runs non-observable code; the artifact is the
-            # observable rendering all the same.
-            assert result.python_source(style) != result.executable.source
-        else:
-            assert result.python_source(style) is result.executable.source
+        assert result.python_source(style) is result.executable.source
         if build_flat and style is GenerationStyle.HIERARCHICAL:
             flat = result.executable_flat
             assert result.step_ir(GenerationStyle.FLAT) is flat.ir
-            assert (result.python_source(GenerationStyle.FLAT) is flat.source) == observable
+            assert result.python_source(GenerationStyle.FLAT) is flat.source
 
     def test_flat_artifacts_of_a_hierarchical_only_result(self):
         result = compile_source(ALARM_SOURCE)
@@ -615,9 +644,9 @@ class TestRecordsRenderWithoutByteCompiling:
         calls = []
         original = python_backend._instantiate_step
 
-        def counting(source, name, observable):
+        def counting(source, name):
             calls.append(name)
-            return original(source, name, observable)
+            return original(source, name)
 
         monkeypatch.setattr(compiler, "_instantiate_step", counting)
         monkeypatch.setattr(python_backend, "_instantiate_step", counting)
@@ -625,15 +654,12 @@ class TestRecordsRenderWithoutByteCompiling:
 
     @pytest.mark.parametrize("modular", [False, True])
     @pytest.mark.parametrize("build_flat", [False, True])
-    @pytest.mark.parametrize("observable", [True, False])
-    def test_record_paths_byte_compile_nothing(
-        self, instantiations, modular, build_flat, observable
-    ):
+    def test_record_paths_byte_compile_nothing(self, instantiations, modular, build_flat):
         record = CompilationService().compile_record(
-            self.MEMBER, build_flat=build_flat, observable=observable, modular=modular
+            self.MEMBER, build_flat=build_flat, modular=modular
         )
         worker_record, _ = _process_worker_record(
-            self.MEMBER, STYLE, build_flat, observable, {} if modular else None
+            self.MEMBER, STYLE, build_flat, {} if modular else None
         )
         assert instantiations == []
         assert worker_record == record
@@ -660,10 +686,8 @@ class TestRecordsRenderWithoutByteCompiling:
         assert instantiations == []  # a hit re-instantiates the built classes
 
 
-#: (style, build_flat, observable): every combination of the record options
-_RECORD_OPTIONS = list(
-    itertools.product(GenerationStyle, (False, True), (True, False))
-)
+#: (style, build_flat): every combination of the record options
+_RECORD_OPTIONS = list(itertools.product(GenerationStyle, (False, True)))
 _FIG13_AND_FLEET = [benchmark_source(name) for name in benchmark_names()] + fleet_sources()
 
 
@@ -678,17 +702,31 @@ def pooled_service():
 def test_served_records_equal_records_of_runnable_results(pooled_service, modular):
     """``compile_record`` inline and on worker processes serves exactly the
     bytes of a fully compiled result's record.  The option combinations
-    rotate over the programs, so each mode meets all eight across Figure 13
+    rotate over the programs, so each mode meets all four across Figure 13
     and the reference fleet without paying for the full product."""
     compile_ = compile_modular_source if modular else compile_source
     inline = CompilationService()
     for index, source in enumerate(_FIG13_AND_FLEET):
-        style, build_flat, observable = _RECORD_OPTIONS[(index + 4 * modular) % 8]
-        options = dict(style=style, build_flat=build_flat, observable=observable)
+        style, build_flat = _RECORD_OPTIONS[(index + 2 * modular) % 4]
+        options = dict(style=style, build_flat=build_flat)
         expected = record_from_result(
-            compile_(source, **options), style, build_flat=build_flat, observable=observable
+            compile_(source, **options), style, build_flat=build_flat
         )
         assert inline.compile_record(source, modular=modular, **options) == expected
         assert pooled_service.compile_record(
             source, modular=modular, jobs=2, **options
         ) == expected
+
+
+@pytest.mark.parametrize("modular", [False, True])
+def test_both_styles_share_one_step_interface(modular):
+    """What lets a record store the step interface once."""
+    compile_ = compile_modular_source if modular else compile_source
+    for source in _FIG13_AND_FLEET:
+        result = compile_(source)
+        hierarchical, flat = (result.step_ir(style) for style in GenerationStyle)
+        assert (hierarchical.style, flat.style) == tuple(GenerationStyle)
+        interface = [
+            (ir.name, ir.inputs, ir.outputs, ir.root_flags) for ir in (hierarchical, flat)
+        ]
+        assert interface[0] == interface[1]

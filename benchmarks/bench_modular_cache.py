@@ -53,6 +53,7 @@ from repro.lang import normalize, parse_process
 from repro.lang.units import split_units
 from repro.programs import FleetSpec, fleet_member_modules, generate_fleet
 from repro.service import CompilationService, record_from_result
+from repro.service.store import ON_DEMAND_KINDS
 
 FULL_PROGRAMS = 20
 QUICK_PROGRAMS = 6
@@ -194,15 +195,20 @@ def run(argv=None) -> int:
     # -- byte identity: cached linked results vs re-linked ones --------------
     record_drift = []
     for index, source in enumerate(sources):
+        # Every on-demand text too, so the C, tree and clock texts are compared.
         cached = record_from_result(
             service.compile_modular(source, build_flat=True),
             GenerationStyle.HIERARCHICAL,
             build_flat=True,
+            source=source,
+            kinds=ON_DEMAND_KINDS,
         )
         relinked = record_from_result(
             relink(source),
             GenerationStyle.HIERARCHICAL,
             build_flat=True,
+            source=source,
+            kinds=ON_DEMAND_KINDS,
         )
         if cached != relinked:
             record_drift.append(index)

@@ -122,10 +122,11 @@ def run(argv=None) -> int:
     batch = [sources[name] for name in order]
 
     # Serial baseline: one cold service, one worker, records rendered so the
-    # two paths do identical work per program.
+    # two paths do identical work per program.  Both render C (the parallel
+    # run in its worker processes), so the check below compares C too.
     serial_service = CompilationService(max_entries=max(len(batch) * 2, 16))
     started = time.perf_counter()
-    serial_records = serial_service.compile_batch_records(batch, jobs=1)
+    serial_records = serial_service.compile_batch_records(batch, jobs=1, kinds=["c"])
     serial_seconds = time.perf_counter() - started
 
     # Process-parallel run: a second cold service fans the same batch out to
@@ -134,7 +135,7 @@ def run(argv=None) -> int:
     with CompilationService(max_entries=max(len(batch) * 2, 16)) as parallel_service:
         started = time.perf_counter()
         parallel_records = parallel_service.compile_batch_records(
-            batch, jobs=arguments.jobs
+            batch, jobs=arguments.jobs, kinds=["c"]
         )
         parallel_seconds = time.perf_counter() - started
 

@@ -21,7 +21,7 @@ inspect every stage.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import ClassVar, Dict, List, Optional, Tuple
 
 from .bdd import BDDManager
 from .clocks.algebra import ClockAtom, CondFalse, CondTrue, SignalClock
@@ -51,6 +51,7 @@ __all__ = [
     "compile_process",
     "analyze_source",
     "compile_unit_record",
+    "check_unit_record",
     "link_units",
     "compile_modular_source",
 ]
@@ -70,6 +71,8 @@ class _Rendered:
     :meth:`materialize` before they return.
     """
 
+    #: whether the result is the link of unit records (modular compilation)
+    modular: ClassVar[bool] = False
     style: GenerationStyle = GenerationStyle.HIERARCHICAL
     build_flat: bool = False
     _irs: Dict[GenerationStyle, StepIR] = field(
@@ -407,6 +410,92 @@ def compile_unit_record(unit: ProgramUnit, manager: Optional[BDDManager] = None)
     }
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_text(value: object) -> bool:
+    return isinstance(value, str)
+
+
+def _is_list_of(value: object, check) -> bool:
+    return isinstance(value, list) and all(check(item) for item in value)
+
+
+def _is_map_of(value: object, check) -> bool:
+    return isinstance(value, dict) and all(
+        isinstance(key, str) and check(item) for key, item in value.items()
+    )
+
+
+def _is_ir_payload(payload: object) -> bool:
+    """The top-level shape of one :func:`ir_to_payload` payload."""
+    return (
+        isinstance(payload, dict)
+        and all(
+            isinstance(payload.get(key), list)
+            for key in ("statements", "registers", "root_flags")
+        )
+        and all(
+            _is_list_of(payload.get(key), _is_text)
+            for key in ("inputs", "outputs")
+        )
+        and all(
+            _is_list_of(payload.get(key), _is_int)
+            for key in ("initialized_flags", "referenced_class_ids")
+        )
+    )
+
+
+def check_unit_record(record: dict) -> None:
+    """Raise ``ValueError`` unless ``record`` has the layout
+    :func:`compile_unit_record` writes.
+
+    The store checks the identity fields every record carries (``format``,
+    ``kind``, ``fingerprint``) first, then this; ``store-put`` refuses a
+    record that fails it and :class:`~repro.service.store.CompileStore`
+    quarantines one, so the link stage never meets a hollow unit.
+    """
+    from .service.store import UNIT_STYLE  # deferred: service imports us
+
+    def is_free_class(free: object) -> bool:
+        return (
+            isinstance(free, dict)
+            and _is_int(free.get("id"))
+            and _is_list_of(
+                free.get("atoms"),
+                lambda atom: isinstance(atom, list)
+                and len(atom) == 2
+                and atom[0] in _ATOM_KINDS
+                and _is_text(atom[1]),
+            )
+        )
+
+    artifacts = record.get("artifacts")
+    ir = record.get("ir")
+    type_names = {type_.value for type_ in SignalType}
+    valid = {
+        "style": record.get("style") == UNIT_STYLE,
+        "build_flat": record.get("build_flat") is False,
+        "unit_version": record.get("unit_version") == UNIT_FINGERPRINT_VERSION,
+        "name": _is_text(record.get("name")),
+        "types": _is_map_of(record.get("types"), lambda value: value in type_names),
+        "class_ids": _is_list_of(record.get("class_ids"), _is_int),
+        "max_class_id": _is_int(record.get("max_class_id")),
+        "signal_class": _is_map_of(record.get("signal_class"), _is_int),
+        "free_classes": _is_list_of(record.get("free_classes"), is_free_class),
+        "ir": isinstance(ir, dict)
+        and all(_is_ir_payload(ir.get(style.value)) for style in GenerationStyle),
+        "artifacts": isinstance(artifacts, dict)
+        and all(_is_text(artifacts.get(key)) for key in ("forest", "clocks", "kernel"))
+        and _is_list_of(artifacts.get("free"), _is_text),
+        "statistics": _is_map_of(record.get("statistics"), _is_int),
+    }
+    bad = [name for name, good in valid.items() if not good]
+    if bad:
+        raise ValueError(f"unit record has malformed field(s) {bad}")
+
+
 class _LinkedClockSystemText:
     """Stand-in for :class:`ClockSystem` on linked results (text only)."""
 
@@ -449,6 +538,7 @@ class LinkedCompilationResult(_Rendered):
     kinds of result under different keys.
     """
 
+    modular: ClassVar[bool] = True
     program: KernelProgram
     types: Dict[str, SignalType]
     units: list

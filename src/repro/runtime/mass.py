@@ -48,7 +48,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..codegen.c_backend import generate_c_shared_source
 from ..codegen.ir import GenerationStyle, StepIR
-from ..errors import SimulationError
+from ..errors import SignalError, SimulationError
 from ..lang.types import SignalType, default_value
 
 __all__ = [
@@ -226,15 +226,21 @@ class SharedCProgram:
     def from_record(cls, record: Mapping[str, object], cc: Optional[str] = None) -> "SharedCProgram":
         """Load a persisted artifact record's ``c_shared`` artifact.
 
-        A record that fails the store's check (one of an older format, or
-        one missing its ``c_shared`` text) raises :class:`SimulationError`
-        -- recompile the program.
+        A lean record, one that carries no ``c_shared`` text yet, is first
+        completed from its source by
+        :meth:`~repro.service.CompilationService.complete_record`.  A record
+        that fails the store's check (one of an older format, or a hollow
+        one), or whose source does not compile to it, raises
+        :class:`SimulationError` -- recompile the program.
         """
-        from ..service.store import step_interface, types_from_record
+        from ..service.service import CompilationService
+        from ..service.store import missing_kinds, step_interface, types_from_record
 
         try:
             interface = step_interface(record)
-        except ValueError as error:
+            if missing_kinds(record, ["c_shared"]):
+                record = CompilationService().complete_record(record)
+        except (ValueError, SignalError) as error:
             raise SimulationError(f"not a loadable artifact record: {error}") from None
         return cls.from_metadata(
             record["artifacts"]["c_shared"],
@@ -585,9 +591,11 @@ class MassSimulation:
     ) -> "MassSimulation":
         """Build a population from a persisted artifact record.
 
-        The C backend uses the record's ``c_shared`` artifact; the Python
-        backend rehydrates the generated step source -- either way, no
-        recompilation of the SIGNAL program happens.
+        The C backend uses the record's ``c_shared`` artifact, rendered from
+        the record's source first when the record is lean
+        (:meth:`SharedCProgram.from_record`); the Python backend rehydrates
+        the generated step source without recompiling.  A malformed record
+        raises :class:`SimulationError` on either backend.
         """
         from ..service.store import executable_from_record
 
@@ -595,7 +603,10 @@ class MassSimulation:
         if chosen == "c":
             shared = SharedCProgram.from_record(record, cc=cc)
             return cls(instances, "c", population=shared.population(instances))
-        template = executable_from_record(record)
+        try:
+            template = executable_from_record(record)
+        except ValueError as error:
+            raise SimulationError(f"not a loadable artifact record: {error}") from None
         processes = [template.fresh() for _ in range(instances)]
         return cls(instances, "python", processes=processes)
 

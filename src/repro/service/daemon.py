@@ -79,7 +79,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Dict, IO, Optional, Tuple, Union
+from typing import Callable, Dict, IO, Iterable, Optional, Tuple, Union
 
 from ..codegen.ir import GenerationStyle
 from ..errors import (
@@ -103,6 +103,7 @@ from .store import (
     CompileStore,
     executable_from_record,
     key_from_record,
+    missing_kinds,
     record_from_result,  # noqa: F401 - perfbench's tracer wraps it by this name
     store_key,
     unit_store_key,
@@ -220,7 +221,7 @@ def _compile_arguments(request: Dict[str, object]) -> tuple:
     unknown = [kind for kind in emit if kind not in EMIT_KINDS]
     if unknown:
         raise _RequestError(f"unknown emit kind(s) {unknown}; expected {list(EMIT_KINDS)}")
-    return source, style, build_flat, modular
+    return source, style, build_flat, modular, emit
 
 
 def _compile_response(request: dict, record: dict, origin: str) -> Dict[str, object]:
@@ -303,6 +304,7 @@ class CompilationDaemon:
         self._memory_hits = 0
         self._store_hits = 0
         self._compiles = 0
+        self._completions = 0
         self._errors = 0
         self._store_put_failures = 0
         self._store_pruned_entries = 0
@@ -327,11 +329,23 @@ class CompilationDaemon:
         style: GenerationStyle = GenerationStyle.HIERARCHICAL,
         build_flat: bool = False,
         modular: bool = False,
+        emit: Iterable[str] = (),
     ) -> Tuple[Dict[str, object], str]:
         """Compile (or fetch) the artifact record for one source.
 
         Returns ``(record, origin)`` where origin is ``"memory"``,
         ``"store"`` or ``"compiled"``.
+
+        A record is lean: it carries the Python and, of the other texts,
+        only those some request's ``emit`` has named.  A miss renders the
+        Python plus exactly the kinds ``emit`` names.  A hit whose record
+        lacks one of them is completed by
+        :meth:`CompilationService.complete_record`, which recompiles the
+        record's own source along the record's own path (monolithic, or
+        linked from unit records; on the worker-process pool when
+        ``jobs > 1``, like a miss) and renders every missing text at once;
+        the completed record replaces the old one in the record LRU and the
+        store, so the next such ``emit`` is a plain hit.
 
         ``modular`` changes only how a *miss* compiles: unit-by-unit
         against the service's unit cache and the daemon's store (which
@@ -341,8 +355,9 @@ class CompilationDaemon:
         and vice versa.  The two records are trace-equivalent, not
         byte-identical (a linked program numbers its clock flags per
         unit), so which bytes a program is served depends on which kind
-        of request missed first.  A miss renders its record from the step
-        IR; nothing here byte-compiles the Python it serves.
+        of request missed first; a completion keeps those bytes.  A miss
+        renders its record from the step IR; nothing here byte-compiles the
+        Python it serves.
 
         Thread-safe without a global compile lock: the record/digest LRUs
         and the store synchronize themselves, so ``jobs`` worker threads
@@ -363,7 +378,7 @@ class CompilationDaemon:
             self._digests.put(digest, program.fingerprint())
             key, record = self._memory_tier(digest, style, build_flat)
         if record is not None:
-            return record, "memory"
+            return self._with_texts(key, record, emit), "memory"
 
         if self.store is not None:
             record = self.store.get(key)
@@ -371,7 +386,7 @@ class CompilationDaemon:
                 with self._lock:
                     self._store_hits += 1
                 self._records.put(key, record)
-                return record, "store"
+                return self._with_texts(key, record, emit), "store"
 
         record = self.service.compile_record(
             source,
@@ -382,27 +397,48 @@ class CompilationDaemon:
             modular=modular,
             store=self.store,  # None falls back to the service's own
             jobs=self._jobs,
+            kinds=emit,
         )
         self._records.put(key, record)
-        if self.store is not None:
-            # Best-effort spill: the compile succeeded and the record is
-            # served from memory either way; a full disk must not turn a
-            # good compilation into an error response.
-            try:
-                self.store.put(key, record)
-            except OSError:
-                with self._lock:
-                    self._store_put_failures += 1
-            else:
-                self._enforce_store_budget()
+        self._spill(key, record)
         with self._lock:
             self._compiles += 1
         return record, "compiled"
 
+    def _with_texts(self, key: tuple, record: dict, emit: Iterable[str]) -> dict:
+        """``record``, completed first when it lacks a text ``emit`` names
+        (on the worker-process pool, like a miss, when ``jobs > 1``)."""
+        if not missing_kinds(record, emit):
+            return record
+        record = self.service.complete_record(record, store=self.store, jobs=self._jobs)
+        self._records.put(key, record)
+        self._spill(key, record)
+        with self._lock:
+            self._completions += 1
+        return record
+
+    def _spill(self, key: tuple, record: dict) -> bool:
+        """Write ``record`` to the store; whether it reached disk.
+
+        Best-effort: the record is served from memory either way, and a
+        full disk must not turn a good compilation into an error response.
+        """
+        if self.store is None:
+            return False
+        try:
+            self.store.put(key, record)
+        except OSError:
+            with self._lock:
+                self._store_put_failures += 1
+            return False
+        self._enforce_store_budget()
+        return True
+
     def _memory_tier(
-        self, digest: str, style: GenerationStyle, build_flat: bool
+        self, digest: str, style: GenerationStyle, build_flat: bool, emit: Iterable[str] = ()
     ) -> Tuple[Optional[tuple], Optional[dict]]:
-        """Tier 1: ``(key, record)``, ``record`` None on a miss.
+        """Tier 1: ``(key, record)``, ``record`` None on a miss or when it
+        lacks a text ``emit`` names (completing it is a worker's job).
 
         ``key`` is None when the digest memo does not know the source.  Never
         parses, compiles or reads the store, so the event loop may call it.
@@ -415,6 +451,8 @@ class CompilationDaemon:
             return None, None
         key = store_key(fingerprint, style, build_flat)
         record = self._records.get(key)
+        if record is not None and emit and missing_kinds(record, emit):
+            return key, None
         if record is not None:
             with self._lock:
                 self._memory_hits += 1
@@ -448,6 +486,7 @@ class CompilationDaemon:
                 "memory_hits": self._memory_hits,
                 "store_hits": self._store_hits,
                 "compiles": self._compiles,
+                "completions": self._completions,
                 "errors": self._errors,
                 "store_put_failures": self._store_put_failures,
                 "store_max_bytes": self._store_max_bytes or 0,
@@ -550,9 +589,9 @@ class CompilationDaemon:
     def _answer_from_memory(self, request: Dict[str, object]) -> Optional[Dict[str, object]]:
         """The event loop's answer to a memory-tier ``compile`` hit, else None.
 
-        Counts, responds and logs like a worker.  Leaves ``simulate``, and any
-        subclass that replaces ``_handle_compile`` (the gateway forwards), to
-        the workers.
+        Counts, responds and logs like a worker.  Leaves ``simulate``, an
+        ``emit`` naming a text the record lacks, and any subclass that
+        replaces ``_handle_compile`` (the gateway forwards), to the workers.
         """
         if request.get("op") != "compile" or request.get("simulate") or (
             type(self)._handle_compile is not CompilationDaemon._handle_compile
@@ -560,11 +599,11 @@ class CompilationDaemon:
             return None
         started = time.perf_counter()
         try:
-            source, style, build_flat, _ = _compile_arguments(request)
+            source, style, build_flat, _, emit = _compile_arguments(request)
             digest = source_digest(source)
         except (_RequestError, UnicodeError):  # the pool answers the error
             return None
-        _, record = self._memory_tier(digest, style, build_flat)
+        _, record = self._memory_tier(digest, style, build_flat, emit)
         if record is None:
             return None
         with self._lock:
@@ -666,25 +705,23 @@ class CompilationDaemon:
         node that compiled elsewhere -- another daemon, a batch run -- can
         warm this one.  The memory tier always takes the record; the disk
         write is best-effort like a compile's spill.  ``stored`` reports
-        whether the record reached disk.
+        whether the record reached disk.  A program record's ``source`` must
+        compile to its fingerprint, since completing the record recompiles it.
         """
         record = request.get("record")
         try:
             key = key_from_record(record)
+            if record["kind"] == "program":
+                try:
+                    fingerprint = normalize(parse_process(record["source"])).fingerprint()
+                except SignalError as error:
+                    raise ValueError(f"its source does not compile: {error}") from None
+                if fingerprint != record["fingerprint"]:
+                    raise ValueError("its source does not compile to its fingerprint")
         except ValueError as error:
             raise _RequestError(f"field 'record' is not a valid artifact record: {error}")
         self._records.put(key, record)
-        stored = False
-        if self.store is not None:
-            try:
-                self.store.put(key, record)
-            except OSError:
-                with self._lock:
-                    self._store_put_failures += 1
-            else:
-                stored = True
-                self._enforce_store_budget()
-        return {"ok": True, "op": "store-put", "stored": stored}
+        return {"ok": True, "op": "store-put", "stored": self._spill(key, record)}
 
     def _handle_prune(self, request: Dict[str, object]) -> Dict[str, object]:
         """The ``prune`` op: shrink the disk store to a byte budget."""

@@ -19,7 +19,9 @@ of the compiler:
   records) and links.  These live-result paths never read or write a
   whole-program store record;
 * :meth:`CompilationService.compile_record`, the one record entry point
-  (the daemon's miss path), caches no whole program;
+  (the daemon's miss path), caches no whole program, and
+  :meth:`CompilationService.complete_record` renders a lean record's other
+  texts from its source;
 * :meth:`CompilationService.compile_batch` compiles many sources serially,
   and :meth:`CompilationService.compile_batch_records` fans them out to
   worker **processes** that return JSON artifact records and sidestep the
@@ -49,11 +51,12 @@ to a persistent :class:`~concurrent.futures.ProcessPoolExecutor`.  A live
 :class:`~repro.compiler.CompilationResult` cannot cross a process boundary
 (its hierarchy, graph and schedule hold BDD handles bound to the worker's
 manager), so process workers return the JSON-safe **artifact records** of
-:func:`repro.service.store.record_from_result` -- rendered sources, the
-clock tree, statistics, and enough metadata to rebuild a runnable step via
-:func:`repro.service.store.executable_from_record`.  ``compile_record(...,
-jobs=N)`` runs one compile the same way, so the daemon's request threads
-park on worker processes instead of sharing the GIL.
+:func:`repro.service.store.record_from_result` -- the generated Python, the
+texts the request asked for, statistics, and enough metadata to rebuild a
+runnable step via :func:`repro.service.store.executable_from_record`.
+``compile_record(..., jobs=N)`` runs one compile the same way, so the
+daemon's request threads park on worker processes instead of sharing the
+GIL.
 
 Workers compile, parents cache: a worker is a pure function of its payload
 (a source or a pickled unit, plus the unit records the parent holds for a
@@ -88,7 +91,14 @@ from ..lang.kernel import KernelProgram, normalize
 from ..lang.parser import parse_process
 from ..lang.units import ProgramUnit, split_units
 from .cache import LRUCache, source_digest
-from .store import CompileStore, record_from_result, store_key, unit_store_key
+from .store import (
+    CompileStore,
+    missing_kinds,
+    record_from_result,
+    store_key,
+    unit_store_key,
+    with_texts,
+)
 
 __all__ = ["CompilationService"]
 
@@ -154,8 +164,10 @@ def _process_worker_record(
     style: GenerationStyle,
     build_flat: bool,
     known: Optional[Dict[str, Dict[str, object]]],
+    kinds: Iterable[str] = (),
 ) -> Tuple[Dict[str, object], Dict[str, Dict[str, object]]]:
-    """:func:`_compile_result` of one source in a worker process, rendered.
+    """:func:`_compile_result` of one source in a worker process, rendered
+    with the on-demand texts of ``kinds``.
 
     Workers are pure functions of their payload: they hold no cache and
     never touch a store.  Toolchain errors propagate to the parent as the
@@ -163,7 +175,9 @@ def _process_worker_record(
     """
     process = parse_process(source)
     result, compiled = _compile_result(process, normalize(process), style, build_flat, known)
-    record = record_from_result(result, style, build_flat=build_flat)
+    record = record_from_result(
+        result, style, build_flat=build_flat, source=source, kinds=kinds
+    )
     return record, compiled
 
 
@@ -358,7 +372,7 @@ class CompilationService:
 
     def compile_record(
         self,
-        source: Optional[str] = None,
+        source: str,
         style: GenerationStyle = GenerationStyle.HIERARCHICAL,
         build_flat: bool = False,
         process: Optional[Process] = None,
@@ -366,19 +380,22 @@ class CompilationService:
         modular: bool = False,
         store: Optional[CompileStore] = None,
         jobs: int = 1,
+        kinds: Iterable[str] = (),
     ) -> Dict[str, object]:
-        """Compile one program and render its JSON-safe artifact record.
+        """Compile one program and render its lean JSON-safe artifact record.
 
         The service's only record entry point.  It caches no whole program
-        (its caller, the daemon, owns that key): compile on a fresh manager,
-        from ``process``/``program`` when already parsed, render, drop the
-        result.  The record renders from the step IR; no executable is
-        built, so the Python it carries is never byte-compiled here.
+        (its caller, the daemon, owns that key): compile ``source`` on a
+        fresh manager, from ``process``/``program`` when already parsed,
+        render, drop the result.  The record carries the Python and, of the
+        on-demand texts, exactly ``kinds`` (see
+        :func:`~repro.service.store.record_from_result`); nothing builds an
+        executable, so the Python it carries is never byte-compiled here.
         ``modular`` compiles unit by unit against the unit LRU and
         ``store``'s unit records (None: the service's own), then links.
-        ``jobs > 1`` runs the compile on the worker-process pool and needs
-        ``source``: a modular compile ships the unit records this process
-        holds, and the units the worker compiled are kept here.
+        ``jobs > 1`` runs the compile and the rendering on the
+        worker-process pool: a modular compile ships the unit records this
+        process holds, and the units the worker compiled are kept here.
         """
         with self._lock:
             self._requests += 1
@@ -401,11 +418,13 @@ class CompilationService:
             result, compiled = _compile_result(
                 process, program, style, build_flat, known, units
             )
-            record = record_from_result(result, style, build_flat=build_flat)
+            record = record_from_result(
+                result, style, build_flat=build_flat, source=source, kinds=kinds
+            )
         else:
             with self._borrow_process_pool(jobs) as pool:
                 record, compiled = pool.submit(
-                    _process_worker_record, source, style, build_flat, known
+                    _process_worker_record, source, style, build_flat, known, kinds
                 ).result()
             with self._lock:
                 self._process_records += 1
@@ -414,6 +433,37 @@ class CompilationService:
             with self._lock:
                 self._links += 1
         return record
+
+    def complete_record(
+        self,
+        record: Dict[str, object],
+        store: Optional[CompileStore] = None,
+        jobs: int = 1,
+    ) -> Dict[str, object]:
+        """``record`` with every on-demand text, the missing ones rendered at once.
+
+        :meth:`compile_record` of ``record["source"]`` along the record's own
+        path -- monolithic, or the link of unit records when ``modular`` --
+        asked for exactly the missing kinds, so the texts number clock flags
+        like the record's Python; ``store`` and ``jobs`` as there.  Returns
+        a new record (``record`` itself is never mutated); a complete record
+        comes back as is.  Raises ``ValueError`` when the source does not
+        compile to the record's fingerprint.
+        """
+        missing = missing_kinds(record)
+        if not missing:
+            return record
+        fresh = self.compile_record(
+            record["source"],
+            GenerationStyle(record["style"]),
+            modular=record["modular"],
+            store=store,
+            jobs=jobs,
+            kinds=missing,
+        )
+        if fresh["fingerprint"] != record["fingerprint"]:
+            raise ValueError("record source does not compile to the record's fingerprint")
+        return with_texts(record, {kind: fresh["artifacts"][kind] for kind in missing})
 
     # -- modular compilation -------------------------------------------------
     def _known_units(
@@ -518,8 +568,13 @@ class CompilationService:
         style: GenerationStyle = GenerationStyle.HIERARCHICAL,
         build_flat: bool = False,
         modular: bool = False,
+        kinds: Iterable[str] = (),
     ) -> List[Dict[str, object]]:
         """Compile many sources into JSON-safe artifact records, in input order.
+
+        Each record carries the Python and the on-demand texts of ``kinds``
+        (rendered where the program compiles, worker or parent; a store hit
+        lacking one is completed by :meth:`complete_record`).
 
         With ``jobs > 1`` the batch runs on a persistent
         :class:`ProcessPoolExecutor` of ``jobs`` worker processes (see the
@@ -540,12 +595,15 @@ class CompilationService:
                 self._compile_batch_modular_processes if modular
                 else self._compile_batch_processes
             )
-            return fan_out(source_list, jobs, style, build_flat)
+            return fan_out(source_list, jobs, style, build_flat, kinds)
+        results = self.compile_batch(
+            source_list, style=style, build_flat=build_flat, modular=modular
+        )
         return [
-            record_from_result(r, style, build_flat=build_flat)
-            for r in self.compile_batch(
-                source_list, style=style, build_flat=build_flat, modular=modular
+            record_from_result(
+                result, style, build_flat=build_flat, source=source, kinds=kinds
             )
+            for source, result in zip(source_list, results)
         ]
 
     # -- process backend -----------------------------------------------------
@@ -555,6 +613,7 @@ class CompilationService:
         jobs: int,
         style: GenerationStyle,
         build_flat: bool,
+        kinds: Iterable[str],
     ) -> List[Dict[str, object]]:
         """The parallel link stage.
 
@@ -603,7 +662,9 @@ class CompilationService:
                     build_flat=build_flat,
                     program=program,
                 )
-            record = record_from_result(linked, style, build_flat=build_flat)
+            record = record_from_result(
+                linked, style, build_flat=build_flat, source=source, kinds=kinds
+            )
             key = store_key(program.fingerprint(), style, build_flat)
             _spill(store, key, record)
             records.append(record)
@@ -617,6 +678,7 @@ class CompilationService:
         jobs: int,
         style: GenerationStyle,
         build_flat: bool,
+        kinds: Iterable[str],
     ) -> List[Dict[str, object]]:
         """Ship every source the store does not hold to a worker process.
 
@@ -634,8 +696,11 @@ class CompilationService:
                         program = normalize(parse_process(source))
                     key = store_key(program.fingerprint(), style, build_flat)
                     record = store.get(key)
+                    if record is not None and missing_kinds(record, kinds):
+                        record = self.complete_record(record, store)
+                        _spill(store, key, record)
                 answers.append((key, record or pool.submit(
-                    _process_worker_record, source, style, build_flat, None
+                    _process_worker_record, source, style, build_flat, None, kinds
                 )))
             records = []
             for index, (key, answer) in enumerate(answers):

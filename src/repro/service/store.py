@@ -12,14 +12,15 @@ What persists and what does not
 A full :class:`~repro.compiler.CompilationResult` cannot round-trip through
 JSON: the clock hierarchy, dependency graph and schedule hold BDD handles
 bound to the live manager of the process that compiled them.  The record
-therefore captures the *rendered* artifacts -- generated Python and C
-sources, the clock tree and clock system as text, the kernel form, the size
-statistics -- plus exactly enough metadata (the step interface and the
-signal types) to rebuild a runnable
-:class:`~repro.codegen.python_backend.CompiledProcess` via
-:func:`executable_from_record`.  That covers everything the daemon protocol
-can answer (``--emit`` artifacts and simulation); callers that need the
-analysis objects themselves recompile.
+therefore captures the *rendered* generated Python, the size statistics
+and exactly enough metadata (the step interface and the signal types) to
+rebuild a runnable :class:`~repro.codegen.python_backend.CompiledProcess`
+via :func:`executable_from_record`, plus the source it was compiled from.
+The other texts the daemon protocol can answer (C, ``c_shared``, the clock
+tree, the clock system, the kernel form) are added only once a request
+asks for them, by recompiling that source
+(:meth:`~repro.service.CompilationService.complete_record`); callers that
+need the analysis objects themselves recompile too.
 
 Records are versioned (:data:`STORE_FORMAT`); entries written by an
 incompatible version, truncated by a crash, or otherwise corrupt are
@@ -38,10 +39,11 @@ import tempfile
 import threading
 import time
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..codegen.ir import GenerationStyle
 from ..codegen.python_backend import CompiledProcess
+from ..compiler import check_unit_record
 from ..lang.types import SignalType
 
 if TYPE_CHECKING:  # avoid a circular import at runtime
@@ -51,6 +53,7 @@ __all__ = [
     "STORE_FORMAT",
     "UNIT_STYLE",
     "ARTIFACT_KINDS",
+    "ON_DEMAND_KINDS",
     "CompileStore",
     "store_key",
     "unit_store_key",
@@ -58,6 +61,9 @@ __all__ = [
     "check_program_record",
     "step_interface",
     "record_from_result",
+    "render_texts",
+    "missing_kinds",
+    "with_texts",
     "executable_from_record",
     "types_from_record",
 ]
@@ -69,21 +75,29 @@ __all__ = [
 #: records (``"program"``) coexist with per-unit artifact records
 #: (``"unit"``, modular compilation);
 #: 4: a program record stores each Python text once and its step interface
-#: once (see :func:`check_program_record`); keys lose their fourth slot,
-#: as every generated step takes ``observe=``.)  An older-format entry
-#: found under a current key is quarantined on read: reported as a miss,
-#: counted in ``invalid`` and unlinked, never parsed for artifacts.  Files
-#: written under keys this code never addresses (every format-3 file) age
-#: out through :meth:`CompileStore.prune`.
-STORE_FORMAT = 4
+#: once; keys lose their fourth slot, as every generated step takes
+#: ``observe=``;
+#: 5: a program record is lean -- it carries the Python, the ``source`` it
+#: was compiled from and whether it is a link (``modular``), and the texts
+#: of :data:`ON_DEMAND_KINDS` only once a request has asked for them; see
+#: :func:`check_program_record`.)  An older-format entry found under a
+#: current key is quarantined on read: reported as a miss, counted in
+#: ``invalid`` and unlinked, never parsed for artifacts.  Files written
+#: under keys this code never addresses (every format-3 file) age out
+#: through :meth:`CompileStore.prune`.
+STORE_FORMAT = 5
 
 #: the pseudo-style under which per-unit artifact records are keyed; unit
 #: records are style-independent (they carry the IR of *both* generation
 #: styles), so the style slot of the key is this constant instead
 UNIT_STYLE = "unit"
 
-#: the rendered texts of a program record, by ``artifacts`` key
+#: the rendered texts a program record can carry, by ``artifacts`` key
 ARTIFACT_KINDS = ("tree", "clocks", "kernel", "python", "c", "c_shared")
+
+#: the texts a program record carries only once a request has asked for
+#: them (every record carries ``python``)
+ON_DEMAND_KINDS = tuple(kind for kind in ARTIFACT_KINDS if kind != "python")
 
 #: the values a record's ``types`` map may hold
 _TYPE_NAMES = frozenset(type_.value for type_ in SignalType)
@@ -119,20 +133,59 @@ def unit_store_key(fingerprint: str) -> StoreKey:
     return (fingerprint, UNIT_STYLE, False)
 
 
+def render_texts(
+    result: "CompilationResult", style: GenerationStyle, kinds
+) -> Dict[str, str]:
+    """The on-demand texts of ``kinds`` (of :data:`ON_DEMAND_KINDS`), rendered
+    from ``result``: C and ``c_shared`` of ``style`` from the memoized step
+    IR, the clock tree, clock system and kernel from the analysis."""
+    renderers = {
+        "tree": result.tree_text,
+        "clocks": lambda: str(result.clock_system),
+        "kernel": lambda: str(result.program),
+        "c": lambda: result.c_source(style),
+        "c_shared": lambda: result.c_shared_source(style),
+    }
+    return {kind: renderers[kind]() for kind in kinds}
+
+
+def missing_kinds(record: Dict[str, object], kinds=ON_DEMAND_KINDS) -> List[str]:
+    """The on-demand kinds named in ``kinds`` whose text ``record`` lacks, in
+    :data:`ON_DEMAND_KINDS` order (other names, ``python`` and ``stats``
+    included, are ignored)."""
+    artifacts = record["artifacts"]
+    return [kind for kind in ON_DEMAND_KINDS if kind in kinds and kind not in artifacts]
+
+
+def with_texts(record: Dict[str, object], texts: Dict[str, str]) -> Dict[str, object]:
+    """A copy of ``record`` whose artifacts also hold ``texts`` (the record
+    itself is never mutated: caches may be handing it out)."""
+    merged = {**record["artifacts"], **texts}
+    artifacts = {kind: merged[kind] for kind in ARTIFACT_KINDS if kind in merged}
+    return {**record, "artifacts": artifacts}
+
+
 def record_from_result(
     result: "CompilationResult",
     style: GenerationStyle,
     build_flat: bool = False,
+    *,
+    source: str,
+    kinds=(),
 ) -> Dict[str, object]:
-    """Serialize a compilation result into a JSON-safe artifact record.
+    """Serialize a compilation result into a lean JSON-safe artifact record.
 
-    Every artifact is rendered from the result's memoized step IR and
-    texts; no executable is built or read, so rendering a record never
-    byte-compiles the Python it carries (its clients do, through
-    :func:`executable_from_record`).  ``artifacts.python`` is the step of
-    ``style``; with ``build_flat``, the flat step's text is added as
-    ``flat_python`` unless it is that same text.  The step interface is
-    stored once: both styles' steps share it.
+    The record carries the Python step of ``style`` as ``artifacts.python``
+    (with ``build_flat``, the flat step's text is added as ``flat_python``
+    unless it is that same text), the step interface once (both styles'
+    steps share it), the ``source`` the result was compiled from and whether
+    the result is a link of unit records (``modular``).  Of
+    :data:`ON_DEMAND_KINDS` it renders exactly ``kinds``;
+    :meth:`~repro.service.CompilationService.complete_record` renders the
+    rest later from ``source``.  Every text renders from the result's
+    memoized step IR and analysis; no executable is built or read, so
+    rendering a record never byte-compiles the Python it carries (its
+    clients do, through :func:`executable_from_record`).
     """
     ir = result.step_ir(style)
     python = result.python_source(style)
@@ -142,17 +195,12 @@ def record_from_result(
         "fingerprint": result.program.fingerprint(),
         "style": style.value,
         "build_flat": bool(build_flat),
+        "modular": result.modular,
         "name": result.name,
         "statistics": result.statistics(),
         "types": {name: type_.value for name, type_ in result.types.items()},
-        "artifacts": {
-            "tree": result.tree_text(),
-            "clocks": str(result.clock_system),
-            "kernel": str(result.program),
-            "python": python,
-            "c": result.c_source(style),
-            "c_shared": result.c_shared_source(style),
-        },
+        "source": source,
+        "artifacts": {"python": python},
         "step": {
             "name": ir.name,
             "inputs": list(ir.inputs),
@@ -160,6 +208,8 @@ def record_from_result(
             "root_flags": [list(flag) for flag in ir.root_flags],
         },
     }
+    if kinds:
+        record = with_texts(record, render_texts(result, style, missing_kinds(record, kinds)))
     if build_flat:
         flat = result.python_source(GenerationStyle.FLAT)
         if flat != python:
@@ -204,13 +254,14 @@ def _check_identity(record: object) -> str:
 def check_program_record(record: object) -> None:
     """Raise ``ValueError`` unless ``record`` is a well-formed program record.
 
-    The one check of the format-4 program layout: the identity fields
+    The one check of the format-5 program layout: the identity fields
     (``format``, ``kind``, ``fingerprint``, ``style``, ``build_flat``),
-    ``name``, ``statistics``, ``types``, every artifact of
-    :data:`ARTIFACT_KINDS` as text, the step interface and the optional
-    ``flat_python`` text.  Everything that reads a record from outside this
-    process -- ``store-put``, the disk store, ``simulate --record`` -- runs
-    it, so no reader meets a record it cannot serve.
+    ``modular``, ``name``, ``statistics``, ``types``, ``source``, the
+    ``python`` artifact as text and each other artifact of
+    :data:`ARTIFACT_KINDS` as text when present, the step interface and the
+    optional ``flat_python`` text.  Everything that reads a record from
+    outside this process -- ``store-put``, the disk store, ``simulate
+    --record`` -- runs it, so no reader meets a record it cannot serve.
     """
     if _check_identity(record) != "program":
         raise ValueError("record is a unit record, not a program record")
@@ -218,8 +269,9 @@ def check_program_record(record: object) -> None:
         GenerationStyle(record.get("style"))
     except ValueError:
         raise ValueError(f"record carries unknown style {record.get('style')!r}") from None
-    if not isinstance(record.get("build_flat"), bool):
-        raise ValueError("record field 'build_flat' must be a boolean")
+    for flag in ("build_flat", "modular"):
+        if not isinstance(record.get(flag), bool):
+            raise ValueError(f"record field {flag!r} must be a boolean")
     if not isinstance(record.get("name"), str):
         raise ValueError("record carries no process name")
     statistics = record.get("statistics")
@@ -232,12 +284,15 @@ def check_program_record(record: object) -> None:
         isinstance(value, str) and value in _TYPE_NAMES for value in types.values()
     ):
         raise ValueError("record field 'types' must map signals to type names")
+    source = record.get("source")
+    if not isinstance(source, str) or not source.strip():
+        raise ValueError("record carries no source text")
     artifacts = record.get("artifacts")
-    if not isinstance(artifacts, dict):
-        raise ValueError("record carries no artifacts")
-    for kind in ARTIFACT_KINDS:
-        if not isinstance(artifacts.get(kind), str):
-            raise ValueError(f"record carries no {kind!r} artifact text")
+    if not isinstance(artifacts, dict) or not isinstance(artifacts.get("python"), str):
+        raise ValueError("record carries no 'python' artifact text")
+    for kind, text in artifacts.items():
+        if kind not in ARTIFACT_KINDS or not isinstance(text, str):
+            raise ValueError(f"record artifact {kind!r} is not a text of {ARTIFACT_KINDS}")
     step = record.get("step")
     if not (
         isinstance(step, dict)
@@ -259,15 +314,12 @@ def key_from_record(record: Dict[str, object]) -> StoreKey:
 
     Validates the record first (the ``store-put`` protocol op and
     cross-node record transfer rely on this): a program record must pass
-    :func:`check_program_record`, a unit record must carry this format and
-    the unit style.  Anything else raises ``ValueError`` rather than being
-    filed under a made-up key.
+    :func:`check_program_record`, a unit record
+    :func:`repro.compiler.check_unit_record`.  Anything else raises
+    ``ValueError`` rather than being filed under a made-up key.
     """
     if _check_identity(record) == "unit":
-        if record.get("style") != UNIT_STYLE:
-            raise ValueError(
-                f"unit record carries style {record.get('style')!r} instead of {UNIT_STYLE!r}"
-            )
+        check_unit_record(record)
         return unit_store_key(record["fingerprint"])
     check_program_record(record)
     return store_key(

@@ -330,7 +330,7 @@ class TestSimulateSubcommand:
         from repro.service.store import record_from_result
 
         record = record_from_result(
-            compile_source(ALARM_SOURCE), GenerationStyle.HIERARCHICAL
+            compile_source(ALARM_SOURCE), GenerationStyle.HIERARCHICAL, source=ALARM_SOURCE
         )
         path = tmp_path / "alarm.json"
         path.write_text(json.dumps(record))
@@ -346,7 +346,9 @@ class TestSimulateSubcommand:
         from repro.codegen.ir import GenerationStyle
         from repro.service.store import record_from_result
 
-        record = record_from_result(compile_source(ALARM_SOURCE), GenerationStyle.HIERARCHICAL)
+        record = record_from_result(
+            compile_source(ALARM_SOURCE), GenerationStyle.HIERARCHICAL, source=ALARM_SOURCE
+        )
         path = tmp_path / "record.json"
         if case == "not-json":
             path.write_text("notjson")

@@ -22,6 +22,7 @@ import time
 import pytest
 
 from repro import GenerationStyle, compile_source
+from repro.compiler import compile_modular_source
 from repro.service import (
     CompilationDaemon,
     CompilationService,
@@ -548,13 +549,14 @@ class TestRecordOnlyMisses:
 
         for source, (record, _) in zip(monolithic, served):
             expected = record_from_result(
-                compile_source(source), GenerationStyle.HIERARCHICAL
+                compile_source(source), GenerationStyle.HIERARCHICAL, source=source
             )
             assert dumped(record) == dumped(expected)
         with CompilationService() as reference:
             for source, (record, _) in zip(modular, served[len(monolithic):]):
                 expected = record_from_result(
-                    reference.compile_modular(source), GenerationStyle.HIERARCHICAL
+                    reference.compile_modular(source), GenerationStyle.HIERARCHICAL,
+                    source=source,
                 )
                 assert dumped(record) == dumped(expected)
 
@@ -1061,6 +1063,55 @@ class TestStoreOps:
         assert again["origin"] == "store"
         assert again["simulation"] == response["simulation"]
 
+    def _hollow_unit(self):
+        """The identity fields of COUNTER's one unit record, nothing else."""
+        from repro.lang.kernel import normalize
+        from repro.lang.parser import parse_process
+        from repro.lang.units import split_units
+        from repro.service.store import STORE_FORMAT, UNIT_STYLE
+
+        (unit,) = split_units(normalize(parse_process(COUNTER_SOURCE)))
+        return {"format": STORE_FORMAT, "kind": "unit", "fingerprint": unit.fingerprint(),
+                "style": UNIT_STYLE}
+
+    def test_hollow_unit_record_cannot_wedge_a_modular_compile(self):
+        daemon = CompilationDaemon()
+        response = daemon.handle_request({"op": "store-put", "record": self._hollow_unit()})
+        assert response["error"]["code"] == "invalid-request"
+        assert "unit record has malformed field" in response["error"]["message"]
+        response = daemon.handle_request(
+            {"op": "compile", "source": COUNTER_SOURCE, "modular": True, "simulate": 2}
+        )
+        assert response["ok"] and response["origin"] == "compiled"
+
+    def test_hollow_unit_record_on_disk_is_quarantined_across_a_restart(self, tmp_path):
+        from repro.service.store import unit_store_key
+
+        hollow = self._hollow_unit()
+        CompileStore(tmp_path).put(unit_store_key(hollow["fingerprint"]), hollow)
+        request = {"op": "compile", "source": COUNTER_SOURCE, "modular": True, "simulate": 2}
+        restarted = CompilationDaemon(store=str(tmp_path))
+        response = restarted.handle_request(request)
+        assert response["ok"] and response["origin"] == "compiled"
+        assert restarted.statistics()["store"]["invalid"] == 1
+        assert restarted.statistics()["service"]["unit_misses"] == 1
+        again = CompilationDaemon(store=str(tmp_path))
+        assert again.handle_request(request)["simulation"] == response["simulation"]
+        unit = again.handle_request(
+            {"op": "store-get", "kind": "unit", "fingerprint": hollow["fingerprint"]}
+        )
+        assert unit["found"] and "ir" in unit["record"]
+
+    @pytest.mark.parametrize("source", [WATCHDOG_SOURCE, "process BROKEN = ("])
+    def test_store_put_refuses_a_source_other_than_the_records_program(self, source):
+        """Completing a record recompiles its source, so a program record
+        whose source is another program, or none, is refused."""
+        daemon = CompilationDaemon()
+        record = {**self._record(), "source": source}
+        response = daemon.handle_request({"op": "store-put", "record": record})
+        assert response["error"]["code"] == "invalid-request"
+        assert "its source does not compile" in response["error"]["message"]
+
     def test_unknown_op_lists_the_store_ops(self):
         response = CompilationDaemon().handle_request({"op": "nope"})
         assert "store-get" in response["error"]["message"]
@@ -1085,3 +1136,195 @@ class TestPinAllocator:
 
         monkeypatch.setattr(ctypes, "CDLL", NoMallopt)
         assert pin_allocator() is False
+
+
+#: a fleet member of several units, so its linked code numbers flags per unit
+MULTI_UNIT_SOURCE = generate_fleet(
+    FleetSpec(name="LEAN", programs=1, library_size=4, units_per_program=3,
+              shared_units=2, seed=3)
+)[0]
+
+
+class TestLeanRecords:
+    """A miss renders the Python plus exactly the texts its ``emit`` names;
+    a later ``emit`` of a missing text completes the record once."""
+
+    @pytest.fixture
+    def renders(self, monkeypatch):
+        """Counts of every renderer of an on-demand text, by name."""
+        import repro.compiler as compiler
+        from repro.clocks.equations import ClockSystem
+        from repro.lang.kernel import KernelProgram
+
+        counts = {}
+
+        def spy(owner, attribute, name):
+            original = getattr(owner, attribute)
+
+            def counting(*arguments, **options):
+                counts[name] = counts.get(name, 0) + 1
+                return original(*arguments, **options)
+
+            monkeypatch.setattr(owner, attribute, counting)
+
+        spy(compiler, "generate_c_source", "c")
+        spy(compiler, "generate_c_shared_source", "c_shared")
+        spy(compiler.CompilationResult, "tree_text", "tree")
+        spy(compiler.LinkedCompilationResult, "tree_text", "tree")
+        spy(ClockSystem, "__str__", "clocks")
+        spy(compiler._LinkedClockSystemText, "__str__", "clocks")
+        spy(KernelProgram, "__str__", "kernel")
+        return counts
+
+    @pytest.fixture
+    def compiles(self, monkeypatch):
+        """The compiles (monolithic or linked) the service runs in this process."""
+        import repro.service.service as service_module
+
+        calls = []
+        original = service_module._compile_result
+
+        def counting(*arguments, **options):
+            calls.append(arguments[1].name)
+            return original(*arguments, **options)
+
+        monkeypatch.setattr(service_module, "_compile_result", counting)
+        return calls
+
+    @staticmethod
+    def _daemon(modular, jobs=1, **options):
+        """A daemon whose service already holds the units of the test
+        program: compiling a unit renders the unit texts a link reads, which
+        is not what these tests count."""
+        daemon = CompilationDaemon(jobs=jobs, **options)
+        if modular:
+            daemon.service.compile_modular(MULTI_UNIT_SOURCE)
+        return daemon
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("modular", [False, True])
+    def test_miss_without_emit_renders_no_optional_text(self, renders, modular, jobs):
+        daemon = self._daemon(modular, jobs)
+        renders.clear()
+        try:
+            record, origin = daemon.compile_record(MULTI_UNIT_SOURCE, modular=modular)
+        finally:
+            daemon.service.close()
+        assert origin == "compiled"
+        assert renders == {}
+        assert list(record["artifacts"]) == ["python"]
+        assert record["modular"] is modular
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("modular", [False, True])
+    def test_miss_with_emit_c_renders_only_c(self, renders, modular, jobs):
+        daemon = self._daemon(modular, jobs)
+        renders.clear()
+        try:
+            response = daemon.handle_request(
+                {"op": "compile", "source": MULTI_UNIT_SOURCE, "modular": modular,
+                 "emit": ["c"]}
+            )
+        finally:
+            daemon.service.close()
+        assert response["origin"] == "compiled"
+        assert renders == ({} if jobs > 1 else {"c": 1})  # a worker renders it there
+        compile_ = compile_modular_source if modular else compile_source
+        assert response["artifacts"] == {"c": compile_(MULTI_UNIT_SOURCE).c_source()}
+        record, _ = daemon.compile_record(MULTI_UNIT_SOURCE)
+        assert list(record["artifacts"]) == ["python", "c"]
+
+    @pytest.mark.parametrize("modular", [False, True])
+    def test_later_emit_completes_the_record_once(
+        self, tmp_path, renders, compiles, modular
+    ):
+        daemon = self._daemon(modular, store=str(tmp_path))
+        daemon.compile_record(MULTI_UNIT_SOURCE, modular=modular)
+        del compiles[:]
+        request = {"op": "compile", "source": MULTI_UNIT_SOURCE, "modular": modular,
+                   "emit": ["tree"]}
+        first = daemon.handle_request(request)
+        assert first["origin"] == "memory"
+        assert len(compiles) == 1
+        assert set(renders) == {"tree", "clocks", "kernel", "c", "c_shared"}
+        # The bytes a miss that rendered the tree directly would serve.
+        fresh = self._daemon(modular).handle_request(request)
+        assert fresh["origin"] == "compiled"
+        assert {**first, "origin": None} == {**fresh, "origin": None}
+        rendered, compiled = dict(renders), len(compiles)
+        again = daemon.handle_request({**request, "emit": ["clocks", "c_shared", "tree"]})
+        assert again["origin"] == "memory"
+        assert again["artifacts"]["tree"] == first["artifacts"]["tree"]
+        assert (len(compiles), renders) == (compiled, rendered)
+        assert daemon.statistics()["daemon"]["completions"] == 1
+        stored = CompileStore(tmp_path).get(
+            (first["fingerprint"], GenerationStyle.HIERARCHICAL.value, False)
+        )
+        assert set(stored["artifacts"]) == {"tree", "clocks", "kernel", "python", "c",
+                                            "c_shared"}
+
+    @pytest.mark.parametrize("modular", [False, True])
+    def test_completion_runs_on_a_worker_process_with_jobs(
+        self, renders, compiles, modular
+    ):
+        """With ``jobs > 1`` a completion compiles off this process, like a
+        miss, so request threads wait without holding the GIL."""
+        request = {"op": "compile", "source": MULTI_UNIT_SOURCE, "modular": modular,
+                   "emit": ["c", "kernel"]}
+        inline = self._daemon(modular)
+        inline.compile_record(MULTI_UNIT_SOURCE, modular=modular)
+        expected = inline.handle_request(request)
+        daemon = self._daemon(modular, jobs=2)
+        try:
+            daemon.compile_record(MULTI_UNIT_SOURCE, modular=modular)
+            renders.clear()
+            del compiles[:]
+            response = daemon.handle_request(request)
+        finally:
+            daemon.service.close()
+        assert response == expected
+        assert response["origin"] == "memory"
+        assert (compiles, renders) == ([], {})
+        assert daemon.statistics()["daemon"]["completions"] == 1
+
+    def test_a_store_hit_is_completed_too(self, tmp_path):
+        CompilationDaemon(store=str(tmp_path)).compile_record(ALARM_SOURCE)
+        restarted = CompilationDaemon(store=str(tmp_path))
+        record, origin = restarted.compile_record(ALARM_SOURCE, emit=["kernel"])
+        assert origin == "store"
+        assert record["artifacts"]["kernel"] == str(compile_source(ALARM_SOURCE).program)
+        assert restarted.statistics()["daemon"]["completions"] == 1
+        _, origin = restarted.compile_record(ALARM_SOURCE, emit=["kernel"])
+        assert origin == "memory"
+
+    def test_event_loop_leaves_a_missing_text_to_the_workers(self):
+        daemon = CompilationDaemon()
+        daemon.compile_record(ALARM_SOURCE)
+        request = {"op": "compile", "source": ALARM_SOURCE}
+        assert daemon._answer_from_memory({**request, "emit": ["c"]}) is None
+        for emit in ([], ["python", "stats"]):
+            assert daemon._answer_from_memory({**request, "emit": emit})["ok"]
+        hits = daemon.statistics()["daemon"]["memory_hits"]
+        assert daemon.handle_request({**request, "emit": ["c"]})["origin"] == "memory"
+        assert daemon._answer_from_memory({**request, "emit": ["c"]})["ok"]
+        assert daemon.statistics()["daemon"]["memory_hits"] == hits + 2
+
+    def test_event_loop_leaves_a_missing_text_to_the_workers_over_a_socket(self):
+        with ThreadedDaemon() as daemon:
+            with RemoteCompiler(*daemon.address) as client:
+                client.compile(ALARM_SOURCE)
+                result = client.compile(ALARM_SOURCE, emit=["c"])
+                assert result.origin == "memory"
+                assert result.artifacts["c"] == compile_source(ALARM_SOURCE).c_source()
+                assert client.stats()["daemon"]["completions"] == 1
+
+    def test_a_modular_request_gets_the_monolithic_records_c(self):
+        daemon = CompilationDaemon()
+        daemon.compile_record(MULTI_UNIT_SOURCE)
+        response = daemon.handle_request(
+            {"op": "compile", "source": MULTI_UNIT_SOURCE, "modular": True, "emit": ["c"]}
+        )
+        assert response["origin"] == "memory"
+        monolithic = compile_source(MULTI_UNIT_SOURCE).c_source()
+        assert response["artifacts"]["c"] == monolithic
+        assert monolithic != compile_modular_source(MULTI_UNIT_SOURCE).c_source()

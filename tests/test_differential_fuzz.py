@@ -457,8 +457,10 @@ def test_modular_fleet_cold_then_warm_records_identical():
 
         batched = service.compile_batch(sources, build_flat=True, modular=True)
         assert [
-            record_from_result(linked, GenerationStyle.HIERARCHICAL, build_flat=True)
-            for linked in batched
+            record_from_result(
+                linked, GenerationStyle.HIERARCHICAL, build_flat=True, source=source
+            )
+            for source, linked in zip(sources, batched)
         ] == cold
 
 

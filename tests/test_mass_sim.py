@@ -16,10 +16,12 @@ import pytest
 
 from repro import compile_source
 from repro.codegen.ir import GenerationStyle
+from repro.compiler import compile_modular_source
 from repro.errors import SimulationError
 from repro.programs import (
     ALARM_SOURCE,
     COUNTER_SOURCE,
+    WATCHDOG_SOURCE,
     ControlProgramSpec,
     generate_control_program,
 )
@@ -31,6 +33,7 @@ from repro.runtime import (
     find_c_compiler,
     random_input_schedule,
 )
+from repro.service import CompilationService
 from repro.service.store import record_from_result
 
 CC = find_c_compiler()
@@ -57,9 +60,12 @@ end;
 """
 
 
+CONTROL_SOURCE = generate_control_program(CONTROL_SPEC)
+
+
 @pytest.fixture(scope="module")
 def control_result():
-    return compile_source(generate_control_program(CONTROL_SPEC), build_flat=True)
+    return compile_source(CONTROL_SOURCE, build_flat=True)
 
 
 @pytest.fixture(scope="module")
@@ -269,7 +275,9 @@ def test_reactive_executor_drives_loaded_c(control_result):
 # -- records, backends and fallback ------------------------------------------
 @needs_cc
 def test_population_from_artifact_record(control_result):
-    record = record_from_result(control_result, GenerationStyle.HIERARCHICAL)
+    record = record_from_result(
+        control_result, GenerationStyle.HIERARCHICAL, source=CONTROL_SOURCE
+    )
     ticks, instances = 10, 3
     executable = control_result.executable
     per_instance = schedules(control_result, executable, instances, ticks, seed=6)
@@ -280,14 +288,64 @@ def test_population_from_artifact_record(control_result):
     ) == independent_python_runs(executable, per_instance)
 
 
-def test_record_without_c_shared_artifact_is_rejected(control_result, monkeypatch):
-    record = record_from_result(control_result, GenerationStyle.HIERARCHICAL)
-    del record["artifacts"]["c_shared"]
-    monkeypatch.setenv("REPRO_CC", "cc" if CC else "")
+@needs_cc
+@pytest.mark.parametrize("modular", [False, True])
+def test_lean_record_steps_like_a_direct_c_shared_build(modular):
+    """A record without ``c_shared`` is completed from its source: it loads
+    exactly the text of the compile it came from and steps like that text
+    built directly."""
+    service = CompilationService()
+    record = service.compile_record(ALARM_SOURCE, modular=modular)
+    assert "c_shared" not in record["artifacts"]
+    compile_ = compile_modular_source if modular else compile_source
+    direct = compile_(ALARM_SOURCE)
+    assert service.complete_record(record)["artifacts"]["c_shared"] == (
+        direct.c_shared_source()
+    )
+    executable = direct.executable
+    ticks, instances = 12, 3
+    per_instance = schedules(direct, executable, instances, ticks, seed=9)
+    lean = MassSimulation.from_record(record, instances, backend="c")
+    built = SharedCProgram.from_metadata(
+        direct.c_shared_source(),
+        name=executable.name,
+        style=GenerationStyle.HIERARCHICAL,
+        inputs=executable.inputs,
+        outputs=executable.outputs,
+        root_flags=executable.root_flags,
+        types=direct.types,
+    )
+    direct_run = MassSimulation(instances, "c", population=built.population(instances))
+    assert population_trace(lean, per_instance, ticks) == population_trace(
+        direct_run, per_instance, ticks
+    )
+
+
+@pytest.mark.parametrize("backend", ["python", "c"])
+def test_malformed_record_raises_simulation_error_on_both_backends(backend):
+    record = record_from_result(
+        compile_source(ALARM_SOURCE), GenerationStyle.HIERARCHICAL, source=ALARM_SOURCE
+    )
+    hollow = {key: record[key] for key in ("format", "kind", "fingerprint", "style",
+                                           "build_flat")}
+    if backend == "c" and CC is None:
+        pytest.skip("no C compiler installed")
+    with pytest.raises(SimulationError, match="not a loadable artifact record"):
+        MassSimulation.from_record(hollow, 2, backend=backend)
+
+
+@pytest.mark.parametrize("source", ["process X = (", WATCHDOG_SOURCE])
+def test_lean_record_whose_source_does_not_compile_to_it_raises_simulation_error(source):
+    """The C backend completes a lean record from its source; a source that
+    does not parse, or that compiles to another program, is a malformed
+    record there.  (The Python backend reads no source.)"""
+    record = record_from_result(
+        compile_source(ALARM_SOURCE), GenerationStyle.HIERARCHICAL, source=ALARM_SOURCE
+    )
     if CC is None:
-        return  # from_record would fail earlier for want of a compiler
-    with pytest.raises(SimulationError, match="c_shared"):
-        SharedCProgram.from_record(record)
+        pytest.skip("no C compiler installed")
+    with pytest.raises(SimulationError, match="not a loadable artifact record"):
+        MassSimulation.from_record({**record, "source": source}, 2, backend="c")
 
 
 def test_auto_backend_falls_back_without_compiler(control_result, monkeypatch):

@@ -204,7 +204,7 @@ def test_link_determinism_cold_vs_warm(tmp_path):
     with CompilationService(store=store) as cold_service:
         cold = record_from_result(
             cold_service.compile_modular(_LINK_SOURCE, build_flat=True),
-            STYLE, build_flat=True,
+            STYLE, build_flat=True, source=_LINK_SOURCE,
         )
         assert cold_service.statistics()["unit_misses"] == 3
     key = store_key(kernel_of(_LINK_SOURCE).fingerprint(), STYLE, True)
@@ -214,7 +214,7 @@ def test_link_determinism_cold_vs_warm(tmp_path):
     with CompilationService(store=store) as warm_service:
         warm = record_from_result(
             warm_service.compile_modular(_LINK_SOURCE, build_flat=True),
-            STYLE, build_flat=True,
+            STYLE, build_flat=True, source=_LINK_SOURCE,
         )
         stats = warm_service.statistics()
         assert stats["unit_store_hits"] == 3
@@ -259,7 +259,9 @@ def test_equation_order_is_part_of_the_linked_identity():
     assert unit_fingerprints(_ORDER_A) == unit_fingerprints(_ORDER_B)
 
     with CompilationService() as service:
-        records = service.compile_batch_records([_ORDER_A, _ORDER_B], modular=True)
+        records = service.compile_batch_records(
+            [_ORDER_A, _ORDER_B], modular=True, kinds=["kernel"]
+        )
         assert [record["fingerprint"] for record in records] == [
             program.fingerprint() for program in programs
         ]
@@ -348,6 +350,7 @@ def test_batch_fan_out_matches_serial_modular(monkeypatch):
                 serial_service.compile_modular(source, build_flat=True),
                 GenerationStyle.HIERARCHICAL,
                 build_flat=True,
+                source=source,
             )
             for source in sources
         ]

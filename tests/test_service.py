@@ -258,6 +258,26 @@ class TestBatch:
             actual = concurrent.compile_batch_records(self.SOURCES, jobs=2)
         assert actual == expected
 
+    @pytest.mark.parametrize("modular", [False, True])
+    def test_batch_records_carry_the_texts_asked_for(self, modular):
+        """``kinds`` adds exactly those texts, rendered in the workers or
+        in the parent alike; the Python is the lean batch's."""
+        from repro.service.store import ON_DEMAND_KINDS
+
+        kinds = ["tree", "c"]  # in ON_DEMAND_KINDS order
+        lean = CompilationService().compile_batch_records(self.SOURCES, modular=modular)
+        expected = CompilationService().compile_batch_records(
+            self.SOURCES, modular=modular, kinds=kinds
+        )
+        with CompilationService() as concurrent:
+            actual = concurrent.compile_batch_records(
+                self.SOURCES, jobs=2, modular=modular, kinds=kinds
+            )
+        assert actual == expected
+        for lean_record, record in zip(lean, actual):
+            assert [kind for kind in ON_DEMAND_KINDS if kind in record["artifacts"]] == kinds
+            assert record["artifacts"]["python"] == lean_record["artifacts"]["python"]
+
     def test_second_batch_is_fully_cached(self):
         service = CompilationService()
         first = service.compile_batch(self.SOURCES)
@@ -457,6 +477,23 @@ class TestProcessWorkerStore:
             )
         assert records[0]["warm_marker"] == "from-disk"  # store hit, no compile
         assert "warm_marker" not in records[1]  # honest cold compile
+
+    def test_process_batches_complete_a_lean_store_hit(self, tmp_path):
+        """A store hit lacking a text ``kinds`` names is completed (every
+        missing text at once) from its source and written back."""
+        from repro.service import CompileStore, key_from_record
+        from repro.service.store import ON_DEMAND_KINDS
+
+        with CompilationService() as donor:
+            record = donor.compile_record(COUNTER_SOURCE)
+            expected = donor.compile_record(COUNTER_SOURCE, kinds=ON_DEMAND_KINDS)
+        store = CompileStore(tmp_path / "store")
+        store.put(key_from_record(record), {**record, "warm_marker": "from-disk"})
+        with CompilationService(store=store) as service:
+            [warmed] = service.compile_batch_records([COUNTER_SOURCE], jobs=2, kinds=["c"])
+        assert warmed["warm_marker"] == "from-disk"
+        assert warmed["artifacts"] == expected["artifacts"]
+        assert store.get(key_from_record(record)) == warmed
 
     def test_process_batches_write_back_to_the_store(self, tmp_path):
         from repro.service import CompileStore

@@ -46,7 +46,7 @@ def fingerprint_of(source):
 
 def make_record(source=COUNTER_SOURCE, build_flat=False):
     result = compile_source(source, build_flat=build_flat)
-    record = record_from_result(result, STYLE, build_flat=build_flat)
+    record = record_from_result(result, STYLE, build_flat=build_flat, source=source)
     key = store_key(result.program.fingerprint(), STYLE, build_flat)
     return result, record, key
 
@@ -143,12 +143,17 @@ class TestCorruptionTolerance:
             {"name": None},
             {"statistics": {"classes": "many"}},
             {"types": {"N": "complex"}},
-            {"artifacts": {"python": "pass"}},
+            {"artifacts": {"c": "int step(void);"}},
+            {"artifacts": {"python": "pass", "tree": None}},
+            {"artifacts": {"python": "pass", "assembly": "nop"}},
+            {"source": ""},
+            {"modular": None},
             {"step": {"name": "COUNT", "inputs": ["RESET"], "outputs": ["N"]}},
             {"step": {"name": "COUNT", "inputs": "RESET", "outputs": [], "root_flags": []}},
             {"flat_python": "pass"},
         ],
-        ids=["name", "statistics", "types", "artifacts", "root_flags", "inputs", "flat"],
+        ids=["name", "statistics", "types", "artifacts", "artifact_text", "artifact_kind",
+             "source", "modular", "root_flags", "inputs", "flat"],
     )
     def test_record_failing_the_layout_check_is_quarantined(self, tmp_path, damage):
         _, record, key = make_record()
@@ -187,7 +192,7 @@ class TestFormatMigration:
     -- never crash or serve them.
     """
 
-    @pytest.mark.parametrize("old_format", [1, 2, 3])
+    @pytest.mark.parametrize("old_format", [1, 2, 3, 4])
     def test_old_format_record_is_quarantined_not_crashed(self, tmp_path, old_format):
         old, key = _old_record(old_format)
         store = CompileStore(tmp_path)
@@ -199,7 +204,7 @@ class TestFormatMigration:
         assert fresh.statistics()["invalid"] == 1
         assert len(fresh) == 0  # unlinked: the miss will recompile and overwrite
 
-    @pytest.mark.parametrize("old_format", [1, 2, 3])
+    @pytest.mark.parametrize("old_format", [1, 2, 3, 4])
     def test_key_from_record_rejects_old_formats(self, old_format):
         old, _ = _old_record(old_format)
         with pytest.raises(ValueError):
@@ -235,6 +240,34 @@ class TestUnitRecords:
         assert record["kind"] == "unit"
         assert record["style"] == UNIT_STYLE
         assert key_from_record(record) == unit_store_key(unit.fingerprint())
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            {"types": None},
+            {"class_ids": [0, "1"]},
+            {"max_class_id": None},
+            {"signal_class": {"X": "0"}},
+            {"free_classes": [{"id": 0, "atoms": [["maybe", "X"]]}]},
+            {"ir": {"hierarchical": {}}},
+            {"artifacts": {"forest": ""}},
+            {"statistics": {"classes": None}},
+            {"unit_version": -1},
+        ],
+        ids=["types", "class_ids", "max_class_id", "signal_class", "free_classes", "ir",
+             "artifacts", "statistics", "unit_version"],
+    )
+    def test_unit_record_failing_the_layout_check_is_quarantined(self, tmp_path, damage):
+        unit, record = self._unit_record()
+        damaged = {**record, **damage}
+        with pytest.raises(ValueError, match="unit record has malformed field"):
+            key_from_record(damaged)
+        key = unit_store_key(unit.fingerprint())
+        store = CompileStore(tmp_path)
+        store.put(key, damaged)
+        assert store.get(key) is None
+        assert store.statistics()["invalid"] == 1
+        assert len(store) == 0
 
     def test_unit_and_program_keys_never_collide(self, tmp_path):
         """Even for the same fingerprint string, the unit pseudo-style keeps
@@ -402,7 +435,7 @@ class TestRehydration:
     @pytest.mark.parametrize("style", list(GenerationStyle))
     def test_each_python_text_is_stored_once(self, style):
         result = compile_source(ALARM_SOURCE, style=style, build_flat=True)
-        record = record_from_result(result, style, build_flat=True)
+        record = record_from_result(result, style, build_flat=True, source=ALARM_SOURCE)
         assert ("flat_python" in record) == (style is GenerationStyle.HIERARCHICAL)
         text = json.dumps(record)
         for flat, executable in ((False, result.executable), (True, result.executable_flat)):
@@ -415,9 +448,10 @@ class TestRehydration:
 
     def test_artifacts_match_a_fresh_compile(self):
         result, record, _ = make_record()
-        assert record["artifacts"]["python"] == result.python_source(STYLE)
-        assert record["artifacts"]["c"] == result.c_source(STYLE)
-        assert record["artifacts"]["tree"] == result.tree_text()
+        assert record["artifacts"] == {"python": result.python_source(STYLE)}
+        complete = CompilationService().complete_record(record)["artifacts"]
+        assert complete["c"] == result.c_source(STYLE)
+        assert complete["tree"] == result.tree_text()
         assert record["statistics"] == result.statistics()
 
 
@@ -599,20 +633,29 @@ class TestStepIRSharing:
         self, ir_builds, style, build_flat, expected
     ):
         daemon = CompilationDaemon()
-        record, origin = daemon.compile_record(ALARM_SOURCE, style=style, build_flat=build_flat)
+        record, origin = daemon.compile_record(
+            ALARM_SOURCE, style=style, build_flat=build_flat, emit=["c", "c_shared"]
+        )
         assert origin == "compiled"
-        assert record["artifacts"]["c_shared"]
+        assert record["artifacts"]["c"] and record["artifacts"]["c_shared"]
         assert len(ir_builds) == expected
 
     @pytest.mark.parametrize("style", list(GenerationStyle))
     @pytest.mark.parametrize("build_flat", [False, True])
     def test_record_artifacts_equal_renders_of_fresh_irs(self, style, build_flat):
         result = compile_source(ALARM_SOURCE, style=style, build_flat=build_flat)
-        record = record_from_result(result, style, build_flat=build_flat)
+        record = record_from_result(
+            result, style, build_flat=build_flat, source=ALARM_SOURCE, kinds=("c", "c_shared")
+        )
         ir = build_step_ir(result.schedule, result.types, style)
         assert record["artifacts"]["python"] == generate_python_source(ir)
         assert record["artifacts"]["c"] == generate_c_source(ir)
         assert record["artifacts"]["c_shared"] == generate_c_shared_source(ir)
+        lean = record_from_result(result, style, build_flat=build_flat, source=ALARM_SOURCE)
+        complete = CompilationService().complete_record(lean)["artifacts"]
+        assert (complete["c"], complete["c_shared"]) == (
+            generate_c_source(ir), generate_c_shared_source(ir)
+        )
         assert result.step_ir(style) is result.executable.ir
         assert result.python_source(style) is result.executable.source
         if build_flat and style is GenerationStyle.HIERARCHICAL:
@@ -710,7 +753,7 @@ def test_served_records_equal_records_of_runnable_results(pooled_service, modula
         style, build_flat = _RECORD_OPTIONS[(index + 2 * modular) % 4]
         options = dict(style=style, build_flat=build_flat)
         expected = record_from_result(
-            compile_(source, **options), style, build_flat=build_flat
+            compile_(source, **options), style, build_flat=build_flat, source=source
         )
         assert inline.compile_record(source, modular=modular, **options) == expected
         assert pooled_service.compile_record(
